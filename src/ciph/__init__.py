@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     NegativeCoefficient,
     NonFiniteState,
+    NonFiniteValue,
     NonpositiveGamma,
     TrajectoryTooShort,
 )
@@ -61,7 +62,9 @@ from .tensor import (
 from .verify import (
     OracleConfig,
     OracleReport,
+    PsdOracleReport,
     exhaustive_condition_check,
+    exhaustive_psd_check,
     fd_gradient,
     random_cons_irrev,
     random_polynomial,

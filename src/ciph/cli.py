@@ -23,7 +23,7 @@ import os
 import sys
 
 from .dynamics import audit_balances, integrate
-from .errors import CiphError, FormatError, TrajectoryTooShort
+from .errors import CiphError, TrajectoryTooShort
 from .fileio import (
     load_directions,
     load_matrix,
@@ -245,18 +245,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except _UsageError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    except FormatError as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    except CiphError as exc:
+    except (_UsageError, CiphError) as exc:  # FormatError is a CiphError
         _note(f"error: {exc}")
         return EXIT_USAGE
 

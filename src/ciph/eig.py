@@ -1,8 +1,11 @@
 """Cyclic Jacobi eigensolver for small symmetric matrices.
 
-The sampled positive-semidefiniteness check needs eigenvalues of n x n
-symmetric matrices with n <= 32; a dependency-free cyclic Jacobi sweep is
-cheap at that size and deterministic across platforms.
+This is the independent oracle for the sampled positive-semidefiniteness
+check: ``ciph.verify.exhaustive_psd_check`` uses it, while
+``ciph.tensor.check_psd_c`` runs batched LAPACK ``eigvalsh``. The sweep is
+pure Python and dependency-free, so agreement between the two is evidence
+that neither eigenvalue path is wrong. It is far slower than LAPACK and meant
+for the oracle's small dimensions.
 """
 
 from __future__ import annotations

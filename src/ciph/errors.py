@@ -17,6 +17,10 @@ class NegativeCoefficient(CiphError):
     """A coefficient that must be nonnegative is negative."""
 
 
+class NonFiniteValue(CiphError):
+    """A tolerance or sampled input is NaN or infinite."""
+
+
 class EmptyDirectionSet(CiphError):
     """A direction-sampled check received no directions."""
 

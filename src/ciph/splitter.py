@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import BracketMatrix, is_skew, product_tensor
-from .errors import DimensionMismatch, NegativeCoefficient
-from .tensor import DEFAULT_TOL, Tensor4, check_sym_a
+from .errors import DimensionMismatch
+from .tensor import DEFAULT_TOL, Tensor4, _require_tol, check_sym_a
 
 SPLIT = "SPLIT"
 NOT_RANK_ONE = "NOT_RANK_ONE"
@@ -97,8 +97,7 @@ def rank_one_factor(F, tol: float = DEFAULT_TOL) -> RankOneFactor:
     ``tol * max|F|``. Exact products factor exactly; anything else is
     reported as not rank one with the achieved residual.
     """
-    if tol < 0.0:
-        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    tol = _require_tol(tol)
     F = np.asarray(F, dtype=float)
     n = math.isqrt(F.shape[0])
     fmax = float(np.max(np.abs(F)))
@@ -137,8 +136,7 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     """
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
-    if tol < 0.0:
-        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    tol = _require_tol(tol)
     n = A.n
     amax = A.max_abs()
     bmax = B.max_abs()
@@ -259,8 +257,7 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     ``tol * max(1, max|t|)``; tensors that fit neither shape come back as
     NOT_RANK_ONE (which is a status, not a proof that no splitting exists).
     """
-    if tol < 0.0:
-        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    tol = _require_tol(tol)
     accept = tol * max(1.0, t.max_abs())
 
     factor = rank_one_factor(flatten_pairs(t), tol)

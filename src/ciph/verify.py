@@ -8,12 +8,20 @@ only meant for small dimensions (n <= 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .brackets import BracketMatrix, product_tensor
-from .errors import DimensionTooLarge, NegativeCoefficient
+from .eig import jacobi_eigenvalues
+from .errors import (
+    DimensionMismatch,
+    DimensionTooLarge,
+    EmptyDirectionSet,
+    NegativeCoefficient,
+    NonFiniteValue,
+)
 from .tensor import DEFAULT_TOL, Tensor4, symmetrize_34
 
 ORACLE_MAX_DIMENSION = 5
@@ -49,6 +57,16 @@ class OracleReport:
             "RAW_III": self.raw_iii,
             "QUASI_POISSON": self.quasi_poisson,
         }
+
+
+@dataclass(frozen=True)
+class PsdOracleReport:
+    """Loop-based PSD verdict: the first failing direction and its residual
+    (the asymmetry, or the negative smallest eigenvalue), both None on a pass."""
+
+    passed: bool
+    direction: tuple[float, ...] | None = None
+    residual: float | None = None
 
 
 def fd_gradient(f, x, step: float = 1e-6) -> list[float]:
@@ -137,6 +155,57 @@ def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleRe
         raw_iii=raw_worst <= tol,
         quasi_poisson=qp_worst <= tol,
     )
+
+
+def exhaustive_psd_check(t: Tensor4, directions, tol: float = DEFAULT_TOL) -> PsdOracleReport:
+    """Re-derive the sampled PSD verdict with loops and the Jacobi solver.
+
+    Same contract as the primary check: per direction, in list order, the
+    asymmetry ``max|M - M^T|`` is tested against ``tol * max(1, max|M|)``
+    before the smallest eigenvalue of the symmetrized M is tested against
+    its negative. M(y) is contracted entry by entry from a nested-list copy
+    of the tensor. Restricted to n <= 5.
+    """
+    if t.n > ORACLE_MAX_DIMENSION:
+        raise DimensionTooLarge(
+            f"oracle loops support n <= {ORACLE_MAX_DIMENSION}, got {t.n}"
+        )
+    tol = float(tol)
+    if not math.isfinite(tol):
+        raise NonFiniteValue(f"tolerance must be finite, got {tol}")
+    if tol < 0.0:
+        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    n = t.n
+    e = t.values.tolist()
+    dirs = []
+    for y in directions:
+        arr = np.asarray(y, dtype=float)
+        if arr.shape != (n,):
+            raise DimensionMismatch(f"direction has shape {arr.shape}, expected ({n},)")
+        dirs.append(arr.tolist())
+    if not dirs:
+        raise EmptyDirectionSet("the PSD oracle needs at least one direction")
+    for y in dirs:
+        M = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                acc = 0.0
+                for k in range(n):
+                    for l in range(n):
+                        acc += e[i][j][k][l] * y[k] * y[l]
+                M[i][j] = acc
+        scale = 1.0
+        asym = 0.0
+        for i in range(n):
+            for j in range(n):
+                scale = max(scale, abs(M[i][j]))
+                asym = max(asym, abs(M[i][j] - M[j][i]))
+        if asym > tol * scale:
+            return PsdOracleReport(False, tuple(y), asym)
+        lam_min = float(jacobi_eigenvalues(M)[0])
+        if lam_min < -tol * scale:
+            return PsdOracleReport(False, tuple(y), lam_min)
+    return PsdOracleReport(True)
 
 
 def random_skew(rng: np.random.Generator, n: int) -> BracketMatrix:

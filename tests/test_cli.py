@@ -95,6 +95,40 @@ class TestCheck:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_byte_identical_output_with_psd_witness(self, tmp_path, capsys):
+        from ciph import Tensor4
+        from ciph.verify import random_cons_irrev
+
+        (t,) = random_cons_irrev(3, 6, 1)
+        bump = np.einsum("i,j,k,l->ijkl", *[np.eye(6)[-1]] * 4)
+        p = tmp_path / "bumped.json"
+        save_tensor(Tensor4(6, t.values - 0.5 * bump), p)
+        assert main(["check", str(p)]) == 2
+        first = capsys.readouterr().out
+        assert main(["check", str(p)]) == 2
+        second = capsys.readouterr().out
+        assert first == second
+        psd = [json.loads(line) for line in first.splitlines()][3]
+        assert psd["witness"]["direction"] == [0.0] * 5 + [1.0]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["check", "split", "oracle"])
+    def test_non_finite_tolerance_exits_one(self, eps_file, capsys, command, tol):
+        assert main([command, eps_file, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be finite")
+
+    def test_nan_tolerance_no_traceback(self, eps_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciph.cli", "check", eps_file, "--tol", "nan"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: tolerance must be finite")
+
     def test_bad_seed_env(self, eps_file, capsys, monkeypatch):
         monkeypatch.setenv("CIPH_SEED", "not-a-number")
         assert main(["check", eps_file]) == 1

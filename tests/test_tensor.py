@@ -9,6 +9,7 @@ from ciph import (
     DimensionTooLarge,
     EmptyDirectionSet,
     NegativeCoefficient,
+    NonFiniteValue,
     PolynomialField,
     Tensor4,
     check_cyclic_b,
@@ -23,6 +24,7 @@ from ciph import (
     product_tensor,
     symmetrize_34,
 )
+from ciph.tensor import PSD_BLOCK
 from ciph.verify import random_cons_irrev, random_polynomial, random_skew
 
 from conftest import EPS_ENTRIES
@@ -214,6 +216,93 @@ class TestPsdC:
         report = check_psd_c(t, default_directions(4))
         assert not report.passed
         assert report.witness.residual > 0.0  # asymmetry defect, not eigenvalue
+
+
+class TestPsdBlockedScan:
+    """The scan works in blocks of PSD_BLOCK directions; the witness must
+    still be the first failing direction in list order."""
+
+    # M(y) = [[-y2^2, 0], [0, 0]]: (c, 0) passes, (c, 1) fails with -1.
+    NEG = Tensor4.from_entries(2, {(1, 1, 2, 2): -1.0})
+    # M(y) = [[-y2^2, y1^2], [0, 0]]: (c, 0) with c != 0 is asymmetric.
+    ASYM = Tensor4.from_entries(2, {(1, 1, 2, 2): -1.0, (1, 2, 1, 1): 1.0})
+
+    @staticmethod
+    def directions(length, bad_from):
+        # Distinct directions, so a witness identifies its position.
+        return [np.array([float(p), 1.0 if p >= bad_from else 0.0]) for p in range(length)]
+
+    @pytest.mark.parametrize(
+        "position", [0, PSD_BLOCK - 1, PSD_BLOCK, PSD_BLOCK + 1, 3 * PSD_BLOCK - 2]
+    )
+    def test_first_failure_reported_at_its_position(self, position):
+        dirs = self.directions(3 * PSD_BLOCK - 1, position)
+        report = check_psd_c(self.NEG, dirs)
+        assert not report.passed
+        assert report.witness.direction == (float(position), 1.0)
+        assert report.witness.residual == -1.0
+
+    def test_pass_scans_every_block(self):
+        dirs = self.directions(3 * PSD_BLOCK - 1, 3 * PSD_BLOCK)
+        assert check_psd_c(self.NEG, dirs).passed
+
+    def test_asymmetry_across_a_boundary_wins_over_later_eigenvalue(self):
+        dirs = [np.array([0.0, 0.0])] * PSD_BLOCK
+        dirs += [np.array([0.0, 2.0]), np.array([3.0, 0.0])]
+        report = check_psd_c(self.ASYM, dirs)
+        assert report.witness.direction == (0.0, 2.0)
+        assert report.witness.residual == -4.0
+        swapped = dirs[:PSD_BLOCK] + [dirs[PSD_BLOCK + 1], dirs[PSD_BLOCK]]
+        report = check_psd_c(self.ASYM, swapped)
+        assert report.witness.direction == (3.0, 0.0)
+        assert report.witness.residual == 9.0  # the asymmetry, not an eigenvalue
+
+    def test_bounds_scale_with_largest_entry_of_m(self, golden_eps):
+        # M(e_1) = diag(0, 2e6) plus an asymmetry and a negative entry of
+        # 1e-6, which sit below tol * max|M| = 2e-4 but above tol itself.
+        nudge = Tensor4.from_entries(2, {(1, 2, 1, 1): 1e-6, (1, 1, 1, 1): -1e-6})
+        t = Tensor4(2, 1e6 * golden_eps.values + nudge.values)
+        assert check_psd_c(t, [np.array([1.0, 0.0])]).passed
+        assert not check_psd_c(t, [np.array([1.0, 0.0])], tol=1e-13).passed
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([1.0, 0.0, 0.0]), np.array([1.0]), np.array([[1.0, 0.0]])]
+    )
+    def test_wrong_shape_direction(self, golden_eps, bad):
+        with pytest.raises(DimensionMismatch):
+            check_psd_c(golden_eps, [np.array([1.0, 0.0]), bad])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_direction(self, golden_eps, value):
+        with pytest.raises(NonFiniteValue):
+            check_psd_c(golden_eps, [np.array([1.0, value])])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_contraction(self, golden_eps):
+        with pytest.raises(NonFiniteValue):
+            check_psd_c(golden_eps, [np.array([1e200, 1e200])])
+
+
+class TestNonFiniteTolerance:
+    CHECKS = [check_sym_a, check_cyclic_b, check_raw_iii, check_quasi_poisson]
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+    def test_index_checks_reject(self, check, tol):
+        t = Tensor4(2, np.random.default_rng(0).standard_normal((2, 2, 2, 2)))
+        with pytest.raises(NonFiniteValue):
+            check(t, tol)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_psd_check_rejects(self, tol):
+        t = Tensor4(2, -np.ones((2, 2, 2, 2)))
+        with pytest.raises(NonFiniteValue):
+            check_psd_c(t, default_directions(2), tol)
+
+    def test_negative_tolerance_still_negative_coefficient(self, golden_eps):
+        with pytest.raises(NegativeCoefficient):
+            check_sym_a(golden_eps, -1.0)
 
 
 class TestQuasiPoisson:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from ciph import (
+    DimensionMismatch,
     DimensionTooLarge,
+    EmptyDirectionSet,
+    NonFiniteValue,
     PolynomialField,
     Tensor4,
     check_cyclic_b,
@@ -15,7 +18,7 @@ from ciph import (
     random_cons_irrev,
 )
 from ciph.fields import exp_sum_field
-from ciph.verify import OracleConfig, exhaustive_condition_check
+from ciph.verify import OracleConfig, exhaustive_condition_check, exhaustive_psd_check
 
 from conftest import EPS_ENTRIES
 
@@ -77,6 +80,82 @@ class TestExhaustiveCheck:
     def test_dimension_limit(self):
         with pytest.raises(DimensionTooLarge):
             exhaustive_condition_check(Tensor4.zeros(6))
+
+
+def assert_psd_agreement(t: Tensor4, dirs) -> bool:
+    """Primary scan and loop oracle agree on verdict, witness direction and
+    residual; returns the verdict."""
+    primary = check_psd_c(t, dirs)
+    oracle = exhaustive_psd_check(t, dirs)
+    assert primary.passed == oracle.passed
+    if primary.passed:
+        assert oracle.direction is None and oracle.residual is None
+    else:
+        assert primary.witness.direction == oracle.direction
+        assert abs(primary.witness.residual - oracle.residual) <= 1e-9
+    return primary.passed
+
+
+class TestExhaustivePsdCheck:
+    def test_golden_tensor_and_its_negation(self, golden_eps):
+        dirs = default_directions(2)
+        assert assert_psd_agreement(golden_eps, dirs)
+        assert not assert_psd_agreement(Tensor4(2, -golden_eps.values), dirs)
+        report = exhaustive_psd_check(Tensor4(2, -golden_eps.values), dirs)
+        assert report.direction == (1.0, 0.0)
+        assert report.residual == pytest.approx(-2.0, abs=1e-12)
+
+    @staticmethod
+    def perturbations(v, rng):
+        """The tensor, its negation, noise (asymmetric at once), and two
+        bumps felt only by directions with a nonzero last coordinate: one
+        negative definite along e_n, one asymmetric."""
+        n = v.shape[0]
+        e = np.eye(n)
+        return (
+            v,
+            -v,
+            v + 1e-3 * rng.standard_normal(v.shape),
+            v - 0.5 * np.einsum("i,j,k,l->ijkl", e[-1], e[-1], e[-1], e[-1]),
+            v + 1e-3 * np.einsum("i,j,k,l->ijkl", e[0], e[1], e[-1], e[-1]),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agreement_on_passing_negated_and_perturbed(self, n):
+        rng = np.random.default_rng(700 + n)
+        dirs = default_directions(n)
+        e_n = tuple(np.eye(n)[-1])  # first standard direction the bumps act on
+        for t in random_cons_irrev(800 + n, n, 4, gamma_max=3.0):
+            values = self.perturbations(t.values, rng)
+            verdicts = [assert_psd_agreement(Tensor4(n, v), dirs) for v in values]
+            assert verdicts == [True, False, False, False, False]
+            for bumped in values[3:]:
+                assert check_psd_c(Tensor4(n, bumped), dirs).witness.direction == e_n
+
+    def test_agreement_across_blocks_of_directions(self):
+        # 100 directions the bumps cannot see, then 50 they can: the first
+        # failure sits in the second block of the primary scan.
+        rng = np.random.default_rng(9)
+        dirs = rng.standard_normal((150, 3))
+        dirs[:100, -1] = 0.0
+        dirs = list(dirs)
+        for t in random_cons_irrev(10, 3, 3):
+            values = self.perturbations(t.values, rng)
+            assert assert_psd_agreement(Tensor4(3, values[0]), dirs)
+            for bumped in values[3:]:
+                assert not assert_psd_agreement(Tensor4(3, bumped), dirs)
+                report = exhaustive_psd_check(Tensor4(3, bumped), dirs)
+                assert report.direction == tuple(dirs[100])
+
+    def test_input_validation(self, golden_eps):
+        with pytest.raises(EmptyDirectionSet):
+            exhaustive_psd_check(golden_eps, [])
+        with pytest.raises(DimensionMismatch):
+            exhaustive_psd_check(golden_eps, [[1.0, 0.0, 0.0]])
+        with pytest.raises(NonFiniteValue):
+            exhaustive_psd_check(golden_eps, [[1.0, 0.0]], float("nan"))
+        with pytest.raises(DimensionTooLarge):
+            exhaustive_psd_check(Tensor4.zeros(6), default_directions(6))
 
 
 class TestRandomConsIrrev:
