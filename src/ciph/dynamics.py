@@ -10,16 +10,23 @@ and a strictly positive coefficient gamma. W, g and u are optional input
 terms with no structural constraints.
 
 Integration is fixed-step classical Runge-Kutta (RK4): deterministic
-trajectories matter more here than adaptive efficiency. The audit compares
-centered finite differences of H and S along a trajectory against the two
-balance equations; the entropy balance is checked in the form
+trajectories matter more here than adaptive efficiency. Gradients of H and S
+are taken in one kernel, ``_drift_parts``. Each accepted sample evaluates it
+once, which gives H, S, sigma_int, the input powers p = dH^T (W + g u) and
+q = dS^T (W + g u), and the next step's k1 at the same (x, t); so a step takes
+8 field gradients (2 per rhs for k2-k4, 2 at the sample), and the audit and
+the CSV writer read p and q from the trajectory instead of recomputing them.
+
+The audit compares centered finite differences of H and S along a trajectory
+against the two balance equations; the entropy balance is checked in the form
 dS/dt = sigma_int + dH^T (W + g u) and, side by side, in the variant with
 dS^T (W + g u), without deciding between them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     NegativeCoefficient,
+    NonFiniteValue,
     NonpositiveGamma,
     TrajectoryTooShort,
 )
@@ -73,6 +81,11 @@ class IphsModel:
             raise NonpositiveGamma(x, value)
         return value
 
+    @property
+    def forced(self) -> bool:
+        """Whether W or g u contributes an input term."""
+        return self.W is not None or (self.g is not None and self.u is not None)
+
     def input_term(self, x, dH, t: float) -> np.ndarray:
         """W(x, dH) + g(x, dH) u(t), with missing pieces treated as zero."""
         total = np.zeros(self.n)
@@ -95,13 +108,17 @@ class IphsModel:
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled solution; ``fault`` is None for a clean run, otherwise the
-    name of the abort condition and the trajectory is the valid prefix."""
+    name of the abort condition and the trajectory is the valid prefix.
+    ``p`` and ``q`` are the input powers dH^T (W + g u) and dS^T (W + g u)
+    at each sample (zero for an isolated model)."""
 
     times: np.ndarray
     states: np.ndarray
     H_values: np.ndarray
     S_values: np.ndarray
     sigma_int: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
     fault: str | None = None
 
     def __len__(self) -> int:
@@ -119,35 +136,31 @@ class BalanceReport:
     samples: int
 
     def to_json(self) -> dict:
-        return {
-            "max_energy_defect": self.max_energy_defect,
-            "max_entropy_defect": self.max_entropy_defect,
-            "max_entropy_defect_alt": self.max_entropy_defect_alt,
-            "min_sigma_int": self.min_sigma_int,
-            "energy_scale": self.energy_scale,
-            "entropy_scale": self.entropy_scale,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
-def drift_rhs(model: IphsModel, x) -> np.ndarray:
-    """gamma(x) * (dS^T J dH) * (J dH); zero wherever dH vanishes."""
-    x = np.asarray(x, dtype=float)
+def _drift_parts(model: IphsModel, x: np.ndarray) -> tuple:
+    """(gamma, dH, dS, J dH, dS^T J dH) at x: the one place the dynamics
+    take gradients of H and S."""
     gamma = model.gamma_at(x)
     dH = np.asarray(model.H.grad(x), dtype=float)
     dS = np.asarray(model.S.grad(x), dtype=float)
     JdH = model.J.array @ dH
-    return gamma * float(dS @ JdH) * JdH
+    return gamma, dH, dS, JdH, float(dS @ JdH)
+
+
+def drift_rhs(model: IphsModel, x) -> np.ndarray:
+    """gamma(x) * (dS^T J dH) * (J dH); zero wherever dH vanishes."""
+    gamma, _, _, JdH, bracket = _drift_parts(model, np.asarray(x, dtype=float))
+    return gamma * bracket * JdH
 
 
 def full_rhs(model: IphsModel, x, t: float) -> np.ndarray:
     """Drift plus input terms W + g u."""
     x = np.asarray(x, dtype=float)
-    rhs = drift_rhs(model, x)
-    if model.W is None and (model.g is None or model.u is None):
-        return rhs
-    dH = np.asarray(model.H.grad(x), dtype=float)
-    return rhs + model.input_term(x, dH, t)
+    gamma, dH, _, JdH, bracket = _drift_parts(model, x)
+    rhs = gamma * bracket * JdH
+    return rhs + model.input_term(x, dH, t) if model.forced else rhs
 
 
 def observable_rate(model: IphsModel, f, x) -> float:
@@ -158,33 +171,38 @@ def observable_rate(model: IphsModel, f, x) -> float:
     x = np.asarray(x, dtype=float)
     if f.n != model.n:
         raise DimensionMismatch(f"field has dimension {f.n}, expected {model.n}")
-    gamma = model.gamma_at(x)
-    dH = np.asarray(model.H.grad(x), dtype=float)
-    dS = np.asarray(model.S.grad(x), dtype=float)
-    df = np.asarray(f.grad(x), dtype=float)
-    JdH = model.J.array @ dH
-    return gamma * float(dS @ JdH) * float(df @ JdH)
+    gamma, _, _, JdH, bracket = _drift_parts(model, x)
+    return gamma * bracket * float(np.asarray(f.grad(x), dtype=float) @ JdH)
 
 
-def _sigma_int(model: IphsModel, x) -> float:
-    gamma = model.gamma_at(x)
-    dH = np.asarray(model.H.grad(x), dtype=float)
-    dS = np.asarray(model.S.grad(x), dtype=float)
-    bracket = float(dS @ (model.J.array @ dH))
-    return gamma * bracket * bracket
+def _sample(model: IphsModel, x: np.ndarray, t: float) -> tuple:
+    """(H, S, sigma_int, p, q) at an accepted sample, and the rhs there,
+    which is the next RK4 step's k1."""
+    gamma, dH, dS, JdH, bracket = _drift_parts(model, x)
+    rhs, p, q = gamma * bracket * JdH, 0.0, 0.0
+    if model.forced:
+        inp = model.input_term(x, dH, t)
+        rhs, p, q = rhs + inp, float(dH @ inp), float(dS @ inp)
+    H, S = float(model.H.value(x)), float(model.S.value(x))
+    return (H, S, gamma * bracket * bracket, p, q), rhs
 
 
 def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 solve of the full dynamics, sampling every step.
 
-    Each sample records H, S, and sigma_int. If gamma fails to be positive
-    or the state leaves the finite range mid-run, the trajectory returned is
-    the valid prefix with ``fault`` set instead of raising.
+    Each sample records H, S, sigma_int and the input powers p, q. If gamma
+    fails to be positive or the state leaves the finite range mid-run, the
+    trajectory returned is the valid prefix with ``fault`` set instead of
+    raising.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise NonFiniteValue(f"t_end and dt must be finite, got {t_end} and {dt}")
     if dt <= 0.0:
         raise DimensionMismatch(f"dt must be > 0, got {dt}")
     if t_end <= 0.0:
         raise DimensionMismatch(f"t_end must be > 0, got {t_end}")
+    if not math.isfinite(t_end / dt):
+        raise NonFiniteValue(f"t_end / dt = {t_end} / {dt} overflows")
     steps = max(1, int(round(t_end / dt)))
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (model.n,):
@@ -194,37 +212,26 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     states = [x.copy()]
     fault = None
     try:
-        H_vals = [float(model.H.value(x))]
-        S_vals = [float(model.S.value(x))]
-        sig = [_sigma_int(model, x)]
+        with np.errstate(all="ignore"):
+            row, k1 = _sample(model, x, 0.0)
+        rows = [row]
     except NonpositiveGamma:
-        return Trajectory(
-            np.array([0.0]),
-            np.array([x]),
-            np.array([float(model.H.value(x))]),
-            np.array([float(model.S.value(x))]),
-            np.array([0.0]),
-            fault="NonpositiveGamma",
-        )
+        rows = [(float(model.H.value(x)), float(model.S.value(x)), 0.0, 0.0, 0.0)]
+        fault, steps = "NonpositiveGamma", 0
 
     for k in range(steps):
         t = k * dt
         try:
             # Overflow to inf/nan is caught by the finiteness check below.
             with np.errstate(all="ignore"):
-                k1 = full_rhs(model, x, t)
                 k2 = full_rhs(model, x + 0.5 * dt * k1, t + 0.5 * dt)
                 k3 = full_rhs(model, x + 0.5 * dt * k2, t + 0.5 * dt)
                 k4 = full_rhs(model, x + dt * k3, t + dt)
                 x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                sample = None
+                row = None
                 if np.all(np.isfinite(x_next)):
-                    sample = (
-                        float(model.H.value(x_next)),
-                        float(model.S.value(x_next)),
-                        _sigma_int(model, x_next),
-                    )
-            if sample is None or not all(np.isfinite(sample)):
+                    row, k1 = _sample(model, x_next, (k + 1) * dt)
+            if row is None or not all(np.isfinite(row[:3])):
                 fault = "NonFiniteState"
                 break
             x = x_next
@@ -233,35 +240,15 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
             break
         times.append((k + 1) * dt)
         states.append(x.copy())
-        H_vals.append(sample[0])
-        S_vals.append(sample[1])
-        sig.append(sample[2])
+        rows.append(row)
 
-    return Trajectory(
-        np.array(times),
-        np.array(states),
-        np.array(H_vals),
-        np.array(S_vals),
-        np.array(sig),
-        fault=fault,
-    )
+    columns = [np.array(column) for column in zip(*rows)]
+    return Trajectory(np.array(times), np.array(states), *columns, fault=fault)
 
 
 def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample dH^T (W + g u) and dS^T (W + g u) along a trajectory."""
-    m = len(trajectory)
-    p = np.zeros(m)
-    q = np.zeros(m)
-    if model.W is None and (model.g is None or model.u is None):
-        return p, q
-    for k in range(m):
-        x = trajectory.states[k]
-        dH = np.asarray(model.H.grad(x), dtype=float)
-        dS = np.asarray(model.S.grad(x), dtype=float)
-        inp = model.input_term(x, dH, float(trajectory.times[k]))
-        p[k] = float(dH @ inp)
-        q[k] = float(dS @ inp)
-    return p, q
+    """Per-sample dH^T (W + g u) and dS^T (W + g u), as ``integrate`` recorded them."""
+    return trajectory.p, trajectory.q
 
 
 def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
@@ -275,10 +262,7 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     """
     if len(trajectory) < 3:
         raise TrajectoryTooShort(f"need >= 3 samples, got {len(trajectory)}")
-    t = trajectory.times
-    H = trajectory.H_values
-    S = trajectory.S_values
-    sig = trajectory.sigma_int
+    t, H, S, sig = trajectory.times, trajectory.H_values, trajectory.S_values, trajectory.sigma_int
     p, q = input_power(model, trajectory)
 
     span = t[2:] - t[:-2]
@@ -289,12 +273,7 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     rhs_S_alt = sig[1:-1] + q[1:-1]
 
     energy_scale = max(1.0, float(np.max(np.abs(fdH))), float(np.max(np.abs(rhs_E))))
-    entropy_scale = max(
-        1.0,
-        float(np.max(np.abs(fdS))),
-        float(np.max(np.abs(rhs_S))),
-        float(np.max(np.abs(rhs_S_alt))),
-    )
+    entropy_scale = max(1.0, *(float(np.max(np.abs(v))) for v in (fdS, rhs_S, rhs_S_alt)))
     return BalanceReport(
         max_energy_defect=float(np.max(np.abs(fdH - rhs_E))),
         max_entropy_defect=float(np.max(np.abs(fdS - rhs_S))),

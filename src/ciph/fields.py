@@ -1,10 +1,11 @@
 """Scalar fields R^n -> R with exact analytic gradients.
 
 Two concrete kinds are provided. ``PolynomialField`` stores a polynomial as
-a list of (exponent multi-index, coefficient) terms and differentiates it
-term by term, so its gradient is exact up to rounding. ``CallableField``
-wraps closed-form value/gradient callables and is used for the built-in
-non-polynomial energies (e.g. exponential compartment energies).
+a list of (exponent multi-index, coefficient) terms, compiled once so that a
+call computes each coordinate power once; its gradient is exact up to
+rounding. ``CallableField`` wraps closed-form value/gradient callables and
+is used for the built-in non-polynomial energies (e.g. exponential
+compartment energies).
 
 Any object with attributes ``n``, ``value(x)`` and ``grad(x)`` is accepted
 wherever a scalar field is expected.
@@ -31,10 +32,14 @@ class PolynomialField:
 
     Terms are (exponents, coefficient) pairs; exponents are nonnegative
     integers, one per coordinate. Duplicate multi-indices are merged and
-    zero terms dropped, so the stored representation is canonical.
+    zero terms dropped, so the stored representation is canonical. They are
+    compiled into the distinct (coordinate, power) pairs they use, value
+    terms (coef, factor positions) and derivative terms (coordinate,
+    coef * exponent, factor positions); factors multiply in coordinate order
+    on Python floats, whose ``**`` is the scalar libm ``pow``.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms")
 
     def __init__(self, n: int, terms: Iterable[tuple[Sequence[int], float]] = ()):
         if n < 1:
@@ -52,6 +57,20 @@ class PolynomialField:
         self.n = int(n)
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0.0))
 
+        pairs: dict[tuple[int, int], int] = {}
+
+        def factors(exps):
+            return tuple(pairs.setdefault((j, e), len(pairs)) for j, e in enumerate(exps) if e)
+
+        self._value_terms = tuple((c, factors(e)) for e, c in self.terms)
+        self._grad_terms = tuple(
+            (m, c * em, factors(e[:m] + (em - 1,) + e[m + 1:]))
+            for e, c in self.terms
+            for m, em in enumerate(e)
+            if em
+        )
+        self._pairs = tuple(pairs)
+
     @classmethod
     def constant(cls, n: int, c: float) -> "PolynomialField":
         return cls(n, [((0,) * n, c)])
@@ -65,31 +84,32 @@ class PolynomialField:
         exps[i - 1] = 1
         return cls(n, [(exps, 1.0)])
 
+    def _powers(self, x) -> list[float]:
+        x = _as_point(x, self.n).tolist()
+        try:
+            return [x[j] ** e for j, e in self._pairs]
+        except OverflowError:
+            # float ** raises on overflow; numpy scalars use the same pow and give +-inf
+            with np.errstate(over="ignore"):
+                return [float(np.float64(x[j]) ** e) for j, e in self._pairs]
+
     def value(self, x) -> float:
-        x = _as_point(x, self.n)
+        powers = self._powers(x)
         total = 0.0
-        for exps, coeff in self.terms:
-            term = coeff
-            for xv, e in zip(x, exps):
-                if e:
-                    term *= xv**e
+        for term, factors in self._value_terms:
+            for f in factors:
+                term *= powers[f]
             total += term
         return total
 
     def grad(self, x) -> np.ndarray:
-        x = _as_point(x, self.n)
-        g = np.zeros(self.n)
-        for exps, coeff in self.terms:
-            for m, em in enumerate(exps):
-                if em == 0:
-                    continue
-                term = coeff * em
-                for j, (xv, e) in enumerate(zip(x, exps)):
-                    p = e - 1 if j == m else e
-                    if p:
-                        term *= xv**p
-                g[m] += term
-        return g
+        powers = self._powers(x)
+        g = [0.0] * self.n
+        for m, term, factors in self._grad_terms:
+            for f in factors:
+                term *= powers[f]
+            g[m] += term
+        return np.array(g)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

@@ -7,15 +7,17 @@ through doubles exactly.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .brackets import BracketMatrix
-from .dynamics import IphsModel, Trajectory, builtin_model, input_power
-from .errors import FormatError
-from .fields import PolynomialField, builtin_field
+from .dynamics import BUILTIN_MODELS, IphsModel, Trajectory, builtin_model, input_power
+from .errors import CiphError, FormatError
+from .fields import BUILTIN_FIELDS, PolynomialField, builtin_field
 from .tensor import Tensor4
 
 
@@ -41,32 +43,23 @@ def load_tensor(path) -> Tensor4:
     data = _load_json(path)
     try:
         n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise FormatError(f"{path}: missing or invalid 'n'") from None
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise FormatError(f"{path}: 'entries' must be a list")
-    seen: set[tuple[int, int, int, int]] = set()
-    arr = np.zeros((n, n, n, n))
+    table = np.empty((len(entries), 5))
     for pos, entry in enumerate(entries):
         try:
-            i, j, k, l = (int(entry[key]) for key in ("i", "j", "k", "l"))
-            v = float(entry["v"])
-        except (KeyError, TypeError, ValueError):
+            table[pos] = (
+                int(entry["i"]), int(entry["j"]), int(entry["k"]), int(entry["l"]), float(entry["v"])
+            )
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise FormatError(f"{path}: entry #{pos + 1} is malformed: {entry!r}") from None
-        key = (i, j, k, l)
-        for idx in key:
-            if not 1 <= idx <= n:
-                raise FormatError(
-                    f"{path}: entry #{pos + 1} index {key} out of range 1..{n}"
-                )
-        if key in seen:
-            raise FormatError(f"{path}: duplicate entry for index {key}")
-        seen.add(key)
-        arr[i - 1, j - 1, k - 1, l - 1] = v
+    del data, entries  # the parsed JSON is several times larger than the table
     try:
-        return Tensor4(n, arr)
-    except Exception as exc:
+        return Tensor4.from_entries(n, table)
+    except CiphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -118,6 +111,24 @@ def load_directions(path, n: int) -> list[np.ndarray]:
     return out
 
 
+def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
+    """A builtin's "params", checked against its factory's signature: each
+    must be a named parameter of the factory with a finite real value."""
+    if params is None:
+        return None
+    if not isinstance(params, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in params.values()
+    ):
+        raise FormatError(f"builtin {name!r}: 'params' must map names to finite numbers")
+    if name in registry:
+        try:
+            inspect.signature(registry[name]).bind(*args, **params)
+        except TypeError as exc:
+            raise FormatError(f"builtin {name!r}: {exc}") from None
+    return params
+
+
 def _field_from_spec(spec, n: int, label: str):
     if isinstance(spec, dict) and "poly" in spec:
         try:
@@ -126,7 +137,8 @@ def _field_from_spec(spec, n: int, label: str):
             raise FormatError(f"field {label!r}: malformed 'poly' terms") from None
         return PolynomialField(n, terms)
     if isinstance(spec, dict) and "builtin" in spec:
-        return builtin_field(str(spec["builtin"]), n, spec.get("params"))
+        name = str(spec["builtin"])
+        return builtin_field(name, n, _builtin_params(BUILTIN_FIELDS, name, spec.get("params"), n))
     raise FormatError(f"field {label!r}: expected a 'poly' or 'builtin' spec, got {spec!r}")
 
 
@@ -187,17 +199,25 @@ def _schedule_from_spec(spec):
 
 def load_model(path) -> IphsModel:
     """Read a model file; a top-level "builtin" selects a named model and
-    optional W/g/u sections are attached on top."""
+    optional W/g/u sections are attached on top. A "u" needs a "g" to act
+    through, so a "u" without one is an error rather than silently unused."""
     data = _load_json(path)
     try:
         if "builtin" in data:
-            base = builtin_model(str(data["builtin"]), data.get("params"))
+            name = str(data["builtin"])
+            base = builtin_model(name, _builtin_params(BUILTIN_MODELS, name, data.get("params")))
         else:
-            n = int(data["n"])
+            try:
+                n = int(data["n"])
+            except (TypeError, ValueError, OverflowError):
+                raise FormatError(f"invalid 'n': {data['n']!r}") from None
             H = _field_from_spec(data["H"], n, "H")
             S = _field_from_spec(data["S"], n, "S")
             gamma = _field_from_spec(data["gamma"], n, "gamma")
-            Jrows = np.asarray(data["J"]["rows"], dtype=float)
+            try:
+                Jrows = np.asarray(data["J"]["rows"], dtype=float)
+            except (TypeError, ValueError):
+                raise FormatError("'J' must be an object with numeric 'rows'") from None
             base = IphsModel(n, H, S, BracketMatrix(Jrows), gamma)
     except KeyError as exc:
         raise FormatError(f"{path}: missing model field {exc}") from None
@@ -207,6 +227,8 @@ def load_model(path) -> IphsModel:
     W = _input_vector_from_spec(data["W"], base.n) if "W" in data else base.W
     g = _input_matrix_from_spec(data["g"], base.n) if "g" in data else base.g
     u = _schedule_from_spec(data["u"]) if "u" in data else base.u
+    if u is not None and g is None:
+        raise FormatError(f"{path}: 'u' has no effect without 'g'")
     if W is base.W and g is base.g and u is base.u:
         return base
     return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)

@@ -49,6 +49,15 @@ PSD_BLOCK = 64
 CONDITION_IDS = ("SYM_A", "CYCLIC_B", "PSD_C", "RAW_III", "QUASI_POISSON")
 
 
+def _checked_dimension(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    if n > MAX_DIMENSION:
+        raise DimensionTooLarge(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
+    return n
+
+
 class Tensor4:
     """Immutable dense real tensor with four indices of equal range.
 
@@ -59,11 +68,7 @@ class Tensor4:
     __slots__ = ("n", "_values")
 
     def __init__(self, n: int, values=None):
-        n = int(n)
-        if n < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-        if n > MAX_DIMENSION:
-            raise DimensionTooLarge(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
+        n = _checked_dimension(n)
         if values is None:
             arr = np.zeros((n, n, n, n))
         else:
@@ -86,17 +91,37 @@ class Tensor4:
     def from_entries(
         cls, n: int, entries: Mapping[tuple[int, int, int, int], float] | Iterable
     ) -> "Tensor4":
-        """Build from sparse 1-based (i, j, k, l) -> value entries."""
+        """Build from sparse 1-based entries: a mapping (i, j, k, l) -> value,
+        or (i, j, k, l, value) rows (an iterable, or an (m, 5) array).
+
+        ``n`` is checked before anything is allocated. The first entry whose
+        index is out of range, and then the first that repeats an earlier
+        index, is a FormatError naming it (entries count from 1).
+        """
+        n = _checked_dimension(n)
         if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = [((i, j, k, l), v) for (i, j, k, l, v) in entries]
+            entries = [(*key, v) for key, v in entries.items()]
+        elif not isinstance(entries, np.ndarray):
+            entries = list(entries)
+        try:
+            table = np.asarray(entries, dtype=float).reshape(-1, 5)
+        except OverflowError:
+            raise FormatError(f"an entry index or value is out of range (n = {n})") from None
+        index = table[:, :4]
+        outside = ~((index >= 1) & (index <= n)).all(axis=1)
+        if outside.any():
+            pos = int(np.argmax(outside))
+            key = tuple(int(v) for v in index[pos])
+            raise FormatError(f"entry #{pos + 1} index {key} out of range 1..{n}")
+        flat = np.ravel_multi_index(tuple(index.astype(np.intp).T - 1), (n, n, n, n))
+        _, first = np.unique(flat, return_index=True)
+        if len(first) < len(flat):
+            repeated = np.ones(len(flat), dtype=bool)
+            repeated[first] = False
+            key = tuple(int(v) for v in index[int(np.argmax(repeated))])
+            raise FormatError(f"duplicate entry for index {key}")
         arr = np.zeros((n, n, n, n))
-        for (i, j, k, l), v in items:
-            for idx in (i, j, k, l):
-                if not 1 <= idx <= n:
-                    raise FormatError(f"index {(i, j, k, l)} out of range 1..{n}")
-            arr[i - 1, j - 1, k - 1, l - 1] = v
+        arr.reshape(-1)[flat] = table[:, 4]
         return cls(n, arr)
 
     @property

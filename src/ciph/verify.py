@@ -84,6 +84,37 @@ def fd_gradient(f, x, step: float = 1e-6) -> list[float]:
     return grad
 
 
+def loop_polynomial(f, x) -> tuple[float, list[float]]:
+    """Value and gradient of a ``PolynomialField`` straight from its ``terms``.
+
+    Term by term and factor by factor, with every power recomputed, so it
+    shares nothing with the compiled evaluation; the multiplication order is
+    the documented one (coefficient, then factors in coordinate order, terms
+    summed in stored order), so the two agree bit for bit.
+    """
+    x = [float(v) for v in x]
+    if len(x) != f.n:
+        raise DimensionMismatch(f"expected a point in R^{f.n}, got {len(x)} coordinates")
+    value = 0.0
+    grad = [0.0] * f.n
+    for exps, coeff in f.terms:
+        term = coeff
+        for xv, e in zip(x, exps):
+            if e:
+                term *= xv**e
+        value += term
+        for m, em in enumerate(exps):
+            if em == 0:
+                continue
+            term = coeff * em
+            for j, (xv, e) in enumerate(zip(x, exps)):
+                p = e - 1 if j == m else e
+                if p:
+                    term *= xv**p
+            grad[m] += term
+    return value, grad
+
+
 def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleReport:
     """Re-derive the index-identity verdicts with quadruple loops.
 

@@ -129,6 +129,16 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: tolerance must be finite")
 
+    def test_negative_dimension_exits_one(self, tmp_path):
+        p = write_json(tmp_path / "t.json", {"n": -1, "entries": []})
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciph.cli", "check", p], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "dimension must be >= 1" in proc.stderr
+
     def test_bad_seed_env(self, eps_file, capsys, monkeypatch):
         monkeypatch.setenv("CIPH_SEED", "not-a-number")
         assert main(["check", eps_file]) == 1
@@ -260,6 +270,46 @@ class TestSimulate:
     def test_wrong_x0_length_exits_one(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
         assert main(["simulate", m, "--t-end", "1", "--x0", "1,0,0"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-end", "inf"], ["--t-end", "nan"], ["--t-end", "1", "--dt", "nan"],
+                  ["--t-end", "1", "--dt", "1e-320"]],
+    )
+    def test_non_finite_horizon_exits_one(self, tmp_path, capsys, flags):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", m, *flags, "--x0", "1,0", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: t_end")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--t-end", "inf"], ["--t-end", "1", "--dt", "nan"]])
+    def test_non_finite_horizon_no_traceback(self, tmp_path, flags):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciph.cli", "simulate", m, *flags, "--x0", "1,0",
+             "-o", str(tmp_path / "traj.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: t_end")
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"builtin": "quadratic-linear", "params": {"bogus": 1}}, "unexpected keyword argument"),
+            ({"builtin": "quadratic-linear", "u": {"times": [0.0], "values": [[1.0]]}}, "without 'g'"),
+        ],
+    )
+    def test_model_spec_errors_exit_one(self, tmp_path, capsys, payload, message):
+        m = write_json(tmp_path / "m.json", payload)
+        assert main(["simulate", m, "--t-end", "1", "--x0", "1,0", "-o", str(tmp_path / "t.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_csv_byte_determinism(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})

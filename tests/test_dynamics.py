@@ -5,6 +5,7 @@ from ciph import (
     BracketMatrix,
     DimensionMismatch,
     IphsModel,
+    NonFiniteValue,
     NonpositiveGamma,
     PolynomialField,
     TrajectoryTooShort,
@@ -365,3 +366,101 @@ def test_input_power_zero_without_inputs():
     p, q = input_power(model, tr)
     assert np.array_equal(p, np.zeros(len(tr)))
     assert np.array_equal(q, np.zeros(len(tr)))
+
+
+class CountingField:
+    """Wraps a field and counts its gradient calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.n = field.n
+        self.grads = 0
+
+    def value(self, x):
+        return self.field.value(x)
+
+    def grad(self, x):
+        self.grads += 1
+        return self.field.grad(x)
+
+
+def forced_model(H=None, S=None) -> IphsModel:
+    base = quadratic_linear_model()
+    return IphsModel(
+        2,
+        H or base.H,
+        S or PolynomialField(2, [((1, 0), 1.0), ((0, 1), 0.5), ((2, 1), 0.25)]),
+        base.J,
+        base.gamma,
+        W=lambda x, dH: np.array([0.1 * x[1], -0.1]),
+        g=lambda x, dH: np.array([[1.0], [0.5]]),
+        u=lambda t: np.array([0.5 if t < 0.01 else -0.25]),
+    )
+
+
+class TestDriftKernel:
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_eight_gradient_calls_per_step(self, forced):
+        base = quadratic_linear_model()
+        H, S = CountingField(base.H), CountingField(base.S)
+        model = forced_model(H, S) if forced else IphsModel(2, H, S, base.J, base.gamma)
+        for steps in (1, 10, 25):
+            H.grads = S.grads = 0
+            tr = integrate(model, [1.0, 0.5], t_end=steps * 1e-3, dt=1e-3)
+            assert len(tr) == steps + 1
+            # one gradient of H and one of S at the initial sample, then
+            # k2-k4 plus the accepted sample (which supplies the next k1)
+            assert H.grads + S.grads == 2 + 8 * steps
+            assert H.grads == S.grads
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_reused_k1_matches_plain_rk4_bit_for_bit(self, forced):
+        model = forced_model() if forced else quadratic_linear_model()
+        dt, steps = 2e-3, 50
+        tr = integrate(model, [0.8, -0.3], t_end=dt * steps, dt=dt)
+        x = np.array([0.8, -0.3])
+        for k in range(steps):
+            t = k * dt
+            k1 = full_rhs(model, x, t)
+            k2 = full_rhs(model, x + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = full_rhs(model, x + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = full_rhs(model, x + dt * k3, t + dt)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert tr.states[k + 1].tolist() == x.tolist()
+
+    def test_recorded_input_power_matches_fresh_recomputation(self):
+        model = forced_model()
+        tr = integrate(model, [0.7, 0.2], t_end=0.03, dt=1e-3)
+        p, q = input_power(model, tr)
+        assert p is tr.p and q is tr.q
+        for k, (x, t) in enumerate(zip(tr.states, tr.times)):
+            dH, dS = model.H.grad(x), model.S.grad(x)
+            inp = model.input_term(x, dH, float(t))
+            assert p[k] == float(dH @ inp)
+            assert q[k] == float(dS @ inp)
+            bracket = float(dS @ (model.J.array @ dH))
+            assert tr.sigma_int[k] == model.gamma_at(x) * bracket * bracket
+        assert len(set(p.tolist())) > 1  # the schedule switches at t = 0.01
+
+    def test_fault_at_start_records_zero_rates(self):
+        model = IphsModel(
+            2,
+            PolynomialField(2, [((2, 0), 0.5)]),
+            PolynomialField(2, [((1, 0), 1.0)]),
+            BracketMatrix.standard_skew(),
+            PolynomialField.coordinate(2, 1),
+            W=lambda x, dH: np.array([1.0, 0.0]),
+        )
+        tr = integrate(model, [-1.0, 0.0], t_end=0.1, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma"
+        assert len(tr) == 1
+        assert (tr.H_values[0], tr.S_values[0]) == (0.5, -1.0)
+        assert tr.sigma_int.tolist() == tr.p.tolist() == tr.q.tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1e-3), (1.0, 1e-320)],
+    )
+    def test_non_finite_horizon_rejected(self, t_end, dt):
+        with pytest.raises(NonFiniteValue):
+            integrate(quadratic_linear_model(), [1.0, 0.0], t_end=t_end, dt=dt)

@@ -3,7 +3,7 @@ import pytest
 
 from ciph import DimensionMismatch, PolynomialField
 from ciph.fields import builtin_field, exp_neg_sum_field, exp_sum_field
-from ciph.verify import fd_gradient, random_polynomial
+from ciph.verify import fd_gradient, loop_polynomial, random_polynomial
 
 
 def test_value_and_grad_quadratic():
@@ -84,3 +84,53 @@ def test_builtin_field_registry():
 
     with pytest.raises(FormatError):
         builtin_field("no_such_field", 2)
+
+
+class TestCompiledPolynomial:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_matches_loop_oracle_bit_for_bit(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(25):
+            f = random_polynomial(rng, n, degree_max=5, terms=10)
+            for x in rng.uniform(-2.0, 2.0, size=(4, n)):
+                value, grad = loop_polynomial(f, x)
+                assert f.value(x) == value
+                assert f.grad(x).tolist() == grad
+
+    def test_repeated_powers_and_cross_terms(self):
+        # x1^3 x2^2 + 2 x1^2 x2^3 - x2^2: powers are shared between terms
+        f = PolynomialField(2, [((3, 2), 1.0), ((2, 3), 2.0), ((0, 2), -1.0)])
+        x = np.array([1.5, -0.5])
+        value, grad = loop_polynomial(f, x)
+        assert f.value(x) == value == 1.5**3 * 0.25 + 2.0 * 2.25 * -0.125 - 0.25
+        assert f.grad(x).tolist() == grad
+
+    def test_grad_of_empty_polynomial_is_zero(self):
+        f = PolynomialField(3)
+        assert f.value([1.0, 2.0, 3.0]) == 0.0
+        assert np.array_equal(f.grad([1.0, 2.0, 3.0]), np.zeros(3))
+
+    def test_overflow_gives_inf_not_an_exception(self):
+        f = PolynomialField(2, [((2, 0), 0.5), ((0, 3), 1.0)])
+        assert f.value([1e200, 0.0]) == np.inf
+        assert f.value([0.0, -1e200]) == -np.inf
+        g = f.grad([1e200, -1e200])
+        assert g[0] == 1e200
+        assert g[1] == np.inf  # 3 x2^2
+        assert f.grad([1e200, 0.0]).tolist() == [1e200, 0.0]
+        assert np.isinf(PolynomialField(1, [((5,), 1.0)]).grad([1e200])[0])
+
+    def test_wrong_shape_point_rejected(self):
+        f = PolynomialField(2, [((1, 0), 1.0)])
+        with pytest.raises(DimensionMismatch):
+            f.value([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch):
+            f.grad([1.0])
+
+    def test_algebra_results_are_compiled(self):
+        x1 = PolynomialField.coordinate(2, 1)
+        x2 = PolynomialField.coordinate(2, 2)
+        h = 3.0 * x1 + x2 * 2.0 - 1.0
+        assert h.value([2.0, 0.5]) == 6.0
+        assert h.grad([2.0, 0.5]).tolist() == [3.0, 2.0]
+        assert (-h).grad([0.0, 0.0]).tolist() == [-3.0, -2.0]

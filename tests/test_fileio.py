@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ciph import BracketMatrix, FormatError, Tensor4, integrate
+from ciph import BracketMatrix, DimensionMismatch, DimensionTooLarge, FormatError, Tensor4, integrate
 from ciph.dynamics import quadratic_linear_model
 from ciph.fileio import (
     load_directions,
@@ -14,6 +14,7 @@ from ciph.fileio import (
     save_tensor,
     write_trajectory_csv,
 )
+from ciph.tensor import MAX_DIMENSION
 
 from conftest import EPS_ENTRIES
 
@@ -74,6 +75,75 @@ class TestTensorFormat:
         assert len(data["entries"]) == len(EPS_ENTRIES)
         keys = [(e["i"], e["j"], e["k"], e["l"]) for e in data["entries"]]
         assert keys == sorted(keys)
+
+
+    @pytest.mark.parametrize("n", [-1, 0, 33, 10**30])
+    def test_dimension_checked_before_allocation(self, tmp_path, n):
+        p = write_json(tmp_path / "t.json", {"n": n, "entries": []})
+        with pytest.raises(FormatError, match="dimension"):
+            load_tensor(p)
+
+    def test_non_numeric_dimension(self, tmp_path):
+        with pytest.raises(FormatError, match="'n'"):
+            load_tensor(write_json(tmp_path / "t.json", {"n": "two", "entries": []}))
+
+    @pytest.mark.parametrize("index", [10**30, 10**400])
+    def test_huge_index_rejected(self, tmp_path, index):
+        payload = {"n": 2, "entries": [{"i": index, "j": 1, "k": 1, "l": 1, "v": 1.0}]}
+        with pytest.raises(FormatError, match="entry #1"):
+            load_tensor(write_json(tmp_path / "t.json", payload))
+
+    def test_out_of_range_names_later_entry(self, tmp_path):
+        entries = [
+            {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0},
+            {"i": 1, "j": 2, "k": 0, "l": 1, "v": 1.0},
+        ]
+        with pytest.raises(FormatError, match=r"entry #2 index \(1, 2, 0, 1\)"):
+            load_tensor(write_json(tmp_path / "t.json", {"n": 2, "entries": entries}))
+
+
+class TestFromEntries:
+    def test_matches_dense_assignment(self):
+        entries = [(1, 2, 2, 1, 1.5), (2, 1, 1, 2, -0.5), (2, 2, 2, 2, 3.0)]
+        arr = np.zeros((2, 2, 2, 2))
+        for i, j, k, l, v in entries:
+            arr[i - 1, j - 1, k - 1, l - 1] = v
+        assert Tensor4.from_entries(2, entries) == Tensor4(2, arr)
+        assert Tensor4.from_entries(2, {e[:4]: e[4] for e in entries}) == Tensor4(2, arr)
+        assert Tensor4.from_entries(2, []) == Tensor4.zeros(2)
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_nonpositive_dimension_checked_first(self, n):
+        with pytest.raises(DimensionMismatch):
+            Tensor4.from_entries(n, [(1, 1, 1, 1, 1.0)])
+
+    def test_too_large_dimension_checked_first(self):
+        with pytest.raises(DimensionTooLarge):
+            Tensor4.from_entries(MAX_DIMENSION + 1, [(1, 1, 1, 1, 1.0)])
+
+    def test_first_repeat_named(self):
+        entries = [(1, 1, 1, 1, 1.0), (1, 2, 1, 2, 1.0), (2, 2, 2, 2, 1.0), (1, 2, 1, 2, 1.0),
+                   (1, 1, 1, 1, 1.0)]
+        with pytest.raises(FormatError, match=r"duplicate entry for index \(1, 2, 1, 2\)"):
+            Tensor4.from_entries(2, entries)
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_first_out_of_range_entry_named(self, slot, bad):
+        key = [1, 1, 1, 1]
+        key[slot] = bad
+        entries = [(1, 1, 1, 1, 1.0), (2, 1, 1, 1, 1.0), (*key, 1.0), (9, 9, 9, 9, 1.0)]
+        named = rf"entry #3 index \({', '.join(map(str, key))}\) out of range 1..2"
+        with pytest.raises(FormatError, match=named):
+            Tensor4.from_entries(2, entries)
+
+    def test_huge_index_in_rows_rejected(self):
+        with pytest.raises(FormatError, match="out of range"):
+            Tensor4.from_entries(2, [(10**400, 1, 1, 1, 1.0)])
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(FormatError, match="finite"):
+            Tensor4.from_entries(2, [(1, 1, 1, 1, float("nan"))])
 
 
 class TestMatrixFormat:
@@ -179,6 +249,69 @@ class TestModelFormat:
             "u": {"times": [1.0, 0.5], "values": [[1.0], [2.0]]},
         }
         with pytest.raises(FormatError, match="strictly increasing"):
+            load_model(write_json(tmp_path / "m.json", payload))
+
+
+class TestModelBoundary:
+    def test_u_without_g_rejected(self, tmp_path):
+        payload = {"builtin": "quadratic-linear", "u": {"times": [0.0], "values": [[1.0]]}}
+        with pytest.raises(FormatError, match="'u' has no effect without 'g'"):
+            load_model(write_json(tmp_path / "m.json", payload))
+
+    def test_g_and_u_together_accepted(self, tmp_path):
+        payload = {
+            "builtin": "quadratic-linear",
+            "g": {"rows": [[1.0], [0.0]]},
+            "u": {"times": [0.0], "values": [[1.0]]},
+        }
+        assert load_model(write_json(tmp_path / "m.json", payload)).forced
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"bogus": 1},
+            {"conductance": "hot"},
+            {"conductance": True},
+            {"conductance": float("nan")},
+            [1.0],
+        ],
+    )
+    def test_bad_builtin_model_params(self, tmp_path, params):
+        payload = {"builtin": "heat-exchanger", "params": params}
+        with pytest.raises(FormatError, match="heat-exchanger"):
+            load_model(write_json(tmp_path / "m.json", payload))
+
+    def test_params_on_parameterless_builtin(self, tmp_path):
+        payload = {"builtin": "quadratic-linear", "params": {"bogus": 1}}
+        with pytest.raises(FormatError, match="unexpected keyword argument 'bogus'"):
+            load_model(write_json(tmp_path / "m.json", payload))
+
+    @pytest.mark.parametrize("params", [{"bogus": 1}, {"n": 3}])
+    def test_bad_builtin_field_params(self, tmp_path, params):
+        payload = {
+            "n": 2,
+            "H": {"builtin": "exp_sum", "params": params},
+            "S": {"poly": [[[1, 0], 1.0]]},
+            "gamma": {"poly": [[[0, 0], 1.0]]},
+            "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+        }
+        with pytest.raises(FormatError, match="exp_sum"):
+            load_model(write_json(tmp_path / "m.json", payload))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": "two"}, {"J": [[0.0, 1.0], [-1.0, 0.0]]}, {"J": {"rows": [[0.0, 1.0], [-1.0]]}}],
+    )
+    def test_malformed_explicit_model(self, tmp_path, change):
+        payload = {
+            "n": 2,
+            "H": {"poly": [[[2, 0], 0.5]]},
+            "S": {"poly": [[[1, 0], 1.0]]},
+            "gamma": {"poly": [[[0, 0], 1.0]]},
+            "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+        }
+        payload.update(change)
+        with pytest.raises(FormatError):
             load_model(write_json(tmp_path / "m.json", payload))
 
 
