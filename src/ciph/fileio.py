@@ -7,15 +7,19 @@ through doubles exactly.
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .brackets import BracketMatrix
-from .dynamics import BUILTIN_MODELS, IphsModel, Trajectory, builtin_model, input_power
+from .dynamics import BUILTIN_MODELS, IphsModel, Trajectory, balance_ledger, builtin_model
+# Not called here: the CSV reads the balance ledger. The name stays bound in
+# this module because the benchmark tracer wraps ``ciph.fileio.input_power``.
+from .dynamics import input_power  # noqa: F401
 from .errors import CiphError, FormatError
 from .fields import BUILTIN_FIELDS, PolynomialField, builtin_field
 from .tensor import Tensor4
@@ -32,6 +36,18 @@ def _load_json(path) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     return data
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """A finite number or rectangular nested list of them as a float array;
+    strings, nulls, booleans, NaN, +-inf and ragged lists are a FormatError."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged lists
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise FormatError(f"{what} must be finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def load_tensor(path) -> Tensor4:
@@ -78,14 +94,14 @@ def load_matrix(path) -> BracketMatrix:
     try:
         n = int(data["n"])
         rows = data["rows"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise FormatError(f"{path}: missing or invalid 'n'/'rows'") from None
-    arr = np.asarray(rows, dtype=float)
+    arr = _numbers(rows, f"{path}: 'rows'")
     if arr.shape != (n, n):
         raise FormatError(f"{path}: rows have shape {arr.shape}, expected ({n}, {n})")
     try:
         return BracketMatrix(arr)
-    except Exception as exc:
+    except CiphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -102,7 +118,7 @@ def load_directions(path, n: int) -> list[np.ndarray]:
         raise FormatError(f"{path}: 'directions' must be a nonempty list of vectors")
     out = []
     for pos, vec in enumerate(dirs):
-        arr = np.asarray(vec, dtype=float)
+        arr = _numbers(vec, f"{path}: direction #{pos + 1}")
         if arr.shape != (n,):
             raise FormatError(
                 f"{path}: direction #{pos + 1} has shape {arr.shape}, expected ({n},)"
@@ -116,8 +132,9 @@ def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
     must be a named parameter of the factory with a finite real value."""
     if params is None:
         return None
+    # abs(v) <= max float rejects NaN, +-inf and integers too large for a float
     if not isinstance(params, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
         for v in params.values()
     ):
         raise FormatError(f"builtin {name!r}: 'params' must map names to finite numbers")
@@ -131,9 +148,9 @@ def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
 
 def _field_from_spec(spec, n: int, label: str):
     if isinstance(spec, dict) and "poly" in spec:
-        try:
-            terms = [(tuple(int(e) for e in exps), float(c)) for exps, c in spec["poly"]]
-        except (TypeError, ValueError):
+        try:  # exponents pass through float so that ones too large for it are rejected
+            terms = [(tuple(int(float(e)) for e in exps), float(c)) for exps, c in spec["poly"]]
+        except (TypeError, ValueError, OverflowError):
             raise FormatError(f"field {label!r}: malformed 'poly' terms") from None
         return PolynomialField(n, terms)
     if isinstance(spec, dict) and "builtin" in spec:
@@ -145,7 +162,7 @@ def _field_from_spec(spec, n: int, label: str):
 def _input_vector_from_spec(spec, n: int):
     """W: either a constant vector or one polynomial per component (in x)."""
     if isinstance(spec, dict) and "constant" in spec:
-        w = np.asarray(spec["constant"], dtype=float)
+        w = _numbers(spec["constant"], "'W' constant")
         if w.shape != (n,):
             raise FormatError(f"'W' constant has shape {w.shape}, expected ({n},)")
         return lambda x, dH: w
@@ -159,7 +176,7 @@ def _input_vector_from_spec(spec, n: int):
 
 def _input_matrix_from_spec(spec, n: int):
     if isinstance(spec, dict) and "rows" in spec:
-        gmat = np.asarray(spec["rows"], dtype=float)
+        gmat = _numbers(spec["rows"], "'g' rows")
         if gmat.ndim != 2 or gmat.shape[0] != n:
             raise FormatError(f"'g' rows have shape {gmat.shape}, expected ({n}, m)")
         return lambda x, dH: gmat
@@ -174,25 +191,20 @@ def _schedule_from_spec(spec):
     """
     if not isinstance(spec, dict) or "times" not in spec or "values" not in spec:
         raise FormatError(f"'u' must have 'times' and 'values', got {spec!r}")
-    times = [float(v) for v in spec["times"]]
-    values = [np.atleast_1d(np.asarray(v, dtype=float)) for v in spec["values"]]
-    if len(times) != len(values) or not times:
-        raise FormatError("'u' times and values must be nonempty and equally long")
+    times = _numbers(spec["times"], "'u' times")
+    values = _numbers(spec["values"], "'u' values")
+    if values.ndim == 1:  # one scalar input per breakpoint
+        values = values[:, None]
+    if times.ndim != 1 or values.ndim != 2 or len(values) != len(times) or not len(times):
+        raise FormatError("'u' needs nonempty, equally long 'times' and 'values' lists")
+    times = times.tolist()
     if any(b <= a for a, b in zip(times, times[1:])):
         raise FormatError("'u' times must be strictly increasing")
-    width = values[0].shape[0]
-    if any(v.shape != (width,) for v in values):
-        raise FormatError("'u' values must all have the same length")
-    zero = np.zeros(width)
+    zero = np.zeros(values.shape[1])
 
     def u(t: float) -> np.ndarray:
-        current = zero
-        for brk, val in zip(times, values):
-            if t >= brk:
-                current = val
-            else:
-                break
-        return current
+        k = bisect.bisect_right(times, t)  # breakpoints <= t
+        return values[k - 1] if k else zero
 
     return u
 
@@ -214,10 +226,9 @@ def load_model(path) -> IphsModel:
             H = _field_from_spec(data["H"], n, "H")
             S = _field_from_spec(data["S"], n, "S")
             gamma = _field_from_spec(data["gamma"], n, "gamma")
-            try:
-                Jrows = np.asarray(data["J"]["rows"], dtype=float)
-            except (TypeError, ValueError):
-                raise FormatError("'J' must be an object with numeric 'rows'") from None
+            if not isinstance(data["J"], dict):
+                raise FormatError("'J' must be an object with numeric 'rows'")
+            Jrows = _numbers(data["J"]["rows"], "'J' rows")
             base = IphsModel(n, H, S, BracketMatrix(Jrows), gamma)
     except KeyError as exc:
         raise FormatError(f"{path}: missing model field {exc}") from None
@@ -241,31 +252,14 @@ def _fmt(value: float) -> str:
 def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None:
     """CSV with header t,x1..xn,H,S,sigma_int,energy_defect.
 
-    energy_defect at each sample is the accumulated energy-balance mismatch
-    H(t) - H(0) - integral of dH^T (W + g u) dt (trapezoid rule on the
-    samples); for an isolated model it reduces to the energy drift.
+    energy_defect is the balance ledger's energy column: the accumulated
+    mismatch H(t) - H(0) - integral of dH^T (W + g u) dt (trapezoid rule on
+    the samples); for an isolated model it reduces to the energy drift.
     """
-    n = model.n
-    p, _ = input_power(model, trajectory)
-    t = trajectory.times
-    supplied = np.zeros(len(trajectory))
-    if len(trajectory) > 1:
-        increments = 0.5 * (p[1:] + p[:-1]) * (t[1:] - t[:-1])
-        supplied[1:] = np.cumsum(increments)
-    defect = trajectory.H_values - trajectory.H_values[0] - supplied
-
-    header = ["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "S", "sigma_int", "energy_defect"]
-    lines = [",".join(header)]
-    for k in range(len(trajectory)):
-        row = (
-            [_fmt(t[k])]
-            + [_fmt(v) for v in trajectory.states[k]]
-            + [
-                _fmt(trajectory.H_values[k]),
-                _fmt(trajectory.S_values[k]),
-                _fmt(trajectory.sigma_int[k]),
-                _fmt(defect[k]),
-            ]
-        )
-        lines.append(",".join(row))
+    tr = trajectory
+    rows = np.column_stack(
+        [tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int, balance_ledger(tr)[0]]
+    )
+    header = ["t", *(f"x{i + 1}" for i in range(model.n)), "H", "S", "sigma_int", "energy_defect"]
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -35,8 +35,6 @@ NOT_SKEW = "NOT_SKEW"
 NOT_PROPORTIONAL = "NOT_PROPORTIONAL"
 NEGATIVE_GAMMA = "NEGATIVE_GAMMA"
 
-SPLIT_STATUSES = (SPLIT, NOT_RANK_ONE, NOT_SKEW, NOT_PROPORTIONAL, NEGATIVE_GAMMA)
-
 
 @dataclass(frozen=True)
 class SplitResult:

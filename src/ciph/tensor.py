@@ -46,8 +46,6 @@ RANDOM_DIRECTIONS = 64
 #: bound peak memory and keep the early exit at the first failing direction.
 PSD_BLOCK = 64
 
-CONDITION_IDS = ("SYM_A", "CYCLIC_B", "PSD_C", "RAW_III", "QUASI_POISSON")
-
 
 def _checked_dimension(n) -> int:
     n = int(n)
@@ -145,11 +143,9 @@ class Tensor4:
 
     def nonzero_entries(self) -> list[tuple[int, int, int, int, float]]:
         """Sparse 1-based listing in row-major order (used by file output)."""
-        out = []
-        for idx in np.argwhere(self._values != 0.0):
-            i, j, k, l = (int(v) for v in idx)
-            out.append((i + 1, j + 1, k + 1, l + 1, float(self._values[i, j, k, l])))
-        return out
+        v = self._values
+        nonzero = np.argwhere(v).tolist()
+        return [(i + 1, j + 1, k + 1, l + 1, float(v[i, j, k, l])) for i, j, k, l in nonzero]
 
     def _check_index(self, i, j, k, l):
         for idx in (i, j, k, l):
@@ -378,14 +374,19 @@ def check_psd_c(
     pairs = t.values.reshape(n * n, n * n).T
     for start in range(0, len(Y), PSD_BLOCK):
         block = Y[start : start + PSD_BLOCK]
-        yy = (block[:, :, None] * block[:, None, :]).reshape(len(block), n * n)
-        M = (yy @ pairs).reshape(len(block), n, n)
-        if not np.all(np.isfinite(M)):
+        # Overflow is caught by the finiteness checks, not reported as a warning;
+        # M + M^T can overflow where M does not, and eigvalsh then returns NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            yy = (block[:, :, None] * block[:, None, :]).reshape(len(block), n * n)
+            M = (yy @ pairs).reshape(len(block), n, n)
+            if not np.all(np.isfinite(M)):
+                raise NonFiniteValue("M(y) overflowed; rescale the directions")
+            Mt = M.transpose(0, 2, 1)
+            bound = tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+            asym = np.abs(M - Mt).max(axis=(1, 2))
+            lam_min = np.linalg.eigvalsh(0.5 * (M + Mt))[:, 0]
+        if not (np.all(np.isfinite(asym)) and np.all(np.isfinite(lam_min))):
             raise NonFiniteValue("M(y) overflowed; rescale the directions")
-        Mt = M.transpose(0, 2, 1)
-        bound = tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-        asym = np.abs(M - Mt).max(axis=(1, 2))
-        lam_min = np.linalg.eigvalsh(0.5 * (M + Mt))[:, 0]
         asym_fail = asym > bound
         failed = asym_fail | (lam_min < -bound)
         if failed.any():
@@ -403,15 +404,11 @@ def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
     Deterministic for a fixed seed, so reports are reproducible; the seed can
     be overridden (the CLI honors the CIPH_SEED environment variable).
     """
-    dirs: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
+    eye = np.eye(n)
+    dirs: list[np.ndarray] = list(eye)
     for i in range(n):
         for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            e[j] = 1.0
-            dirs.append(e.copy())
-            e[j] = -1.0
-            dirs.append(e)
+            dirs += [eye[i] + eye[j], eye[i] - eye[j]]
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_DIRECTIONS):
         v = rng.standard_normal(n)

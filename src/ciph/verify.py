@@ -129,56 +129,29 @@ def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleRe
     n = t.n
     e = t.values.tolist()
 
-    sym_worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    r = abs(e[i][j][k][l] - e[i][j][l][k])
-                    if r > sym_worst:
-                        sym_worst = r
-
-    cyc_worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    r = abs(e[i][j][k][l] + e[k][j][l][i] + e[l][j][i][k])
-                    if r > cyc_worst:
-                        cyc_worst = r
-
-    raw_worst = 0.0
+    # One pass over every (i, j, k, l); the six-term RAW_III family only
+    # over pairwise different i, k, l, keeping its literal term order.
+    sym_worst = cyc_worst = raw_worst = qp_worst = 0.0
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                r = abs(e[i][j][i][l] + e[i][j][l][i] + e[l][j][i][i])
-                if r > raw_worst:
-                    raw_worst = r
-    for j in range(n):
-        for i in range(n):
+                raw_worst = max(raw_worst, abs(e[i][j][i][l] + e[i][j][l][i] + e[l][j][i][i]))
             for k in range(n):
                 for l in range(n):
-                    if i == k or i == l or k == l:
-                        continue
-                    r = abs(
-                        e[i][j][k][l]
-                        + e[k][j][i][l]
-                        + e[k][j][l][i]
-                        + e[l][j][k][i]
-                        + e[i][j][l][k]
-                        + e[l][j][i][k]
-                    )
-                    if r > raw_worst:
-                        raw_worst = r
-
-    qp_worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    r = abs(e[i][j][k][l] + e[l][j][k][i])
-                    if r > qp_worst:
-                        qp_worst = r
+                    v = e[i][j][k][l]
+                    sym_worst = max(sym_worst, abs(v - e[i][j][l][k]))
+                    cyc_worst = max(cyc_worst, abs(v + e[k][j][l][i] + e[l][j][i][k]))
+                    qp_worst = max(qp_worst, abs(v + e[l][j][k][i]))
+                    if i != k and i != l and k != l:
+                        six = (
+                            v
+                            + e[k][j][i][l]
+                            + e[k][j][l][i]
+                            + e[l][j][k][i]
+                            + e[i][j][l][k]
+                            + e[l][j][i][k]
+                        )
+                        raw_worst = max(raw_worst, abs(six))
 
     return OracleReport(
         sym_a=sym_worst <= tol,

@@ -322,6 +322,129 @@ class TestSimulate:
         assert out_a == out_b
 
 
+class TestSimulateBoundary:
+    def test_forced_heat_exchanger_passes(self, tmp_path, capsys):
+        # dS != dH here, so only the chain-rule entropy gate closes
+        payload = {
+            "builtin": "heat-exchanger",
+            "g": {"rows": [[1.0], [0.0]]},
+            "u": {"times": [0.0], "values": [[0.05]]},
+        }
+        m = write_json(tmp_path / "m.json", payload)
+        argv = ["simulate", m, "--t-end", "1", "--dt", "5e-4", "--x0", "0,0.6931471805599453"]
+        assert main(argv + ["-o", str(tmp_path / "t.csv")]) == 0
+        summary = stdout_reports(capsys)[0]
+        assert summary["passed"] is True
+        assert summary["max_entropy_defect"] <= 1e-6 * summary["entropy_scale"]
+        assert summary["max_entropy_defect_alt"] > 1e-6 * summary["entropy_scale"]
+
+    def test_summary_keys(self, tmp_path, capsys):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        main(["simulate", m, "--t-end", "0.1", "--x0", "1,0", "-o", str(tmp_path / "t.csv")])
+        assert list(stdout_reports(capsys)[0]) == [
+            "fault",
+            "t_last",
+            "samples",
+            "max_energy_defect",
+            "max_entropy_defect",
+            "max_entropy_defect_alt",
+            "min_sigma_int",
+            "energy_scale",
+            "entropy_scale",
+            "passed",
+        ]
+
+    @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_x0_exits_one(self, tmp_path, capsys, x0):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", m, "--t-end", "1", "--x0", x0, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --x0 must be finite")
+        assert not out.exists()
+
+    def test_non_finite_x0_no_warning(self, tmp_path):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "ciph.cli", "simulate", m, "--t-end", "1", "--x0", "inf,0",
+             "-o", str(tmp_path / "t.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: --x0")
+
+    def test_step_cap_exits_one(self, tmp_path, capsys):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        argv = ["simulate", m, "--t-end", "1e12", "--dt", "1", "--x0", "1,0", "-o", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: t_end / dt") and "exceeds the cap" in captured.err
+        assert not out.exists()
+
+
+MODEL = {
+    "n": 2,
+    "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+    "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+    "gamma": {"poly": [[[0, 0], 1.0]]},
+    "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+    "g": {"rows": [[1.0], [0.0]]},
+    "u": {"times": [0.0, 5.0], "values": [[0.5], [0.0]]},
+}
+
+
+def _model(**change):
+    return dict(MODEL, **change)
+
+
+# (subcommand, files it reads as name -> payload): each file is malformed
+MALFORMED = {
+    "product-ragged-rows": ("product", {"A": {"n": 2, "rows": [[0.0, 1.0], [-1.0]]}}),
+    "product-string-rows": ("product", {"A": {"n": 2, "rows": [["a", "b"], ["c", "d"]]}}),
+    "check-direction-string": ("check", {"D": {"directions": [[1.0, 0.0], ["x", 1.0]]}}),
+    "check-direction-ragged": ("check", {"D": {"directions": [[1.0, [0.0, 1.0]]]}}),
+    "W-constant-string": ("simulate", {"M": _model(W={"constant": ["a", 0.0]})}),
+    "W-constant-null": ("simulate", {"M": _model(W={"constant": [None, 0.0]})}),
+    "g-rows-ragged": ("simulate", {"M": _model(g={"rows": [[1.0], [0.0, 2.0]]})}),
+    "u-times-string": ("simulate", {"M": _model(u={"times": ["a", 5.0], "values": [[0.5], [0.0]]})}),
+    "u-times-number": ("simulate", {"M": _model(u={"times": 5.0, "values": [[0.5]]})}),
+    "u-times-text": ("simulate", {"M": _model(u={"times": "05", "values": [[0.5], [0.0]]})}),
+    "u-values-number": ("simulate", {"M": _model(u={"times": [0.0], "values": 0.5})}),
+    "u-times-nan": ("simulate", {"M": _model(u={"times": [0.0, float("nan")], "values": [[0.5], [0.0]]})}),
+    "W-constant-inf": ("simulate", {"M": _model(W={"constant": [float("inf"), 0.0]})}),
+    "J-rows-huge": ("simulate", {"M": _model(J={"n": 2, "rows": 10**400})}),
+    "poly-exponent-huge": ("simulate", {"M": _model(S={"poly": [[[10**400, 0], 1.0]]})}),
+    "param-huge": ("simulate", {"M": {"builtin": "heat-exchanger", "params": {"conductance": 10**400}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_a_format_error(tmp_path, case):
+    command, files = MALFORMED[case]
+    paths = {}
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload), encoding="utf-8")
+    out = str(tmp_path / "out")
+    if command == "product":
+        j = write_json(tmp_path / "J.json", {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]})
+        argv = ["product", "-A", str(paths["A"]), "-B", j, "-o", out]
+    elif command == "check":
+        t = write_json(tmp_path / "t.json", {"n": 2, "entries": []})
+        argv = ["check", t, "--directions", str(paths["D"])]
+    else:
+        argv = ["simulate", str(paths["M"]), "--t-end", "0.01", "--x0", "1,0", "-o", out]
+    proc = subprocess.run([sys.executable, "-m", "ciph.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 class TestOracle:
     def test_agreement_on_golden_tensor(self, eps_file, capsys):
         assert main(["oracle", eps_file]) == 0

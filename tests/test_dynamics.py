@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ciph import (
     BracketMatrix,
     DimensionMismatch,
+    DimensionTooLarge,
     IphsModel,
     NonFiniteValue,
     NonpositiveGamma,
@@ -17,7 +20,8 @@ from ciph import (
     observable_rate,
     quadratic_linear_model,
 )
-from ciph.dynamics import builtin_model, input_power
+from ciph import dynamics
+from ciph.dynamics import MAX_STEPS, balance_ledger, builtin_model, input_power
 from ciph.verify import random_polynomial, random_skew
 
 
@@ -300,8 +304,8 @@ class TestAuditBalances:
         assert report.max_energy_defect <= 1e-6 * report.energy_scale
         # the entropy balance closes in the dS^T (W + g u) variant; the
         # other form differs by (dH - dS)^T g u along the forced run
-        assert report.max_entropy_defect_alt <= 1e-6 * report.entropy_scale
-        assert report.max_entropy_defect > report.max_entropy_defect_alt
+        assert report.max_entropy_defect <= 1e-6 * report.entropy_scale
+        assert report.max_entropy_defect_alt > report.max_entropy_defect
 
     def test_too_short_trajectory(self):
         model = quadratic_linear_model()
@@ -464,3 +468,137 @@ class TestDriftKernel:
     def test_non_finite_horizon_rejected(self, t_end, dt):
         with pytest.raises(NonFiniteValue):
             integrate(quadratic_linear_model(), [1.0, 0.0], t_end=t_end, dt=dt)
+
+
+class TestStepCap:
+    @pytest.mark.parametrize("t_end, dt", [(1e12, 1.0), ((MAX_STEPS + 1) * 1e-3, 1e-3)])
+    def test_too_many_steps_rejected(self, t_end, dt):
+        with pytest.raises(DimensionTooLarge, match="exceeds the cap"):
+            integrate(quadratic_linear_model(), [1.0, 0.0], t_end=t_end, dt=dt)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        assert len(integrate(quadratic_linear_model(), [1.0, 0.0], t_end=10e-3, dt=1e-3)) == 11
+        with pytest.raises(DimensionTooLarge):
+            integrate(quadratic_linear_model(), [1.0, 0.0], t_end=11e-3, dt=1e-3)
+
+
+def running_trapezoid(t, rate) -> list[float]:
+    """Cumulative trapezoid integral, one interval at a time."""
+    total, out = 0.0, [0.0]
+    for k in range(1, len(t)):
+        total += 0.5 * (rate[k] + rate[k - 1]) * (t[k] - t[k - 1])
+        out.append(total)
+    return out
+
+
+class TestBalanceLedger:
+    def test_columns_match_their_definitions(self):
+        tr = integrate(forced_model(), [0.7, 0.2], t_end=0.05, dt=1e-3)
+        t, H, S, sig = tr.times, tr.H_values, tr.S_values, tr.sigma_int
+        expected = [(H, tr.p), (S, sig + tr.q), (S, sig + tr.p)]
+        for column, (values, rate) in zip(balance_ledger(tr), expected):
+            assert column.shape == (len(tr),)
+            assert column[0] == 0.0
+            assert np.array_equal(column, values - values[0] - np.array(running_trapezoid(t, rate)))
+
+    def test_single_sample_is_zero(self):
+        model = IphsModel(
+            2,
+            PolynomialField(2, [((2, 0), 0.5)]),
+            PolynomialField(2, [((1, 0), 1.0)]),
+            BracketMatrix.standard_skew(),
+            PolynomialField.coordinate(2, 1),
+        )
+        tr = integrate(model, [-1.0, 0.0], t_end=0.1, dt=1e-2)
+        assert [column.tolist() for column in balance_ledger(tr)] == [[0.0]] * 3
+
+    def test_audit_reads_the_ledger(self):
+        model = forced_model()
+        tr = integrate(model, [0.7, 0.2], t_end=0.05, dt=1e-3)
+        energy, entropy, entropy_alt = balance_ledger(tr)
+        report = audit_balances(model, tr)
+        assert report.max_energy_defect == np.max(np.abs(energy))
+        assert report.max_entropy_defect == np.max(np.abs(entropy))
+        assert report.max_entropy_defect_alt == np.max(np.abs(entropy_alt))
+
+    def test_scales_are_in_integral_form(self):
+        model = forced_model()
+        tr = integrate(model, [0.7, 0.2], t_end=0.05, dt=1e-3)
+        report = audit_balances(model, tr)
+        H, S = tr.H_values, tr.S_values
+        supplied_E = running_trapezoid(tr.times, tr.p)
+        supplied_S = running_trapezoid(tr.times, tr.sigma_int + tr.q)
+        expected_E = max(1.0, np.max(np.abs(H - H[0])), np.max(np.abs(supplied_E)))
+        expected_S = max(1.0, np.max(np.abs(S - S[0])), np.max(np.abs(supplied_S)))
+        assert report.energy_scale == pytest.approx(expected_E, rel=1e-15)
+        assert report.entropy_scale == pytest.approx(expected_S, rel=1e-15)
+        # a balance that moves more than 1 sets its own scale: by its change...
+        big = dataclasses.replace(tr, S_values=1e3 * S)
+        assert audit_balances(model, big).entropy_scale == np.max(np.abs(big.S_values - big.S_values[0]))
+        # ...or by its supplied integral
+        fed = dataclasses.replace(tr, p=tr.p + 1e3)
+        assert audit_balances(model, fed).energy_scale == pytest.approx(1e3 * 0.05, rel=1e-3)
+
+
+class TestAuditGate:
+    def test_report_ends_with_verdict(self):
+        model = quadratic_linear_model()
+        report = audit_balances(model, integrate(model, [1.0, 0.0], t_end=0.1, dt=1e-3))
+        assert list(report.to_json()) == [
+            "max_energy_defect",
+            "max_entropy_defect",
+            "max_entropy_defect_alt",
+            "min_sigma_int",
+            "energy_scale",
+            "entropy_scale",
+            "samples",
+            "passed",
+        ]
+        assert report.passed is True
+
+    def test_drift_free_model_closes_chain_rule_entropy(self):
+        # no drift: S changes only by dS^T W, which differs from dH^T W
+        w = np.array([0.3, -0.2])
+        model = IphsModel(
+            2,
+            PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)]),
+            PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0)]),
+            BracketMatrix.zeros(2),
+            constant_gamma(2),
+            W=lambda x, dH: w,
+        )
+        report = audit_balances(model, integrate(model, [1.0, 1.0], t_end=2.0, dt=1e-3))
+        assert report.max_entropy_defect <= 1e-12 * report.entropy_scale
+        assert report.max_entropy_defect_alt > 0.1 * report.entropy_scale
+        assert report.passed is True
+
+    def test_input_dropped_from_one_component_fails(self):
+        # integrate with g u acting on x1 only, then claim the input powers
+        # of g u acting on both components: neither balance may close
+        base = quadratic_linear_model()
+        u = np.array([0.5])
+
+        def partial(g):
+            return IphsModel(2, base.H, base.S, base.J, base.gamma, g=lambda x, dH: g, u=lambda t: u)
+
+        g_full = np.array([[1.0], [1.0]])
+        model = partial(np.array([[1.0], [0.0]]))
+        tr = integrate(model, [1.0, 0.0], t_end=1.0, dt=1e-3)
+        assert audit_balances(model, tr).passed is True
+        inp = g_full @ u
+        p = np.array([float(base.H.grad(x) @ inp) for x in tr.states])
+        q = np.array([float(base.S.grad(x) @ inp) for x in tr.states])
+        report = audit_balances(model, dataclasses.replace(tr, p=p, q=q))
+        assert report.passed is False
+        assert report.max_energy_defect > 1e-6 * report.energy_scale
+        assert report.max_entropy_defect > 1e-6 * report.entropy_scale
+
+    def test_negative_entropy_production_fails(self):
+        model = quadratic_linear_model()
+        tr = integrate(model, [1.0, 0.0], t_end=0.1, dt=1e-3)
+        sig = tr.sigma_int.copy()
+        sig[50] = -1e-9
+        report = audit_balances(model, dataclasses.replace(tr, sigma_int=sig))
+        assert report.min_sigma_int == -1e-9
+        assert report.passed is False

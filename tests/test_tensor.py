@@ -283,6 +283,14 @@ class TestPsdBlockedScan:
         with pytest.raises(NonFiniteValue):
             check_psd_c(golden_eps, [np.array([1e200, 1e200])])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_symmetric_part_is_not_a_pass(self):
+        # M(y) = diag(-1.44e308, 0) is finite but M + M^T is not; eigvalsh
+        # returns NaN for it, and NaN fails no comparison
+        t = Tensor4.from_entries(2, {(1, 1, 1, 1): -1.0, (2, 2, 2, 2): -1.0})
+        with pytest.raises(NonFiniteValue):
+            check_psd_c(t, [np.array([1.2e154, 0.0])])
+
 
 class TestNonFiniteTolerance:
     CHECKS = [check_sym_a, check_cyclic_b, check_raw_iii, check_quasi_poisson]
