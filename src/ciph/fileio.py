@@ -1,8 +1,9 @@
 """JSON/CSV file formats for tensors, matrices, models, and trajectories.
 
-All on-disk indices are 1-based. Numbers in the trajectory CSV are written
-with 17 significant digits so files are byte-deterministic and round-trip
-through doubles exactly.
+All on-disk indices are 1-based. Tensor files are written in one fixed
+layout (that of ``json.dumps(..., indent=1)``) with shortest round-trip
+floats. Numbers in the trajectory CSV are written with 17 significant
+digits. Both are byte-deterministic and round-trip through doubles exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import bisect
 import inspect
 import json
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +53,33 @@ def _numbers(value, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
+_ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _entry_table(entries: list) -> np.ndarray:
+    """The (m, 5) float table of tensor entries; the acceptance rule.
+
+    Every entry must be an object with keys i, j, k, l, v whose values are
+    finite numbers, the four indices integral. Anything else raises
+    KeyError, TypeError, ValueError or OverflowError. The rule holds entry
+    by entry, so a list fails it exactly when one of its entries does.
+    """
+    flat = chain.from_iterable(map(_ENTRY_FIELDS, entries))
+    table = np.fromiter(flat, dtype=float, count=5 * len(entries)).reshape(-1, 5)
+    index = table[:, :4]
+    if not (np.isfinite(table).all() and (index == np.trunc(index)).all()):
+        raise ValueError("non-finite value or non-integer index")
+    return table
+
+
 def load_tensor(path) -> Tensor4:
     """Read the sparse tensor format {"n": ..., "entries": [{i,j,k,l,v}, ...]}.
 
-    Omitted entries are zero; a duplicated (i,j,k,l) tuple or an
-    out-of-range index is an error naming the offending entry.
+    Any JSON layout is accepted. Omitted entries are zero. An entry that is
+    not an object of finite numbers with integer indices, an out-of-range
+    index or a duplicated (i,j,k,l) tuple is an error naming the first
+    offending entry.
     """
     data = _load_json(path)
     try:
@@ -64,14 +89,15 @@ def load_tensor(path) -> Tensor4:
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise FormatError(f"{path}: 'entries' must be a list")
-    table = np.empty((len(entries), 5))
-    for pos, entry in enumerate(entries):
-        try:
-            table[pos] = (
-                int(entry["i"]), int(entry["j"]), int(entry["k"]), int(entry["l"]), float(entry["v"])
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise FormatError(f"{path}: entry #{pos + 1} is malformed: {entry!r}") from None
+    try:
+        table = _entry_table(entries)
+    except _ENTRY_ERRORS:
+        for pos, entry in enumerate(entries):  # only to name the first bad entry
+            try:
+                _entry_table([entry])
+            except _ENTRY_ERRORS:
+                raise FormatError(f"{path}: entry #{pos + 1} is malformed: {entry!r}") from None
+        raise
     del data, entries  # the parsed JSON is several times larger than the table
     try:
         return Tensor4.from_entries(n, table)
@@ -79,13 +105,31 @@ def load_tensor(path) -> Tensor4:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+# One tensor entry as ``json.dumps(..., indent=1)`` lays it out inside the
+# "entries" list; "%r" of a finite float is the shortest round-trip repr,
+# which is what json writes.
+_ENTRY_TEMPLATE = '  {\n   "i": %d,\n   "j": %d,\n   "k": %d,\n   "l": %d,\n   "v": %r\n  }'
+
+
 def save_tensor(t: Tensor4, path) -> None:
-    """Write the sparse format; zero entries omitted, row-major entry order."""
-    entries = [
-        {"i": i, "j": j, "k": k, "l": l, "v": v} for (i, j, k, l, v) in t.nonzero_entries()
-    ]
-    payload = {"n": t.n, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    """Write the sparse format in its fixed layout: the bytes of
+    ``json.dumps({"n": n, "entries": [{i, j, k, l, v}, ...]}, indent=1)``
+    plus a newline, with 1-based indices, row-major entry order, zero
+    entries (also -0.0) omitted and values as shortest round-trip floats.
+    """
+    v = t.values
+    nonzero = np.argwhere(v)
+    if len(nonzero):
+        # object rows, so .tolist() gives int indices, which "%d" formats faster than floats
+        table = np.empty((len(nonzero), 5), dtype=object)
+        table[:, :4] = nonzero + 1
+        table[:, 4] = v[tuple(nonzero.T)]
+        body = ",\n".join([_ENTRY_TEMPLATE] * len(table)) % tuple(table.ravel().tolist())
+        entries = f"[\n{body}\n ]"
+    else:
+        entries = "[]"
+    text = f'{{\n "n": {t.n},\n "entries": {entries}\n}}\n'
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_matrix(path) -> BracketMatrix:
@@ -146,12 +190,28 @@ def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
     return params
 
 
+def _exponent(e) -> int:
+    """An integral exponent; passing through float rejects ones too large
+    for it, and a fractional part is an error, never truncated."""
+    e = float(e)
+    if not e.is_integer():
+        raise ValueError(f"exponent {e!r} is not an integer")
+    return int(e)
+
+
 def _field_from_spec(spec, n: int, label: str):
     if isinstance(spec, dict) and "poly" in spec:
-        try:  # exponents pass through float so that ones too large for it are rejected
-            terms = [(tuple(int(float(e)) for e in exps), float(c)) for exps, c in spec["poly"]]
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"field {label!r}: malformed 'poly' terms") from None
+        if not isinstance(spec["poly"], list):
+            raise FormatError(f"field {label!r}: 'poly' must be a list of terms")
+        terms = []
+        for pos, term in enumerate(spec["poly"], 1):
+            try:
+                exps, c = term
+                terms.append((tuple(map(_exponent, exps)), float(c)))
+            except (TypeError, ValueError, OverflowError):
+                raise FormatError(
+                    f"field {label!r}: 'poly' term #{pos} is malformed: {term!r}"
+                ) from None
         return PolynomialField(n, terms)
     if isinstance(spec, dict) and "builtin" in spec:
         name = str(spec["builtin"])

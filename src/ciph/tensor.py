@@ -142,7 +142,7 @@ class Tensor4:
         return float(np.max(np.abs(self._values)))
 
     def nonzero_entries(self) -> list[tuple[int, int, int, int, float]]:
-        """Sparse 1-based listing in row-major order (used by file output)."""
+        """Sparse 1-based (i, j, k, l, value) listing in row-major order."""
         v = self._values
         nonzero = np.argwhere(v).tolist()
         return [(i + 1, j + 1, k + 1, l + 1, float(v[i, j, k, l])) for i, j, k, l in nonzero]

@@ -160,6 +160,59 @@ class TestSymmetrize:
         assert load_tensor(out) == golden_eps
 
 
+class TestNonIntegerInputs:
+    """Indices and exponents are integers: a fractional one is rejected
+    with the entry or term named, an integral float is accepted."""
+
+    MODEL = {
+        "n": 2,
+        "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+        "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+        "gamma": {"poly": [[[0, 0], 1.0]]},
+        "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+    }
+
+    def _tensor(self, tmp_path, i) -> str:
+        entries = [
+            {"i": 1, "j": 1, "k": 2, "l": 2, "v": 2.0},
+            {"i": i, "j": 2, "k": 1, "l": 1, "v": 2.0},
+        ]
+        return write_json(tmp_path / "t.json", {"n": 2, "entries": entries})
+
+    def _simulate(self, tmp_path, exponent):
+        model = dict(self.MODEL, H={"poly": [[[2, 0], 0.5], [[0, exponent], 0.5]]})
+        m = write_json(tmp_path / "m.json", model)
+        out = tmp_path / "traj.csv"
+        return main(["simulate", m, "--t-end", "0.01", "--x0", "1,0", "-o", str(out)]), out
+
+    def test_symmetrize_rejects_fractional_index(self, tmp_path, capsys):
+        out = tmp_path / "sym.json"
+        assert main(["symmetrize", self._tensor(tmp_path, 2.5), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "entry #2 is malformed: {'i': 2.5," in captured.err
+        assert not out.exists()
+
+    def test_symmetrize_accepts_integral_float_index(self, tmp_path, capsys):
+        out = tmp_path / "sym.json"
+        assert main(["symmetrize", self._tensor(tmp_path, 2.0), "-o", str(out)]) == 0
+        assert load_tensor(out).values[1, 1, 0, 0] == 2.0
+
+    def test_simulate_rejects_fractional_exponent(self, tmp_path, capsys):
+        code, out = self._simulate(tmp_path, 2.9)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "field 'H': 'poly' term #2 is malformed: [[0, 2.9], 0.5]" in captured.err
+        assert not out.exists()
+
+    def test_simulate_accepts_integral_float_exponent(self, tmp_path, capsys):
+        code, out = self._simulate(tmp_path, 2.0)
+        assert code == 0
+        assert stdout_reports(capsys)[0]["passed"] is True
+
+
 class TestProduct:
     def test_standard_skew_squared(self, j_file, tmp_path, capsys):
         out = tmp_path / "prod.json"

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ciph import BracketMatrix, DimensionMismatch, DimensionTooLarge, FormatError, Tensor4, integrate
 from ciph.dynamics import quadratic_linear_model
@@ -100,6 +102,134 @@ class TestTensorFormat:
         ]
         with pytest.raises(FormatError, match=r"entry #2 index \(1, 2, 0, 1\)"):
             load_tensor(write_json(tmp_path / "t.json", {"n": 2, "entries": entries}))
+
+
+def reference_tensor_text(t: Tensor4) -> str:
+    """The tensor file as ``json.dumps`` writes it from one dict per nonzero
+    entry, visited in row-major order by a plain index loop."""
+    v = t.values
+    entries = [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": float(v[i, j, k, l])}
+        for i, j, k, l in np.ndindex(v.shape)
+        if v[i, j, k, l] != 0
+    ]
+    return json.dumps({"n": t.n, "entries": entries}, indent=1) + "\n"
+
+
+EXTREMES = [5e-324, -1e-300, 0.1, 2.0, 1e16, 1e22, 1.7976931348623157e308]
+
+
+def _writer_cases() -> dict:
+    rng = np.random.default_rng(20260501)
+    cases = {"empty": Tensor4.zeros(3), "n1": Tensor4(1, rng.standard_normal((1, 1, 1, 1)))}
+    for n in range(2, 7):  # dense, magnitudes spread over 20 decades
+        shape = (n, n, n, n)
+        scale = 10.0 ** rng.integers(-10, 10, shape)
+        cases[f"dense-n{n}"] = Tensor4(n, rng.standard_normal(shape) * scale)
+    sparse = rng.standard_normal((5, 5, 5, 5)) * (rng.random((5, 5, 5, 5)) < 0.05)
+    cases["sparse-n5"] = Tensor4(5, sparse)
+    extremes = np.zeros((3, 3, 3, 3))
+    flat = rng.choice(81, size=2 * len(EXTREMES), replace=False)
+    extremes.reshape(-1)[flat] = EXTREMES + [-x for x in EXTREMES]
+    cases["extremes"] = Tensor4(3, extremes)
+    return cases
+
+
+WRITER_CASES = _writer_cases()
+
+ROUND_TRIP = settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def sparse_tensors(draw) -> Tensor4:
+    n = draw(st.integers(1, 4))
+    index = st.tuples(*[st.integers(0, n - 1)] * 4)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.dictionaries(index, finite, max_size=30))
+    arr = np.zeros((n, n, n, n))
+    for key, value in values.items():
+        arr[key] = value
+    return Tensor4(n, arr)
+
+
+class TestTensorWriterBytes:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_matches_reference_encoder(self, tmp_path, case):
+        t = WRITER_CASES[case]
+        p = tmp_path / "t.json"
+        save_tensor(t, p)
+        assert p.read_bytes() == reference_tensor_text(t).encode("utf-8")
+        assert load_tensor(p) == t
+
+    def test_extreme_values_written_as_json_floats(self, tmp_path):
+        p = tmp_path / "t.json"
+        save_tensor(WRITER_CASES["extremes"], p)
+        text = p.read_text()
+        for x in EXTREMES:
+            assert f'"v": {x!r}\n' in text and f'"v": {-x!r}\n' in text
+
+    def test_negative_zero_omitted(self, tmp_path):
+        arr = np.zeros((2, 2, 2, 2))
+        arr[0, 0, 0, 0] = -0.0
+        arr[0, 1, 1, 0] = 1.5
+        arr[1, 1, 1, 1] = -0.0
+        t = Tensor4(2, arr)
+        p = tmp_path / "t.json"
+        save_tensor(t, p)
+        assert p.read_bytes() == reference_tensor_text(t).encode("utf-8")
+        assert [e["v"] for e in json.loads(p.read_text())["entries"]] == [1.5]
+
+
+class TestTensorReaderParity:
+    @ROUND_TRIP
+    @given(t=sparse_tensors())
+    def test_round_trip_is_bit_exact(self, tmp_path, t):
+        p = tmp_path / "t.json"
+        save_tensor(t, p)
+        assert p.read_text() == reference_tensor_text(t)
+        loaded = load_tensor(p)
+        # -0.0 is omitted on write, so it reads back as +0.0
+        assert loaded.n == t.n and loaded.values.tobytes() == (t.values + 0.0).tobytes()
+
+    GOOD = {"i": 1, "j": 2, "k": 1, "l": 2, "v": 0.5}
+    MALFORMED = {
+        "missing-key": {"i": 1, "j": 2, "k": 1, "v": 0.5},
+        "null-value": dict(GOOD, v=None),
+        "non-object": [1, 2, 1, 2, 0.5],
+        "nan-index": dict(GOOD, k=float("nan")),
+        "non-numeric-string": dict(GOOD, j="two"),
+        "huge-integer": dict(GOOD, v=10**400),
+        "fractional-index": dict(GOOD, i=1.7),
+        "nan-value": dict(GOOD, v=float("nan")),
+        "infinite-value": dict(GOOD, v=float("-inf")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_first_malformed_entry_named(self, tmp_path, case):
+        bad = self.MALFORMED[case]
+        entries = [dict(self.GOOD, i=2), dict(self.GOOD, j=1), bad, {"i": 1}]
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"n": 2, "entries": entries}), encoding="utf-8")
+        with pytest.raises(FormatError) as excinfo:
+            load_tensor(p)
+        assert str(excinfo.value) == f"{p}: entry #3 is malformed: {bad!r}"
+
+    def test_integral_float_index_accepted(self, tmp_path):
+        entries = [{"i": 2.0, "j": 1, "k": 1.0, "l": 2, "v": 3}]
+        p = write_json(tmp_path / "t.json", {"n": 2, "entries": entries})
+        assert load_tensor(p) == Tensor4.from_entries(2, {(2, 1, 1, 2): 3.0})
+
+    def test_indented_layout_accepted(self, tmp_path, golden_eps):
+        entries = [dict(zip("ijklv", (*key, v))) for key, v in EPS_ENTRIES.items()]
+        payload = {"entries": entries, "n": 2}
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(payload, indent=4, sort_keys=True), encoding="utf-8")
+        assert load_tensor(p) == golden_eps
 
 
 class TestFromEntries:
@@ -300,7 +430,8 @@ class TestModelBoundary:
 
     @pytest.mark.parametrize(
         "change",
-        [{"n": "two"}, {"J": [[0.0, 1.0], [-1.0, 0.0]]}, {"J": {"rows": [[0.0, 1.0], [-1.0]]}}],
+        [{"n": "two"}, {"J": [[0.0, 1.0], [-1.0, 0.0]]}, {"J": {"rows": [[0.0, 1.0], [-1.0]]}},
+         {"S": {"poly": 5}}],
     )
     def test_malformed_explicit_model(self, tmp_path, change):
         payload = {
@@ -313,6 +444,30 @@ class TestModelBoundary:
         payload.update(change)
         with pytest.raises(FormatError):
             load_model(write_json(tmp_path / "m.json", payload))
+
+
+class TestPolynomialTerms:
+    MODEL = {
+        "n": 2,
+        "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+        "S": {"poly": [[[1, 0], 1.0]]},
+        "gamma": {"poly": [[[0, 0], 1.0]]},
+        "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+    }
+
+    @pytest.mark.parametrize(
+        "term", [[[2.9, 0], 0.5], [[2, -0.5], 0.5], [[1e400, 0], 0.5], [["x", 0], 0.5], [[2, 0]], 7]
+    )
+    def test_malformed_term_named(self, tmp_path, term):
+        payload = dict(self.MODEL, H={"poly": [[[0, 2], 0.5], term]})
+        with pytest.raises(FormatError) as excinfo:
+            load_model(write_json(tmp_path / "m.json", payload))
+        assert str(excinfo.value).endswith(f"field 'H': 'poly' term #2 is malformed: {term!r}")
+
+    def test_integral_float_exponent_accepted(self, tmp_path):
+        payload = dict(self.MODEL, H={"poly": [[[2.0, 0], 0.5], [[0, 2.0], 0.5]]})
+        model = load_model(write_json(tmp_path / "m.json", payload))
+        assert model.H.value([3.0, 1.0]) == 5.0
 
 
 class TestTrajectoryCsv:
