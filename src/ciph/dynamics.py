@@ -11,11 +11,12 @@ terms with no structural constraints.
 
 Integration is fixed-step classical Runge-Kutta (RK4): deterministic
 trajectories matter more here than adaptive efficiency. Gradients of H and S
-are taken in one kernel, ``_drift_parts``. Each accepted sample evaluates it
-once, which gives H, S, sigma_int, the input powers p = dH^T (W + g u) and
-q = dS^T (W + g u), and the next step's k1 at the same (x, t); so a step takes
-8 field gradients (2 per rhs for k2-k4, 2 at the sample), and the audit and
-the CSV writer read p and q from the trajectory instead of recomputing them.
+are taken in one kernel, ``_drift_parts``. It and the RK4 stages run on lists
+of Python floats, as at the small n of these models numpy's per-call cost
+dwarfs the arithmetic; its dot products are left folds. Each accepted sample
+evaluates it once, which gives H, S, sigma_int, the input powers
+p = dH^T (W + g u) and q = dS^T (W + g u), and the next step's k1 at the same
+(x, t): 8 field gradients a step (2 per rhs for k2-k4, 2 at the sample).
 
 ``balance_ledger`` keeps both balances in integral form (change in H or S
 minus the trapezoid integral of its recorded rate), for the audit and the
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
 import numpy as np
@@ -41,14 +44,14 @@ from .errors import (
     NonpositiveGamma,
     TrajectoryTooShort,
 )
-from .fields import PolynomialField, exp_neg_sum_field, exp_sum_field
+from .fields import PolynomialField, _as_vector, exp_neg_sum_field, exp_sum_field, list_form
 
 SKEW_TOL = 1e-12
 # An audit passes when min sigma_int >= -AUDIT_SIGMA_SLACK and each gated
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; a step keeps about 0.5 kB at n = 2.
+# Largest step count integrate accepts; at n = 2 a step peaks at about 450 B.
 MAX_STEPS = 10**6
 
 
@@ -81,12 +84,11 @@ class IphsModel:
             raise DimensionMismatch(f"J has dimension {self.J.n}, expected {self.n}")
         if not is_skew(self.J, SKEW_TOL):
             raise DimensionMismatch("J must be skew-symmetric to within 1e-12")
+        forms = (list_form(self.gamma)[0], *list_form(self.H), *list_form(self.S))
+        object.__setattr__(self, "_kernel", (*forms, self.J.array.tolist()))  # see _drift_parts
 
     def gamma_at(self, x) -> float:
-        value = float(self.gamma.value(x))
-        if not value > 0.0:
-            raise NonpositiveGamma(x, value)
-        return value
+        return _drift_parts(self, _as_vector(x, self.n).tolist())[0]
 
     @property
     def forced(self) -> bool:
@@ -95,21 +97,7 @@ class IphsModel:
 
     def input_term(self, x, dH, t: float) -> np.ndarray:
         """W(x, dH) + g(x, dH) u(t), with missing pieces treated as zero."""
-        total = np.zeros(self.n)
-        if self.W is not None:
-            w = np.asarray(self.W(x, dH), dtype=float)
-            if w.shape != (self.n,):
-                raise DimensionMismatch(f"W returned shape {w.shape}, expected ({self.n},)")
-            total += w
-        if self.g is not None and self.u is not None:
-            gmat = np.asarray(self.g(x, dH), dtype=float)
-            uvec = np.atleast_1d(np.asarray(self.u(t), dtype=float))
-            if gmat.ndim != 2 or gmat.shape[0] != self.n or gmat.shape[1] != uvec.shape[0]:
-                raise DimensionMismatch(
-                    f"g has shape {gmat.shape}, incompatible with u of length {uvec.shape[0]}"
-                )
-            total += gmat @ uvec
-        return total
+        return np.array(_input_term(self, _as_vector(x, self.n), dH, t))
 
 
 @dataclass(frozen=True)
@@ -147,28 +135,61 @@ class BalanceReport:
         return asdict(self)
 
 
-def _drift_parts(model: IphsModel, x: np.ndarray) -> tuple:
-    """(gamma, dH, dS, J dH, dS^T J dH) at x: the one place the dynamics
-    take gradients of H and S."""
-    gamma = model.gamma_at(x)
-    dH = np.asarray(model.H.grad(x), dtype=float)
-    dS = np.asarray(model.S.grad(x), dtype=float)
-    JdH = model.J.array @ dH
-    return gamma, dH, dS, JdH, float(dS @ JdH)
+def _dot(a: list, b: list) -> float:
+    """Left-fold dot product of two float lists, the same on every Python."""
+    return reduce(add, map(mul, a, b), 0.0)
+
+
+def _drift_parts(model: IphsModel, xs: list) -> tuple:
+    """(gamma, dH, dS, J dH, dS^T J dH) at ``xs``, all on float lists: the one
+    place the dynamics check gamma and take gradients of H and S."""
+    gamma_value, _, H_grad, _, S_grad, J_rows = model._kernel
+    gamma = gamma_value(xs)
+    if not gamma > 0.0:
+        raise NonpositiveGamma(xs, gamma)
+    dH, dS = H_grad(xs), S_grad(xs)
+    JdH = [_dot(row, dH) for row in J_rows]
+    return gamma, dH, dS, JdH, _dot(dS, JdH)
+
+
+def _input_term(model: IphsModel, xs: list, dH: list, t: float) -> list:
+    """``IphsModel.input_term`` as a list; W, g and u see ndarrays."""
+    n, x, dH = model.n, np.array(xs), np.array(dH)
+    total = [0.0] * n
+    if model.W is not None:
+        w = np.asarray(model.W(x, dH), dtype=float)
+        if w.shape != (n,):
+            raise DimensionMismatch(f"W returned shape {w.shape}, expected ({n},)")
+        total = [a + b for a, b in zip(total, w.tolist())]
+    if model.g is not None and model.u is not None:
+        gmat = np.asarray(model.g(x, dH), dtype=float)
+        uvec = np.array(model.u(t), dtype=float, ndmin=1)
+        if gmat.ndim != 2 or uvec.ndim != 1 or gmat.shape != (n, len(uvec)):
+            raise DimensionMismatch(f"g has shape {gmat.shape}, u has shape {uvec.shape}")
+        us = uvec.tolist()
+        total = [a + _dot(row, us) for a, row in zip(total, gmat.tolist())]
+    return total
+
+
+def _rhs(model: IphsModel, xs: list, t: float) -> tuple:
+    """(full rhs, drift parts, input term or None) at (xs, t), on lists."""
+    parts = gamma, dH, _, JdH, bracket = _drift_parts(model, xs)
+    rhs, inp = [gamma * bracket * v for v in JdH], None
+    if model.forced:
+        inp = _input_term(model, xs, dH, t)
+        rhs = [a + b for a, b in zip(rhs, inp)]
+    return rhs, parts, inp
 
 
 def drift_rhs(model: IphsModel, x) -> np.ndarray:
     """gamma(x) * (dS^T J dH) * (J dH); zero wherever dH vanishes."""
-    gamma, _, _, JdH, bracket = _drift_parts(model, np.asarray(x, dtype=float))
-    return gamma * bracket * JdH
+    gamma, _, _, JdH, bracket = _drift_parts(model, _as_vector(x, model.n).tolist())
+    return np.array([gamma * bracket * v for v in JdH])
 
 
 def full_rhs(model: IphsModel, x, t: float) -> np.ndarray:
     """Drift plus input terms W + g u."""
-    x = np.asarray(x, dtype=float)
-    gamma, dH, _, JdH, bracket = _drift_parts(model, x)
-    rhs = gamma * bracket * JdH
-    return rhs + model.input_term(x, dH, t) if model.forced else rhs
+    return np.array(_rhs(model, _as_vector(x, model.n).tolist(), t)[0])
 
 
 def observable_rate(model: IphsModel, f, x) -> float:
@@ -176,23 +197,20 @@ def observable_rate(model: IphsModel, f, x) -> float:
 
     Identical (up to rounding) to df(x)^T drift_rhs(model, x).
     """
-    x = np.asarray(x, dtype=float)
     if f.n != model.n:
         raise DimensionMismatch(f"field has dimension {f.n}, expected {model.n}")
-    gamma, _, _, JdH, bracket = _drift_parts(model, x)
-    return gamma * bracket * float(np.asarray(f.grad(x), dtype=float) @ JdH)
+    xs = _as_vector(x, model.n).tolist()
+    gamma, _, _, JdH, bracket = _drift_parts(model, xs)
+    return gamma * bracket * _dot(list_form(f)[1](xs), JdH)
 
 
-def _sample(model: IphsModel, x: np.ndarray, t: float) -> tuple:
+def _sample(model: IphsModel, xs: list, t: float) -> tuple:
     """(H, S, sigma_int, p, q) at an accepted sample, and the rhs there,
     which is the next RK4 step's k1."""
-    gamma, dH, dS, JdH, bracket = _drift_parts(model, x)
-    rhs, p, q = gamma * bracket * JdH, 0.0, 0.0
-    if model.forced:
-        inp = model.input_term(x, dH, t)
-        rhs, p, q = rhs + inp, float(dH @ inp), float(dS @ inp)
-    H, S = float(model.H.value(x)), float(model.S.value(x))
-    return (H, S, gamma * bracket * bracket, p, q), rhs
+    rhs, (gamma, dH, dS, _, bracket), inp = _rhs(model, xs, t)
+    p, q = (0.0, 0.0) if inp is None else (_dot(dH, inp), _dot(dS, inp))
+    _, H_value, _, S_value, _, _ = model._kernel
+    return (H_value(xs), S_value(xs), gamma * bracket * bracket, p, q), rhs
 
 
 def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
@@ -214,43 +232,39 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     steps = max(1, int(round(t_end / dt)))
     if steps > MAX_STEPS:
         raise DimensionTooLarge(f"t_end / dt = {steps} steps exceeds the cap of {MAX_STEPS}")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (model.n,):
-        raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({model.n},)")
-
-    times = [0.0]
-    states = [x.copy()]
-    fault = None
-    try:
-        with np.errstate(all="ignore"):
-            row, k1 = _sample(model, x, 0.0)
-        rows = [row]
-    except NonpositiveGamma:
-        rows = [(float(model.H.value(x)), float(model.S.value(x)), 0.0, 0.0, 0.0)]
-        fault, steps = "NonpositiveGamma", 0
-
-    for k in range(steps):
-        t = k * dt
+    x = _as_vector(x0, model.n).tolist()
+    _, H_value, _, S_value, _, _ = model._kernel
+    times, states, fault = [0.0], [x], None
+    half, sixth = 0.5 * dt, dt / 6.0
+    # Overflow to inf/nan (silent in float arithmetic) is caught by the finiteness checks.
+    with np.errstate(all="ignore"):
         try:
-            # Overflow to inf/nan is caught by the finiteness check below.
-            with np.errstate(all="ignore"):
-                k2 = full_rhs(model, x + 0.5 * dt * k1, t + 0.5 * dt)
-                k3 = full_rhs(model, x + 0.5 * dt * k2, t + 0.5 * dt)
-                k4 = full_rhs(model, x + dt * k3, t + dt)
-                x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                row = None
-                if np.all(np.isfinite(x_next)):
-                    row, k1 = _sample(model, x_next, (k + 1) * dt)
-            if row is None or not all(np.isfinite(row[:3])):
-                fault = "NonFiniteState"
-                break
-            x = x_next
+            row, k1 = _sample(model, x, 0.0)
+            rows = [row]
         except NonpositiveGamma:
-            fault = "NonpositiveGamma"
-            break
-        times.append((k + 1) * dt)
-        states.append(x.copy())
-        rows.append(row)
+            rows = [(H_value(x), S_value(x), 0.0, 0.0, 0.0)]
+            fault, steps = "NonpositiveGamma", 0
+
+        for k in range(steps):
+            t = k * dt
+            try:
+                k2 = _rhs(model, [a + half * b for a, b in zip(x, k1)], t + half)[0]
+                k3 = _rhs(model, [a + half * b for a, b in zip(x, k2)], t + half)[0]
+                k4 = _rhs(model, [a + dt * b for a, b in zip(x, k3)], t + dt)[0]
+                x = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
+                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                row = None
+                if all(map(math.isfinite, x)):
+                    row, k1 = _sample(model, x, (k + 1) * dt)
+                if row is None or not all(map(math.isfinite, row[:3])):
+                    fault = "NonFiniteState"
+                    break
+            except NonpositiveGamma:
+                fault = "NonpositiveGamma"
+                break
+            times.append((k + 1) * dt)
+            states.append(x)
+            rows.append(row)
 
     columns = [np.array(column) for column in zip(*rows)]
     return Trajectory(np.array(times), np.array(states), *columns, fault=fault)

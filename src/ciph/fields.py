@@ -20,10 +20,10 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError
 
 
-def _as_point(x, n: int) -> np.ndarray:
+def _as_vector(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
-        raise DimensionMismatch(f"expected a point in R^{n}, got shape {x.shape}")
+        raise DimensionMismatch(f"expected a vector in R^{n}, got shape {x.shape}")
     return x
 
 
@@ -36,7 +36,8 @@ class PolynomialField:
     compiled into the distinct (coordinate, power) pairs they use, value
     terms (coef, factor positions) and derivative terms (coordinate,
     coef * exponent, factor positions); factors multiply in coordinate order
-    on Python floats, whose ``**`` is the scalar libm ``pow``.
+    on Python floats, whose ``**`` is the scalar libm ``pow``. ``value_list``
+    and ``grad_list`` take a list of n floats; ``value`` and ``grad`` wrap them.
     """
 
     __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms")
@@ -84,17 +85,16 @@ class PolynomialField:
         exps[i - 1] = 1
         return cls(n, [(exps, 1.0)])
 
-    def _powers(self, x) -> list[float]:
-        x = _as_point(x, self.n).tolist()
+    def _powers(self, xs: list) -> list[float]:
         try:
-            return [x[j] ** e for j, e in self._pairs]
+            return [xs[j] ** e for j, e in self._pairs]
         except OverflowError:
             # float ** raises on overflow; numpy scalars use the same pow and give +-inf
             with np.errstate(over="ignore"):
-                return [float(np.float64(x[j]) ** e) for j, e in self._pairs]
+                return [float(np.float64(xs[j]) ** e) for j, e in self._pairs]
 
-    def value(self, x) -> float:
-        powers = self._powers(x)
+    def value_list(self, xs: list) -> float:
+        powers = self._powers(xs)
         total = 0.0
         for term, factors in self._value_terms:
             for f in factors:
@@ -102,14 +102,20 @@ class PolynomialField:
             total += term
         return total
 
-    def grad(self, x) -> np.ndarray:
-        powers = self._powers(x)
+    def grad_list(self, xs: list) -> list[float]:
+        powers = self._powers(xs)
         g = [0.0] * self.n
         for m, term, factors in self._grad_terms:
             for f in factors:
                 term *= powers[f]
             g[m] += term
-        return np.array(g)
+        return g
+
+    def value(self, x) -> float:
+        return self.value_list(_as_vector(x, self.n).tolist())
+
+    def grad(self, x) -> np.ndarray:
+        return np.array(self.grad_list(_as_vector(x, self.n).tolist()))
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -151,10 +157,10 @@ class CallableField:
         self.name = name
 
     def value(self, x) -> float:
-        return float(self._value(_as_point(x, self.n)))
+        return float(self._value(_as_vector(x, self.n)))
 
     def grad(self, x) -> np.ndarray:
-        g = np.asarray(self._grad(_as_point(x, self.n)), dtype=float)
+        g = np.asarray(self._grad(_as_vector(x, self.n)), dtype=float)
         if g.shape != (self.n,):
             raise DimensionMismatch(f"gradient has shape {g.shape}, expected ({self.n},)")
         return g
@@ -163,11 +169,20 @@ class CallableField:
         return f"CallableField(n={self.n}, name={self.name!r})"
 
 
+def list_form(field) -> tuple[Callable, Callable]:
+    """(value, grad) of a scalar field on lists of n floats (unchecked), grad
+    returning a list: a ``PolynomialField``'s own, other fields via ndarrays."""
+    if isinstance(field, PolynomialField):
+        return field.value_list, field.grad_list
+    return (lambda xs: float(field.value(np.array(xs))),
+            lambda xs: _as_vector(field.grad(np.array(xs)), field.n).tolist())
+
+
 def exp_sum_field(n: int, scale: float = 1.0) -> CallableField:
     """scale * sum_i exp(x_i): monotone convex compartment energy."""
     return CallableField(
         n,
-        value=lambda x: scale * float(np.sum(np.exp(x))),
+        value=lambda x: scale * float(np.exp(x).sum()),
         grad=lambda x: scale * np.exp(x),
         name="exp_sum",
     )
@@ -177,10 +192,10 @@ def exp_neg_sum_field(n: int, scale: float = 1.0) -> CallableField:
     """scale * exp(-sum_i x_i): strictly positive, e.g. conductance/(T1*T2)."""
 
     def _v(x):
-        return scale * float(np.exp(-np.sum(x)))
+        return scale * float(np.exp(-x.sum()))
 
     def _g(x):
-        return np.full(n, -scale * np.exp(-np.sum(x)))
+        return np.full(n, -scale * np.exp(-x.sum()))
 
     return CallableField(n, value=_v, grad=_g, name="exp_neg_sum")
 

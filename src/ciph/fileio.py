@@ -3,7 +3,8 @@
 All on-disk indices are 1-based. Tensor files are written in one fixed
 layout (that of ``json.dumps(..., indent=1)``) with shortest round-trip
 floats. Numbers in the trajectory CSV are written with 17 significant
-digits. Both are byte-deterministic and round-trip through doubles exactly.
+digits ("%.17g"). Both are byte-deterministic and round-trip through
+doubles exactly.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ def _numbers(value, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _dimension(n) -> int:
+    """The integral 'n' of a tensor, matrix or model file: an int, or a
+    float with no fractional part (as for tensor indices); booleans,
+    strings and fractions raise ValueError instead of being truncated."""
+    if isinstance(n, float) and n.is_integer():
+        return int(n)
+    if isinstance(n, int) and not isinstance(n, bool):
+        return n
+    raise ValueError(f"'n' must be an integer, got {n!r}")
+
+
 _ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
 _ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
@@ -83,8 +95,8 @@ def load_tensor(path) -> Tensor4:
     """
     data = _load_json(path)
     try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        n = _dimension(data["n"])
+    except (KeyError, ValueError):
         raise FormatError(f"{path}: missing or invalid 'n'") from None
     entries = data.get("entries", [])
     if not isinstance(entries, list):
@@ -136,9 +148,9 @@ def load_matrix(path) -> BracketMatrix:
     """Read the dense matrix format {"n": ..., "rows": [[...], ...]}."""
     data = _load_json(path)
     try:
-        n = int(data["n"])
+        n = _dimension(data["n"])
         rows = data["rows"]
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, ValueError):
         raise FormatError(f"{path}: missing or invalid 'n'/'rows'") from None
     arr = _numbers(rows, f"{path}: 'rows'")
     if arr.shape != (n, n):
@@ -280,8 +292,8 @@ def load_model(path) -> IphsModel:
             base = builtin_model(name, _builtin_params(BUILTIN_MODELS, name, data.get("params")))
         else:
             try:
-                n = int(data["n"])
-            except (TypeError, ValueError, OverflowError):
+                n = _dimension(data["n"])
+            except ValueError:
                 raise FormatError(f"invalid 'n': {data['n']!r}") from None
             H = _field_from_spec(data["H"], n, "H")
             S = _field_from_spec(data["S"], n, "S")
@@ -305,21 +317,19 @@ def load_model(path) -> IphsModel:
     return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None:
     """CSV with header t,x1..xn,H,S,sigma_int,energy_defect.
 
     energy_defect is the balance ledger's energy column: the accumulated
     mismatch H(t) - H(0) - integral of dH^T (W + g u) dt (trapezoid rule on
     the samples); for an isolated model it reduces to the energy drift.
+    Every number is written as "%.17g", the body in one %-format.
     """
     tr = trajectory
     rows = np.column_stack(
         [tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int, balance_ledger(tr)[0]]
     )
     header = ["t", *(f"x{i + 1}" for i in range(model.n)), "H", "S", "sigma_int", "energy_defect"]
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (row * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")

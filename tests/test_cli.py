@@ -213,6 +213,41 @@ class TestNonIntegerInputs:
         assert stdout_reports(capsys)[0]["passed"] is True
 
 
+class TestIntegralDimension:
+    """'n' of a tensor, matrix or model file is never truncated."""
+
+    MODEL = {
+        "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+        "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+        "gamma": {"poly": [[[0, 0], 1.0]]},
+        "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+    }
+
+    def _run(self, tmp_path, kind, n):
+        if kind == "tensor":
+            p = write_json(tmp_path / "t.json", {"n": n, "entries": [{"i": 1, "j": 1, "k": 2, "l": 2, "v": 1.0}]})
+            return main(["check", p])
+        if kind == "matrix":
+            p = write_json(tmp_path / "a.json", {"n": n, "rows": [[0.0, 1.0], [-1.0, 0.0]]})
+            return main(["product", "-A", p, "-B", p, "-o", str(tmp_path / "prod.json")])
+        p = write_json(tmp_path / "m.json", dict(self.MODEL, n=n))
+        return main(["simulate", p, "--t-end", "0.01", "--x0", "1,0", "-o", str(tmp_path / "traj.csv")])
+
+    @pytest.mark.parametrize("kind, n", [("tensor", 2.5), ("matrix", 2.9), ("model", 2.5),
+                                         ("tensor", True), ("matrix", "2"), ("model", True)])
+    def test_non_integral_n_exits_one(self, tmp_path, capsys, kind, n):
+        assert self._run(tmp_path, kind, n) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "'n'" in captured.err
+        assert not any(tmp_path.glob("prod.json")) and not any(tmp_path.glob("traj.csv"))
+
+    @pytest.mark.parametrize("kind, code", [("tensor", 2), ("matrix", 0), ("model", 0)])
+    def test_integral_float_n_accepted(self, tmp_path, capsys, kind, code):
+        assert self._run(tmp_path, kind, 2.0) == code
+        assert self._run(tmp_path, kind, 2) == code
+
+
 class TestProduct:
     def test_standard_skew_squared(self, j_file, tmp_path, capsys):
         out = tmp_path / "prod.json"

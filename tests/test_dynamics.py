@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ciph import (
 )
 from ciph import dynamics
 from ciph.dynamics import MAX_STEPS, balance_ledger, builtin_model, input_power
+from ciph.fields import exp_sum_field
 from ciph.verify import random_polynomial, random_skew
 
 
@@ -372,6 +374,125 @@ def test_input_power_zero_without_inputs():
     assert np.array_equal(q, np.zeros(len(tr)))
 
 
+def fold_dot(a, b) -> float:
+    """Dot product summed left to right, as the drift kernel sums; numpy's
+    ``@`` may fuse multiply-adds and differ in the last bit."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += float(u) * float(v)
+    return total
+
+
+def assert_plain_rk4(model, x0, dt, steps):
+    """integrate's states equal a plain RK4 loop over full_rhs, bit for bit."""
+    tr = integrate(model, x0, t_end=dt * steps, dt=dt)
+    assert tr.fault is None and len(tr) == steps + 1
+    x = np.array(x0, dtype=float)
+    for k in range(steps):
+        t = k * dt
+        k1 = full_rhs(model, x, t)
+        k2 = full_rhs(model, x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = full_rhs(model, x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = full_rhs(model, x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert tr.states[k + 1].tolist() == x.tolist()
+
+
+def random_forced_model(rng, n, inputs=True) -> IphsModel:
+    """Random polynomial H and S, skew J, gamma = c + x1^2 / 2 > 0, and
+    (with ``inputs``) a constant W, a constant n x 2 g and a u that
+    switches at t = 0.0503."""
+    gamma_terms = [((0,) * n, float(rng.uniform(0.2, 2.0))), ((2,) + (0,) * (n - 1), 0.5)]
+    if not inputs:
+        return IphsModel(n, random_polynomial(rng, n), random_polynomial(rng, n),
+                         random_skew(rng, n), PolynomialField(n, gamma_terms))
+    w = rng.uniform(-1.0, 1.0, size=n)
+    g = rng.uniform(-1.0, 1.0, size=(n, 2))
+    u_before, u_after = rng.uniform(-1.0, 1.0, size=(2, 2))
+    return IphsModel(
+        n,
+        H=random_polynomial(rng, n),
+        S=random_polynomial(rng, n),
+        J=random_skew(rng, n),
+        gamma=PolynomialField(n, gamma_terms),
+        W=lambda x, dH: w,
+        g=lambda x, dH: g,
+        u=lambda t: u_before if t < 0.0503 else u_after,
+    )
+
+
+def numpy_field(f):
+    """A PolynomialField evaluated from its terms in numpy, independent of
+    its compiled form: x -> (value, grad, grad of the absolute terms)."""
+    E = np.array([e for e, _ in f.terms], dtype=float).reshape(-1, f.n)
+    c = np.array([c for _, c in f.terms])
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        grad, grad_abs = np.zeros(f.n), np.zeros(f.n)
+        for m in range(f.n):
+            lowered = E.copy()
+            lowered[:, m] = np.maximum(E[:, m] - 1.0, 0.0)
+            terms = c * E[:, m] * np.prod(x**lowered, axis=1)
+            grad[m], grad_abs[m] = terms.sum(), np.abs(terms).sum()
+        return float(c @ np.prod(x**E, axis=1)), grad, grad_abs
+
+    return evaluate
+
+
+class TestListKernelAgainstNumpy:
+    """The list kernel behind drift_rhs, full_rhs and observable_rate
+    against a numpy evaluation of the same formulas, to within 1e-14 of the
+    magnitude of the terms that are summed."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("inputs", [False, True])
+    def test_rhs_and_rate_match_numpy(self, n, inputs):
+        rng = np.random.default_rng(900 + 10 * n + inputs)
+        for _ in range(6):
+            model = random_forced_model(rng, n, inputs)
+            f = random_polynomial(rng, n)
+            H, S, gamma, F = (numpy_field(h) for h in (model.H, model.S, model.gamma, f))
+            J, absJ = model.J.array, np.abs(model.J.array)
+            for x in rng.uniform(-1.0, 1.0, size=(3, n)):
+                t = float(rng.uniform(0.0, 0.1))
+                c = gamma(x)[0]
+                _, dH, aH = H(x)
+                _, dS, aS = S(x)
+                JdH, aJdH = J @ dH, absJ @ aH
+                bracket, a_bracket = float(dS @ JdH), float(aS @ aJdH)
+                drift, a_drift = c * bracket * JdH, c * a_bracket * aJdH
+                full, a_full = drift.copy(), a_drift.copy()
+                if inputs:
+                    w, g, u = model.W(x, dH), model.g(x, dH), model.u(t)
+                    full, a_full = drift + w + g @ u, a_drift + np.abs(w) + np.abs(g) @ np.abs(u)
+                got_drift, got_full = drift_rhs(model, x), full_rhs(model, x, t)
+                assert type(got_drift) is np.ndarray and type(got_full) is np.ndarray
+                assert got_drift.shape == got_full.shape == (n,)
+                assert np.all(np.abs(got_drift - drift) <= 1e-14 * a_drift)
+                assert np.all(np.abs(got_full - full) <= 1e-14 * a_full)
+                _, df, af = F(x)
+                rate = observable_rate(model, f, x)
+                assert type(rate) is float
+                assert abs(rate - c * bracket * float(df @ JdH)) <= 1e-14 * c * a_bracket * float(af @ aJdH)
+                if inputs:
+                    term = model.input_term(x, dH, t)
+                    assert type(term) is np.ndarray
+                    assert np.all(np.abs(term - (w + g @ u)) <= 1e-14 * (np.abs(w) + np.abs(g) @ np.abs(u)))
+
+    def test_generic_fields_give_the_same_trajectory(self):
+        # CountingField is not a PolynomialField, so it goes through ndarrays
+        rng = np.random.default_rng(77)
+        model = random_forced_model(rng, 4)
+        wrapped = dataclasses.replace(model, H=CountingField(model.H), S=CountingField(model.S),
+                                      gamma=CountingField(model.gamma))
+        x0 = rng.uniform(-0.5, 0.5, size=4)
+        a = integrate(model, x0, t_end=0.1, dt=1e-2)
+        b = integrate(wrapped, x0, t_end=0.1, dt=1e-2)
+        for name in ("states", "H_values", "S_values", "sigma_int", "p", "q"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist()
+
+
 class CountingField:
     """Wraps a field and counts its gradient calls."""
 
@@ -420,17 +541,14 @@ class TestDriftKernel:
     @pytest.mark.parametrize("forced", [False, True])
     def test_reused_k1_matches_plain_rk4_bit_for_bit(self, forced):
         model = forced_model() if forced else quadratic_linear_model()
-        dt, steps = 2e-3, 50
-        tr = integrate(model, [0.8, -0.3], t_end=dt * steps, dt=dt)
-        x = np.array([0.8, -0.3])
-        for k in range(steps):
-            t = k * dt
-            k1 = full_rhs(model, x, t)
-            k2 = full_rhs(model, x + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = full_rhs(model, x + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = full_rhs(model, x + dt * k3, t + dt)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert tr.states[k + 1].tolist() == x.tolist()
+        assert_plain_rk4(model, [0.8, -0.3], dt=2e-3, steps=50)
+
+    def test_reused_k1_matches_plain_rk4_bit_for_bit_n6_forced(self):
+        rng = np.random.default_rng(76)
+        model = random_forced_model(rng, 6)
+        # u switches at t = 0.0503, between step 25's k1 (t = 0.05) and its
+        # k2/k3 (t = 0.051), so every stage time is exercised
+        assert_plain_rk4(model, rng.uniform(-0.5, 0.5, size=6), dt=2e-3, steps=50)
 
     def test_recorded_input_power_matches_fresh_recomputation(self):
         model = forced_model()
@@ -440,9 +558,9 @@ class TestDriftKernel:
         for k, (x, t) in enumerate(zip(tr.states, tr.times)):
             dH, dS = model.H.grad(x), model.S.grad(x)
             inp = model.input_term(x, dH, float(t))
-            assert p[k] == float(dH @ inp)
-            assert q[k] == float(dS @ inp)
-            bracket = float(dS @ (model.J.array @ dH))
+            assert p[k] == fold_dot(dH, inp)
+            assert q[k] == fold_dot(dS, inp)
+            bracket = fold_dot(dS, [fold_dot(row, dH) for row in model.J.array])
             assert tr.sigma_int[k] == model.gamma_at(x) * bracket * bracket
         assert len(set(p.tolist())) > 1  # the schedule switches at t = 0.01
 
@@ -602,3 +720,89 @@ class TestAuditGate:
         report = audit_balances(model, dataclasses.replace(tr, sigma_int=sig))
         assert report.min_sigma_int == -1e-9
         assert report.passed is False
+
+
+class TestKernelFaults:
+    def test_gamma_nonpositive_at_stage_k3(self):
+        # gamma = x1 and dx/dt = g u(t) with u switching from 0 to -200 at
+        # t = 0.032: steps 0-2 stand still; step 3's k1 (t = 0.03) is zero,
+        # so its k2 point is x itself, and its k3 point, x + (dt/2) k2, has
+        # x1 = 0.5 - 0.005 * 200 < 0
+        points = []
+
+        class Gamma:
+            n = 2
+
+            def value(self, x):
+                points.append(x.tolist())
+                return float(x[0])
+
+            def grad(self, x):
+                return np.array([1.0, 0.0])
+
+        model = IphsModel(
+            2,
+            PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)]),
+            PolynomialField(2, [((1, 0), 1.0)]),
+            BracketMatrix.zeros(2),
+            Gamma(),
+            g=lambda x, dH: np.array([[1.0], [0.0]]),
+            u=lambda t: np.array([0.0 if t < 0.032 else -200.0]),
+        )
+        tr = integrate(model, [0.5, 0.25], t_end=1.0, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma"
+        assert tr.times.tolist() == [0.0, 0.01, 0.02, 0.03]
+        assert tr.states.tolist() == [[0.5, 0.25]] * 4
+        assert len(tr.H_values) == len(tr.sigma_int) == len(tr.p) == 4
+        # one sample, 3 steps of (k2, k3, k4, sample), then step 3's k2 and k3
+        assert len(points) == 1 + 4 * 3 + 2
+        assert points[-2:] == [[0.5, 0.25], [-0.5, 0.25]]
+
+    @pytest.mark.parametrize("case", ["numpy-input", "unobserved", "polynomial-power", "exp-field"])
+    def test_overflow_is_a_nonfinite_state_without_warnings(self, case):
+        quadratic = PolynomialField(2, [((2, 0), 0.5)])
+        linear = PolynomialField(2, [((1, 0), 1.0)])
+        if case == "numpy-input":  # x1' = x1^2 on numpy scalars
+            model = IphsModel(2, quadratic, linear, BracketMatrix.zeros(2), constant_gamma(2),
+                              W=lambda x, dH: np.array([x[0] ** 2, 0.0]))
+            x0, dt = [2.0, 0.0], 1e-2
+        elif case == "unobserved":  # x2' = x2^2, while H, S and sigma_int stay finite
+            model = IphsModel(2, quadratic, linear, BracketMatrix.zeros(2), constant_gamma(2),
+                              W=lambda x, dH: np.array([0.0, x[1] ** 2]))
+            x0, dt = [1.0, 2.0], 1e-2
+        elif case == "polynomial-power":  # x' = 1000 x, H = x1^8 overflows float **
+            H = PolynomialField(2, [((8, 0), 1.0)])
+            model = IphsModel(2, H, linear, BracketMatrix.zeros(2), constant_gamma(2),
+                              W=lambda x, dH: 1e3 * x)
+            x0, dt = [1.0, 1.0], 1e-2
+        else:  # H = exp(x1) + exp(x2) in numpy, x1 fed until it overflows
+            model = IphsModel(2, exp_sum_field(2), linear, BracketMatrix.zeros(2), constant_gamma(2),
+                              W=lambda x, dH: np.array([1e3, 0.0]))
+            x0, dt = [0.0, 0.0], 1e-2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = integrate(model, x0, t_end=5.0, dt=dt)
+        assert tr.fault == "NonFiniteState"
+        assert 1 < len(tr) < 500
+        assert np.all(np.isfinite(tr.states))
+        assert np.all(np.isfinite(tr.H_values))
+
+    def test_wrong_input_shapes_raise(self):
+        base = quadratic_linear_model()
+        wide_w = dataclasses.replace(base, W=lambda x, dH: np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="W returned shape"):
+            integrate(wide_w, [1.0, 0.0], t_end=0.1, dt=1e-2)
+        with pytest.raises(DimensionMismatch):
+            full_rhs(wide_w, [1.0, 0.0], 0.0)
+        with pytest.raises(DimensionMismatch):
+            wide_w.input_term([1.0, 0.0], [1.0, 0.0], 0.0)
+        matrix_u = dataclasses.replace(base, g=lambda x, dH: np.ones((2, 1)), u=lambda t: np.ones((1, 1)))
+        with pytest.raises(DimensionMismatch):
+            integrate(matrix_u, [1.0, 0.0], t_end=0.1, dt=1e-2)
+
+    def test_wrong_point_shape_raises(self):
+        model = quadratic_linear_model()
+        for call in (lambda x: drift_rhs(model, x), lambda x: full_rhs(model, x, 0.0),
+                     lambda x: observable_rate(model, model.H, x), model.gamma_at):
+            with pytest.raises(DimensionMismatch):
+                call([1.0, 0.0, 0.0])

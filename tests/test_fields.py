@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ciph import DimensionMismatch, PolynomialField
-from ciph.fields import builtin_field, exp_neg_sum_field, exp_sum_field
+from ciph.fields import CallableField, builtin_field, exp_neg_sum_field, exp_sum_field, list_form
 from ciph.verify import fd_gradient, loop_polynomial, random_polynomial
 
 
@@ -134,3 +134,48 @@ class TestCompiledPolynomial:
         assert h.value([2.0, 0.5]) == 6.0
         assert h.grad([2.0, 0.5]).tolist() == [3.0, 2.0]
         assert (-h).grad([0.0, 0.0]).tolist() == [-3.0, -2.0]
+
+
+class TestListForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_polynomial_list_form_is_bit_identical(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            f = random_polynomial(rng, n, degree_max=5, terms=10)
+            value, grad = list_form(f)
+            for x in rng.uniform(-2.0, 2.0, size=(4, n)):
+                xs = x.tolist()
+                oracle_value, oracle_grad = loop_polynomial(f, x)
+                assert value(xs) == f.value(x) == oracle_value
+                g = grad(xs)
+                assert type(g) is list
+                assert g == f.grad(x).tolist() == oracle_grad
+
+    def test_polynomial_list_form_overflows_to_inf(self):
+        f = PolynomialField(2, [((2, 0), 0.5), ((0, 3), 1.0)])
+        assert f.value_list([1e200, 0.0]) == np.inf
+        assert f.grad_list([1e200, -1e200]) == [1e200, np.inf]
+
+    def test_other_fields_go_through_ndarrays(self):
+        f = exp_sum_field(3, scale=2.0)
+        value, grad = list_form(f)
+        x = [0.1, -0.4, 1.3]
+        assert value(x) == f.value(np.array(x))
+        g = grad(x)
+        assert type(g) is list and g == f.grad(np.array(x)).tolist()
+
+    def test_wrong_gradient_shape_rejected(self):
+        class Flat:
+            n = 2
+
+            def value(self, x):
+                return 0.0
+
+            def grad(self, x):
+                return np.zeros((2, 1))
+
+        with pytest.raises(DimensionMismatch):
+            list_form(Flat())[1]([1.0, 2.0])
+        bad = CallableField(2, value=lambda x: 0.0, grad=lambda x: np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            list_form(bad)[1]([1.0, 2.0])

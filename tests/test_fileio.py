@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ciph import BracketMatrix, DimensionMismatch, DimensionTooLarge, FormatError, Tensor4, integrate
-from ciph.dynamics import quadratic_linear_model
+from ciph.dynamics import Trajectory, balance_ledger, quadratic_linear_model
 from ciph.fileio import (
     load_directions,
     load_matrix,
@@ -88,6 +88,17 @@ class TestTensorFormat:
     def test_non_numeric_dimension(self, tmp_path):
         with pytest.raises(FormatError, match="'n'"):
             load_tensor(write_json(tmp_path / "t.json", {"n": "two", "entries": []}))
+
+    @pytest.mark.parametrize("n", [2.5, 1.999, True, "2", None, [2]])
+    def test_non_integral_dimension_rejected(self, tmp_path, n):
+        for payload, load in (({"n": n, "entries": []}, load_tensor),
+                              ({"n": n, "rows": [[0.0, 1.0], [-1.0, 0.0]]}, load_matrix)):
+            with pytest.raises(FormatError, match="'n'"):
+                load(write_json(tmp_path / "f.json", payload))
+
+    def test_integral_float_dimension_accepted(self, tmp_path):
+        assert load_tensor(write_json(tmp_path / "t.json", {"n": 2.0, "entries": []})).n == 2
+        assert load_matrix(write_json(tmp_path / "a.json", {"n": 2.0, "rows": [[0.0, 1.0], [-1.0, 0.0]]})).n == 2
 
     @pytest.mark.parametrize("index", [10**30, 10**400])
     def test_huge_index_rejected(self, tmp_path, index):
@@ -428,6 +439,19 @@ class TestModelBoundary:
         with pytest.raises(FormatError, match="exp_sum"):
             load_model(write_json(tmp_path / "m.json", payload))
 
+    @pytest.mark.parametrize("n", [2.5, True, "2"])
+    def test_non_integral_dimension_rejected(self, tmp_path, n):
+        payload = {
+            "n": n,
+            "H": {"poly": [[[2, 0], 0.5]]},
+            "S": {"poly": [[[1, 0], 1.0]]},
+            "gamma": {"poly": [[[0, 0], 1.0]]},
+            "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+        }
+        with pytest.raises(FormatError, match="invalid 'n'"):
+            load_model(write_json(tmp_path / "m.json", payload))
+        assert load_model(write_json(tmp_path / "m.json", dict(payload, n=2.0))).n == 2
+
     @pytest.mark.parametrize(
         "change",
         [{"n": "two"}, {"J": [[0.0, 1.0], [-1.0, 0.0]]}, {"J": {"rows": [[0.0, 1.0], [-1.0]]}},
@@ -508,3 +532,46 @@ class TestTrajectoryCsv:
         write_trajectory_csv(model, tr, p1)
         write_trajectory_csv(model, tr, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def join_rows(rows) -> str:
+    """The CSV body as a per-number format() join (the writer's former form)."""
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+
+
+class TestTrajectoryCsvFormat:
+    EXTREMES = [0.0, -0.0, 1.0, -3.0, 1e16, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1 / 3, np.inf, -np.inf, np.nan]
+
+    def test_body_matches_per_number_format(self, tmp_path):
+        values = np.array(self.EXTREMES)
+        k = len(values)
+        tr = Trajectory(
+            times=np.arange(k) * 0.5,
+            states=np.column_stack([values, values[::-1]]),
+            H_values=values,
+            S_values=np.roll(values, 3),
+            sigma_int=np.roll(values, 7),
+            p=np.zeros(k),
+            q=np.zeros(k),
+            fault="NonFiniteState",
+        )
+        p = tmp_path / "traj.csv"
+        write_trajectory_csv(quadratic_linear_model(), tr, p)
+        header, _, body = p.read_text(encoding="utf-8").partition("\n")
+        assert header == "t,x1,x2,H,S,sigma_int,energy_defect"
+        energy = balance_ledger(tr)[0]
+        rows = np.column_stack([tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int, energy])
+        assert body == join_rows(rows.tolist())
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308"):
+            assert token in body.replace("\n", ",").split(",")
+
+    def test_integrated_body_matches_per_number_format(self, tmp_path):
+        model = quadratic_linear_model()
+        tr = integrate(model, [1.0, 0.0], t_end=0.05, dt=1e-2)
+        p = tmp_path / "traj.csv"
+        write_trajectory_csv(model, tr, p)
+        rows = np.column_stack([tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int,
+                                balance_ledger(tr)[0]])
+        assert p.read_text(encoding="utf-8").partition("\n")[2] == join_rows(rows.tolist())
+        assert p.read_text(encoding="utf-8").split("\n")[1].startswith("0,1,0,0.5,1,")
