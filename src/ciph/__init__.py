@@ -60,7 +60,6 @@ from .tensor import (
     symmetrize_34,
 )
 from .verify import (
-    OracleConfig,
     OracleReport,
     PsdOracleReport,
     exhaustive_condition_check,

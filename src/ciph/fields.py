@@ -18,6 +18,24 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
+from .tensor import _integer
+
+
+def _dimension(n) -> int:
+    """A field's dimension: an integer >= 1 (integral floats accepted),
+    never truncated."""
+    if (m := _integer(n)) is None or m < 1:
+        raise DimensionMismatch(f"dimension must be an integer >= 1, got {n!r}")
+    return m
+
+
+def _exponent(e) -> int:
+    """A polynomial exponent: a nonnegative integral int or float (not a
+    bool); anything else is a FormatError, never truncated."""
+    k = _integer(e)
+    if k is None or k < 0:
+        raise FormatError(f"exponent {e!r} is not a nonnegative integer")
+    return k
 
 
 def _as_vector(x, n: int) -> np.ndarray:
@@ -31,7 +49,8 @@ class PolynomialField:
     """Polynomial scalar field with rational-style exact differentiation.
 
     Terms are (exponents, coefficient) pairs; exponents are nonnegative
-    integers, one per coordinate. Duplicate multi-indices are merged and
+    integers (integral floats accepted, fractions rejected), one per
+    coordinate. Duplicate multi-indices are merged and
     zero terms dropped, so the stored representation is canonical. They are
     compiled into the distinct (coordinate, power) pairs they use, value
     terms (coef, factor positions) and derivative terms (coordinate,
@@ -43,19 +62,16 @@ class PolynomialField:
     __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms")
 
     def __init__(self, n: int, terms: Iterable[tuple[Sequence[int], float]] = ()):
-        if n < 1:
-            raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+        n = _dimension(n)
         merged: dict[tuple[int, ...], float] = {}
         for exponents, coeff in terms:
-            exps = tuple(int(e) for e in exponents)
+            exps = tuple(map(_exponent, exponents))
             if len(exps) != n:
                 raise DimensionMismatch(
                     f"exponent multi-index {exps} has length {len(exps)}, expected {n}"
                 )
-            if any(e < 0 for e in exps):
-                raise FormatError(f"negative exponent in multi-index {exps}")
             merged[exps] = merged.get(exps, 0.0) + float(coeff)
-        self.n = int(n)
+        self.n = n
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0.0))
 
         pairs: dict[tuple[int, int], int] = {}
@@ -151,7 +167,7 @@ class CallableField:
     __slots__ = ("n", "_value", "_grad", "name")
 
     def __init__(self, n: int, value: Callable, grad: Callable, name: str = "callable"):
-        self.n = int(n)
+        self.n = _dimension(n)
         self._value = value
         self._grad = grad
         self.name = name

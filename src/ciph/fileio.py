@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import inspect
 import json
-import sys
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -25,8 +24,8 @@ from .dynamics import BUILTIN_MODELS, IphsModel, Trajectory, balance_ledger, bui
 # this module because the benchmark tracer wraps ``ciph.fileio.input_power``.
 from .dynamics import input_power  # noqa: F401
 from .errors import CiphError, FormatError
-from .fields import BUILTIN_FIELDS, PolynomialField, builtin_field
-from .tensor import Tensor4
+from .fields import BUILTIN_FIELDS, PolynomialField, _exponent, builtin_field
+from .tensor import Tensor4, _integer
 
 
 def _load_json(path) -> dict:
@@ -42,46 +41,64 @@ def _load_json(path) -> dict:
     return data
 
 
-def _numbers(value, what: str) -> np.ndarray:
-    """A finite number or rectangular nested list of them as a float array;
-    strings, nulls, booleans, NaN, +-inf and ragged lists are a FormatError."""
+def _finite_floats(values) -> np.ndarray | None:
+    """The number rule of every reader: each value is a JSON int (not a
+    boolean) or float, finite as a double. Returns the values as a float
+    array, or None when one of them breaks the rule."""
+    values = list(values)
+    if not set(map(type, values)) <= {int, float}:
+        return None
     try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):  # ragged lists
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """A number or rectangular nested list of them, under the number rule,
+    as a float array; anything else (ragged lists too) is a FormatError."""
+    try:
+        shape = np.shape(value)
+    except ValueError:  # ragged lists
+        arr = None
+    else:
+        leaves = value if shape else [value]
+        for _ in shape[1:]:
+            leaves = chain.from_iterable(leaves)
+        arr = _finite_floats(leaves)
+    if arr is None:
         raise FormatError(f"{what} must be finite numbers, got {value!r}")
-    return arr.astype(float)
+    return arr.reshape(shape)
 
 
 def _dimension(n) -> int:
-    """The integral 'n' of a tensor, matrix or model file: an int, or a
-    float with no fractional part (as for tensor indices); booleans,
-    strings and fractions raise ValueError instead of being truncated."""
-    if isinstance(n, float) and n.is_integer():
-        return int(n)
-    if isinstance(n, int) and not isinstance(n, bool):
-        return n
-    raise ValueError(f"'n' must be an integer, got {n!r}")
+    """The integral 'n' of a tensor, matrix or model file (see
+    ``tensor._integer``); anything else raises ValueError."""
+    if (m := _integer(n)) is None:
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    return m
 
 
 _ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
-_ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError)
 
 
 def _entry_table(entries: list) -> np.ndarray:
     """The (m, 5) float table of tensor entries; the acceptance rule.
 
-    Every entry must be an object with keys i, j, k, l, v whose values are
-    finite numbers, the four indices integral. Anything else raises
-    KeyError, TypeError, ValueError or OverflowError. The rule holds entry
-    by entry, so a list fails it exactly when one of its entries does.
+    Every entry must be an object with keys i, j, k, l, v whose values keep
+    the number rule, the four indices integral. Anything else raises
+    KeyError, TypeError or ValueError. The rule holds entry by entry, so a
+    list fails it exactly when one of its entries does.
     """
-    flat = chain.from_iterable(map(_ENTRY_FIELDS, entries))
-    table = np.fromiter(flat, dtype=float, count=5 * len(entries)).reshape(-1, 5)
+    table = _finite_floats(chain.from_iterable(map(_ENTRY_FIELDS, entries)))
+    if table is None:
+        raise ValueError("an entry field breaks the number rule")
+    table = table.reshape(-1, 5)
     index = table[:, :4]
-    if not (np.isfinite(table).all() and (index == np.trunc(index)).all()):
-        raise ValueError("non-finite value or non-integer index")
+    if not (index == np.trunc(index)).all():
+        raise ValueError("non-integer index")
     return table
 
 
@@ -188,11 +205,7 @@ def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
     must be a named parameter of the factory with a finite real value."""
     if params is None:
         return None
-    # abs(v) <= max float rejects NaN, +-inf and integers too large for a float
-    if not isinstance(params, dict) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-        for v in params.values()
-    ):
+    if not isinstance(params, dict) or _finite_floats(params.values()) is None:
         raise FormatError(f"builtin {name!r}: 'params' must map names to finite numbers")
     if name in registry:
         try:
@@ -200,15 +213,6 @@ def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
         except TypeError as exc:
             raise FormatError(f"builtin {name!r}: {exc}") from None
     return params
-
-
-def _exponent(e) -> int:
-    """An integral exponent; passing through float rejects ones too large
-    for it, and a fractional part is an error, never truncated."""
-    e = float(e)
-    if not e.is_integer():
-        raise ValueError(f"exponent {e!r} is not an integer")
-    return int(e)
 
 
 def _field_from_spec(spec, n: int, label: str):
@@ -219,8 +223,10 @@ def _field_from_spec(spec, n: int, label: str):
         for pos, term in enumerate(spec["poly"], 1):
             try:
                 exps, c = term
-                terms.append((tuple(map(_exponent, exps)), float(c)))
-            except (TypeError, ValueError, OverflowError):
+                if _finite_floats([*exps, c]) is None:
+                    raise ValueError("a term field breaks the number rule")
+                terms.append((tuple(map(_exponent, exps)), c))
+            except (TypeError, ValueError, FormatError):
                 raise FormatError(
                     f"field {label!r}: 'poly' term #{pos} is malformed: {term!r}"
                 ) from None

@@ -6,9 +6,11 @@ recovers (A, B) exactly; the product splits iff A is skew and B is a
 nonnegative multiple of A. A *symmetric representative*
 t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is recovered row by row from
 the slices t[i, :, i, :], which are negated rank-1 Gram matrices of the rows
-of sqrt(c) * J; row signs are then propagated through the skewness
-constraint. Every recovery is verified by reconstructing the tensor before
-a SPLIT is reported, so the heuristics can never accept a wrong answer.
+of sqrt(c) * J; the row signs all come from one pivot, the largest entry
+t[p,p,q,q] = 2 c J[p,q]^2, whose slice t[:, p, :, q] is c J[p,q] J plus a
+known rank-1 term. Every recovery is verified by reconstructing the tensor
+before a SPLIT is reported, so the heuristics can never accept a wrong
+answer.
 
 Gauge convention for reported factors: J is scaled so its largest entry in
 magnitude is 1 and signed so its first nonzero entry in row-major order is
@@ -164,86 +166,46 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
 def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     """Try to match t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]).
 
-    Writes K = sqrt(c) * J. The slice P_i = -t[i, :, i, :] equals the Gram
-    matrix of K's i-th row, which pins each row up to sign; signs are fixed
-    by propagating K[i,l] = -K[l,i] over the graph of jointly nonzero
-    entries, and across disconnected components by comparing one cross term
-    of t with its prediction. Returns None unless the reconstructed tensor
-    matches t within ``tol * max(1, max|t|)``.
+    Writes K = sqrt(c) * J. The slice -t[i, :, i, :] is the Gram matrix of
+    K's i-th row, which pins the row up to sign. One pivot fixes all the
+    signs: t[i,i,k,k] = 2 K[i,k]^2 peaks at the largest |K[p,q]|, and
+    E = t[:,p,:,q] - t[:,p,q,q] t[p,p,:,q] / (2 t[p,p,q,q]) = K[p,q] K, so
+    rows whose overlap with E differs in sign from the first recovered
+    row's are flipped. Returns None unless the reconstructed tensor matches
+    t within ``tol * max(1, max|t|)``.
     """
     v = t.values
-    n = t.n
-    tmax = t.max_abs()
-    accept = tol * max(1.0, tmax)
+    accept = tol * max(1.0, t.max_abs())
 
-    rows = np.zeros((n, n))
-    for i in range(n):
-        gram = -v[i, :, i, :]
-        diag = np.diag(gram)
-        m = int(np.argmax(diag))
-        d = float(diag[m])
-        if d <= accept:
-            continue  # zero row (or slice not a positive Gram matrix)
-        rows[i] = gram[:, m] / math.sqrt(d)
+    p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", v))), (t.n, t.n))
+    pivot = float(v[p, p, q, q])
+    if pivot <= 2.0 * accept:
+        return None  # every K[i,k]^2 is at most accept: no row to recover
 
-    nz = np.abs(rows) > tol * max(1.0, float(np.max(np.abs(rows))))
+    grams = -np.einsum("ijil->ijl", v)
+    diag = np.einsum("ijj->ij", grams)
+    m = np.argmax(diag, axis=1)
+    d = diag[np.arange(t.n), m]
+    live = d > accept  # the other rows are zero (or not a positive Gram matrix)
+    rows = np.zeros((t.n, t.n))
+    rows[live] = grams[live, :, m[live]] / np.sqrt(d[live])[:, None]
 
-    # Per-row sign flips s so that s[i] rows[i,l] = -s[l] rows[l,i] wherever
-    # both entries are nonzero; a BFS per connected component fixes all of
-    # them up to one free sign per component.
-    signs = np.zeros(n)
-    components: list[list[int]] = []
-    for root in range(n):
-        if signs[root] != 0.0:
-            continue
-        if not nz[root].any():
-            signs[root] = 1.0
-            continue
-        signs[root] = 1.0
-        comp = [root]
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for w in range(n):
-                if signs[w] != 0.0 or not (nz[u, w] and nz[w, u]):
-                    continue
-                signs[w] = -signs[u] * math.copysign(1.0, rows[u, w] * rows[w, u])
-                comp.append(w)
-                queue.append(w)
-        components.append(comp)
-
-    K = signs[:, None] * rows
-
-    # Disconnected blocks of J leave a relative sign the skewness constraint
-    # cannot see, but cross entries of t can: t[i,j,k,l] = K[i,k] K[j,l] when
-    # (i,k) and (j,l) live in different blocks.
-    for c_idx in range(1, len(components)):
-        anchored = [node for comp in components[:c_idx] for node in comp]
-        comp = components[c_idx]
-        sub = np.abs(K[np.ix_(comp, comp)])
-        i_loc, k_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        i, k = comp[i_loc], comp[k_loc]
-        sub_a = np.abs(K[np.ix_(anchored, anchored)])
-        j_loc, l_loc = np.unravel_index(int(np.argmax(sub_a)), sub_a.shape)
-        j, l = anchored[j_loc], anchored[l_loc]
-        predicted = K[i, k] * K[j, l]
-        actual = v[i, j, k, l]
-        if predicted != 0.0 and actual * predicted < 0.0:
-            K[comp] = -K[comp]
+    E = v[:, p, :, q] - np.outer(v[:, p, q, q], v[p, p, :, q]) / (2.0 * pivot)
+    overlap = np.einsum("ik,ik->i", rows, E)
+    # The gauge fixes J's global sign except on its zero entries (+-0.0);
+    # those follow the first recovered row, which keeps its Gram sign.
+    ref = np.sign(overlap[np.argmax(live)])
+    K = np.where((overlap * ref < 0.0)[:, None], -rows, rows)
 
     K = 0.5 * (K - K.T)  # exact inputs are already skew; this absorbs rounding
     recon = np.einsum("ik,jl->ijkl", K, K) + np.einsum("il,jk->ijkl", K, K)
     residual = float(np.max(np.abs(recon - v)))
     if residual > accept:
         return None
-
+    # K is nonzero here (a zero K leaves a residual >= t[p,p,q,q] > accept),
+    # and 0.5 * (K - K.T) is exactly skew, so J = K / c is too.
     J_arr, c = _canonical_gauge(K)
-    if c == 0.0:
-        return None
-    J = BracketMatrix(J_arr)
-    if not is_skew(J, tol):  # max|J| = 1, so tol is already the right scale
-        return None
-    return SplitResult(SPLIT, J, 2.0 * c * c, residual)
+    return SplitResult(SPLIT, BracketMatrix(J_arr), 2.0 * c * c, residual)
 
 
 def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:

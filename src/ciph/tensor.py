@@ -47,8 +47,21 @@ RANDOM_DIRECTIONS = 64
 PSD_BLOCK = 64
 
 
+def _integer(value) -> int | None:
+    """``value`` as an int when it is integral: an int or numpy integer (not
+    a bool), or a float with no fractional part. Anything else gives None,
+    so a fraction is never truncated."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
 def _checked_dimension(n) -> int:
-    n = int(n)
+    if (m := _integer(n)) is None:
+        raise DimensionMismatch(f"dimension must be an integer, got {n!r}")
+    n = m
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
     if n > MAX_DIMENSION:

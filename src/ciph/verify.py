@@ -28,20 +28,6 @@ ORACLE_MAX_DIMENSION = 5
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    seed: int = 0
-    trials: int = 100
-    fd_step: float = 1e-6
-    poly_degree_max: int = 3
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise NegativeCoefficient(f"trials must be >= 1, got {self.trials}")
-        if self.fd_step <= 0.0:
-            raise NegativeCoefficient(f"fd_step must be > 0, got {self.fd_step}")
-
-
-@dataclass(frozen=True)
 class OracleReport:
     """Loop-based verdicts for the four index-identity conditions."""
 

@@ -213,6 +213,74 @@ class TestNonIntegerInputs:
         assert stdout_reports(capsys)[0]["passed"] is True
 
 
+class TestNumberRule:
+    """Every reader takes a number only as a JSON int or float, finite:
+    numeric strings and booleans exit 1 with the field named."""
+
+    MODEL = dict(TestNonIntegerInputs.MODEL)
+    ENTRY = {"i": 1, "j": 1, "k": 2, "l": 2, "v": 1.0}
+    MATRIX = [[0.0, 1.0], [-1.0, 0.0]]
+
+    CASES = {
+        "entry-string-index": ("tensor", dict(ENTRY, i="1"), "entry #1 is malformed"),
+        "entry-bool-fields": ("tensor", dict(ENTRY, l=True, v=True), "entry #1 is malformed"),
+        "entry-string-value": ("tensor", dict(ENTRY, v="1.5"), "entry #1 is malformed"),
+        "rows-mixed-bool": ("matrix", [[0, 1.0], [-1.0, True]], "'rows' must be finite numbers"),
+        "rows-string": ("matrix", [[0, "1"], [-1.0, 0]], "'rows' must be finite numbers"),
+        "direction-bool": ("directions", [[1.0, 0.0], [True, 1.0]], "direction #2"),
+        "poly-string-exponent": ("model", {"H": {"poly": [[["2", 0], 0.5], [[0, 2], 0.5]]}},
+                                 "field 'H': 'poly' term #1 is malformed"),
+        "poly-bool-exponent": ("model", {"H": {"poly": [[[2, 0], 0.5], [[0, True], 0.5]]}},
+                               "field 'H': 'poly' term #2 is malformed"),
+        "poly-string-coefficient": ("model", {"S": {"poly": [[[1, 0], "1.0"], [[0, 1], 1.0]]}},
+                                    "field 'S': 'poly' term #1 is malformed"),
+        "poly-bool-coefficient": ("model", {"gamma": {"poly": [[[0, 0], True]]}},
+                                  "field 'gamma': 'poly' term #1 is malformed"),
+        "J-rows-bool": ("model", {"J": {"n": 2, "rows": [[0.0, True], [-1.0, 0.0]]}},
+                        "'J' rows must be finite numbers"),
+        "W-constant-bool": ("model", {"W": {"constant": [True, 0.0]}}, "'W' constant"),
+        "g-rows-string": ("model", {"g": {"rows": [["1"], [0.0]]}, "u": {"times": [0.0], "values": [[1.0]]}},
+                          "'g' rows"),
+        "u-values-bool": ("model", {"g": {"rows": [[1.0], [0.0]]}, "u": {"times": [0.0], "values": [[True]]}},
+                          "'u' values"),
+        "params-bool": ("builtin", {"conductance": True}, "'params' must map names to finite numbers"),
+    }
+
+    def _run(self, tmp_path, kind, value):
+        out = str(tmp_path / "out")
+        if kind == "tensor":
+            t = write_json(tmp_path / "t.json", {"n": 2, "entries": [value]})
+            return main(["symmetrize", t, "-o", out])
+        if kind == "matrix":
+            a = write_json(tmp_path / "a.json", {"n": 2, "rows": value})
+            b = write_json(tmp_path / "b.json", {"n": 2, "rows": self.MATRIX})
+            return main(["product", "-A", a, "-B", b, "-o", out])
+        if kind == "directions":
+            t = write_json(tmp_path / "t.json", {"n": 2, "entries": []})
+            d = write_json(tmp_path / "d.json", {"directions": value})
+            return main(["check", t, "--directions", d])
+        model = {"builtin": "heat-exchanger", "params": value} if kind == "builtin" else dict(self.MODEL, **value)
+        m = write_json(tmp_path / "m.json", model)
+        return main(["simulate", m, "--t-end", "0.01", "--x0", "1,0.5", "-o", out])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_number_exits_one_naming_the_field(self, tmp_path, capsys, case):
+        kind, value, message = self.CASES[case]
+        assert self._run(tmp_path, kind, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, value", [
+        ("tensor", ENTRY), ("tensor", dict(ENTRY, i=1.0, v=1)), ("matrix", [[0, 1], [-1, 0.0]]),
+        ("directions", [[1, 0], [0.5, 1]]), ("model", {"S": {"poly": [[[1, 0], 1], [[0, 1.0], 1.0]]}}),
+        ("builtin", {"conductance": 2}),
+    ])
+    def test_ints_and_floats_accepted(self, tmp_path, capsys, kind, value):
+        assert self._run(tmp_path, kind, value) == 0
+
+
 class TestIntegralDimension:
     """'n' of a tensor, matrix or model file is never truncated."""
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ciph import DimensionMismatch, PolynomialField
+from ciph import DimensionMismatch, FormatError, PolynomialField
 from ciph.fields import CallableField, builtin_field, exp_neg_sum_field, exp_sum_field, list_form
 from ciph.verify import fd_gradient, loop_polynomial, random_polynomial
 
@@ -46,6 +46,26 @@ def test_algebra_operators():
 def test_dimension_mismatch_on_bad_exponents():
     with pytest.raises(DimensionMismatch):
         PolynomialField(2, [((1, 0, 0), 1.0)])
+
+
+@pytest.mark.parametrize("exponent", [1.7, -1, -2.0, True, "1", None, float("inf")])
+def test_non_integral_or_negative_exponent_rejected(exponent):
+    with pytest.raises(FormatError, match="not a nonnegative integer"):
+        PolynomialField(2, [((exponent, 0), 1.0)])
+
+
+def test_integral_float_exponent_accepted():
+    f = PolynomialField(2, [((2.0, 0), 1.0)])
+    assert f.terms == (((2, 0), 1.0),)
+    assert f.value([3.0, 1.0]) == 9.0
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", 0])
+def test_non_integral_dimension_rejected(n):
+    with pytest.raises(DimensionMismatch):
+        PolynomialField(n)
+    with pytest.raises(DimensionMismatch):
+        CallableField(n, lambda x: 0.0, lambda x: np.zeros(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -140,3 +140,47 @@ def test_simulate(tmp_path, capsys, model):
     path = _write(tmp_path / "m.json", model)
     argv = ["simulate", path, "--t-end", "0.01", "--dt", "1e-3", "--x0", "0.5,0.25"]
     _run(argv + ["-o", str(tmp_path / "traj.csv")], capsys)
+
+
+# Booleans and strings, numeric-looking ones included, are never numbers.
+NON_NUMBERS = st.one_of(st.booleans(), st.sampled_from(["1", "0", "-2.5", "1e3", "nan"]), st.text(max_size=3))
+# The model reader sizes J from its rows, so "J"."n" is never read.
+UNREAD = {("J", "n")}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def with_non_number(draw, doc):
+    """A copy of doc with one number the reader reads replaced by a non-number."""
+    paths = [p for p in _paths(doc) if p not in UNREAD and type(_at(doc, p)) in (int, float)]
+    return _mutate(doc, draw(st.sampled_from(paths)), "replace", draw(NON_NUMBERS))
+
+
+def _argv(tmp_path, kind, doc) -> list:
+    out = str(tmp_path / "out")
+    path = _write(tmp_path / f"{kind}.json", doc)
+    if kind == "tensor":
+        return ["symmetrize", path, "-o", out]
+    if kind == "matrix":
+        return ["product", "-A", path, "-B", _write(tmp_path / "b.json", MATRIX), "-o", out]
+    if kind == "directions":
+        return ["check", _write(tmp_path / "t.json", TENSOR), "--directions", path]
+    return ["simulate", path, "--t-end", "0.01", "--dt", "1e-3", "--x0", "0.5,0.25", "-o", out]
+
+
+DOCS = {"tensor": TENSOR, "matrix": MATRIX, "directions": DIRECTIONS, "model": MODEL,
+        "builtin": BUILTIN_MODEL, "field": FIELD_MODEL}
+
+
+@settings(FUZZ, max_examples=120)
+@given(data=st.data(), kind=st.sampled_from(sorted(DOCS)))
+def test_non_number_exits_one(tmp_path, capsys, data, kind):
+    doc = data.draw(with_non_number(DOCS[kind]))
+    code = main(_argv(tmp_path, kind, doc))
+    assert capsys.readouterr().out == ""
+    assert code == 1

@@ -38,6 +38,44 @@ def block_diag_skew(*lams: float) -> np.ndarray:
     return out
 
 
+def representative(K: np.ndarray) -> Tensor4:
+    """The symmetric representative K[i,k] K[j,l] + K[i,l] K[j,k]."""
+    K = np.asarray(K, dtype=float)
+    return Tensor4(len(K), np.einsum("ik,jl->ijkl", K, K) + np.einsum("il,jk->ijkl", K, K))
+
+
+def with_zero_rows(K: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """K with zero rows and columns inserted at the given final positions."""
+    keep = [i for i in range(len(K) + len(rows)) if i not in rows]
+    out = np.zeros((len(keep) + len(rows),) * 2)
+    out[np.ix_(keep, keep)] = K
+    return out
+
+
+def assert_canonical(result):
+    """A SPLIT's J is exactly skew and in the canonical gauge: max|J| = 1 and
+    the first nonzero entry positive (J = 0 only for gamma = 0)."""
+    assert result.status == SPLIT
+    J = result.J.array
+    assert np.array_equal(J, -J.T)
+    if result.gamma == 0.0:
+        assert not J.any()
+        return
+    assert np.max(np.abs(J)) == 1.0
+    assert J.ravel()[np.flatnonzero(J)[0]] > 0.0
+
+
+def assert_splits_to(t: Tensor4, K: np.ndarray, tol: float = 1e-9):
+    """t splits with gamma = 2 max|K|^2 and J = +-K / max|K|."""
+    result = split_tensor(t)
+    assert_canonical(result)
+    scale = float(np.max(np.abs(K)))
+    assert result.gamma == pytest.approx(2.0 * scale**2, rel=tol)
+    delta = min(np.max(np.abs(result.J.array - s * K / scale)) for s in (1.0, -1.0))
+    assert delta <= tol
+    return result
+
+
 class TestFlattenPairs:
     def test_zero(self):
         assert np.array_equal(flatten_pairs(Tensor4.zeros(2)), np.zeros((4, 4)))
@@ -132,7 +170,7 @@ class TestSplitProduct:
 class TestSplitTensor:
     def test_golden_tensor_splits_via_symmetric_branch(self, golden_eps, j_std):
         result = split_tensor(golden_eps)
-        assert result.status == SPLIT
+        assert_canonical(result)
         assert result.gamma == pytest.approx(2.0, abs=1e-9)
         assert np.max(np.abs(result.J.array - j_std.array)) <= 1e-12
         assert result.residual <= 1e-12
@@ -142,7 +180,7 @@ class TestSplitTensor:
         J = random_unit_scaled_skew(rng, 3)
         t = product_tensor(J, BracketMatrix(3.0 * J.array))
         result = split_tensor(t)
-        assert result.status == SPLIT
+        assert_canonical(result)
         assert result.gamma == pytest.approx(3.0, abs=1e-12)
         recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
         assert np.max(np.abs(recon.values - t.values)) <= 1e-12
@@ -152,9 +190,15 @@ class TestSplitTensor:
         assert split_tensor(t).status == NOT_RANK_ONE
 
     def test_zero_tensor_splits_trivially(self):
-        result = split_tensor(Tensor4.zeros(3))
-        assert result.status == SPLIT
-        assert result.gamma == 0.0
+        for n in (1, 3):
+            result = split_tensor(Tensor4.zeros(n))
+            assert_canonical(result)
+            assert result.gamma == 0.0
+
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    def test_nonzero_one_dimensional_tensor_does_not_split(self, x):
+        # the only 1x1 skew matrix is zero
+        assert split_tensor(Tensor4(1, [[[[x]]]])).status != SPLIT
 
     def test_round_trip_many_random_products(self):
         rng = np.random.default_rng(61)
@@ -163,7 +207,7 @@ class TestSplitTensor:
             J = random_unit_scaled_skew(rng, n)
             gamma = float(rng.uniform(1e-3, 10.0))
             result = split_tensor(product_tensor(J, BracketMatrix(gamma * J.array)))
-            assert result.status == SPLIT
+            assert_canonical(result)
             assert abs(result.gamma - gamma) <= 1e-9
             # J recoverable up to global sign only
             delta = min(
@@ -182,8 +226,10 @@ class TestSplitTensor:
                 Tensor4(n, 2.0 * product_tensor(J, BracketMatrix(gamma * J.array)).values)
             )
             result = split_tensor(t)
-            assert result.status == SPLIT
+            assert_canonical(result)
             assert result.gamma == pytest.approx(2.0 * gamma, abs=1e-9)
+            # the same representative with a negative coefficient is not a split
+            assert split_tensor(Tensor4(n, -t.values)).status == NOT_RANK_ONE
 
     def test_split_results_pass_forward_conditions(self):
         rng = np.random.default_rng(63)
@@ -192,7 +238,7 @@ class TestSplitTensor:
             J = random_unit_scaled_skew(rng, n)
             gamma = float(rng.uniform(0.1, 4.0))
             result = split_tensor(product_tensor(J, BracketMatrix(gamma * J.array)))
-            assert result.status == SPLIT
+            assert_canonical(result)
             recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
             assert check_raw_iii(recon).passed
             assert check_psd_c(recon, default_directions(n)).passed
@@ -210,20 +256,76 @@ class TestSplitTensor:
             assert not check_raw_iii(product_tensor(A, B)).passed
 
     def test_disconnected_blocks_recover_with_cross_sign(self):
-        # Block-diagonal skew with two components: the cross entries of the
-        # symmetric representative pin the relative block sign.
-        base = block_diag_skew(1.0, 0.5)
-        t = symmetrize_34(
-            Tensor4(4, 2.0 * 1.5 * np.einsum("ik,jl->ijkl", base, base))
-        )
-        result = split_tensor(t)
-        assert result.status == SPLIT
-        assert result.gamma == pytest.approx(3.0, abs=1e-9)
-        delta = min(
-            float(np.max(np.abs(result.J.array - base))),
-            float(np.max(np.abs(result.J.array + base))),
-        )
-        assert delta <= 1e-9
+        # Blocks of J share no row, so the skewness of K cannot relate their
+        # signs; the pivot slice does. Zero rows between blocks stay zero.
+        cases = [
+            ((1.0, 0.5), ()),
+            ((1.0, -0.5, 2.0), ()),
+            ((-1.0, 0.3, 0.7, -2.0), ()),
+            ((1.0, -0.5, 2.0), (2, 5)),
+            ((0.4, -1.0), (0, 3, 6)),
+        ]
+        for lams, zero_rows in cases:
+            K = np.sqrt(1.5) * with_zero_rows(block_diag_skew(*lams), zero_rows)
+            result = assert_splits_to(representative(K), K)
+            assert not result.J.array[list(zero_rows)].any()
+
+    def test_rows_without_a_pivot_column_entry(self):
+        # The pivot is K[0, 1] = 2. Row 2 has K[2, 1] = 0, so its sign comes
+        # from the pivot slice's K[0, 1] K[2, :] term alone.
+        K = np.zeros((4, 4))
+        K[0, 1], K[0, 2], K[2, 3], K[1, 3] = 2.0, 0.5, 1.0, 0.7
+        K = K - K.T
+        for sign in (1.0, -1.0):
+            assert_splits_to(representative(sign * K), K)
+
+    def test_pivot_slice_needs_its_rank_one_correction(self):
+        # t[:, p, :, q] = K[p,q] K + K[:, q] K[p, :]. Here the second term
+        # outweighs the first on row 2 (K[2, 1] = 0.95 against the nine
+        # K[0, l] K[2, l] = -0.99 * 0.48), so only the corrected slice has
+        # row 2's sign.
+        K = np.zeros((12, 12))
+        K[0, 1], K[2, 1] = 1.0, 0.95
+        K[0, 3:], K[2, 3:] = -0.99, 0.48
+        K = K - K.T
+        assert_splits_to(representative(K), K)
+
+    def test_noisy_representative_within_tolerance(self):
+        # Noise above the 1e-10 tolerance scale at the structural zeros
+        # K[0, 2] = K[2, 0] = 0, with signs that contradict skewness there:
+        # the signs come from the pivot slice, not from those entries.
+        K = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        v = representative(K).values.copy()
+        for noise in (1.2e-10, 1.9e-10):
+            u = v.copy()
+            u[0, 2, 0, 1] -= noise
+            u[0, 2, 1, 0] -= noise
+            u[2, 0, 2, 1] += noise
+            u[2, 0, 1, 2] += noise
+            result = assert_splits_to(Tensor4(3, u), K, tol=1e-9)
+            assert result.residual <= 2e-10
+
+    def test_random_noise_within_tolerance(self):
+        rng = np.random.default_rng(65)
+        for n in (2, 5, 9):
+            K = random_unit_scaled_skew(rng, n).array
+            t = representative(K).values + 1e-13 * rng.standard_normal((n,) * 4)
+            assert_splits_to(symmetrize_34(Tensor4(n, t)), K)
+
+    def test_pivot_is_the_largest_diagonal_pair_entry(self):
+        # Entries at the tolerance scale (1e-10 for max|t| < 1): the Gram
+        # diagonal -t[2,3,2,3] outgrows -t[0,1,0,1], yet t[2,2,3,3] stays
+        # below the pivot guard while t[0,0,1,1] is above it.
+        a, b, eta = np.sqrt(1.2e-10), np.sqrt(0.9e-10), 0.4e-10
+        K = np.zeros((4, 4))
+        K[0, 1], K[2, 3] = a, b
+        v = representative(K - K.T).values.copy()
+        for idx in ((2, 3, 2, 3), (2, 3, 3, 2), (3, 2, 3, 2), (3, 2, 2, 3)):
+            v[idx] -= eta
+        result = split_tensor(Tensor4(4, v))
+        assert_canonical(result)
+        assert result.gamma == pytest.approx(2.0 * (b * b + eta), rel=1e-12)
+        assert result.residual <= 1e-10
 
     def test_symmetric_but_wrong_shape_rejected(self):
         # symmetric in the last two slots yet not of the two-bracket form

@@ -59,6 +59,17 @@ class TestTensor4:
         with pytest.raises(DimensionTooLarge):
             Tensor4.zeros(33)
 
+    @pytest.mark.parametrize("n", [2.5, 1.9999, True, "2", None])
+    def test_rejects_non_integral_dimension(self, n):
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            Tensor4(n)
+        with pytest.raises(DimensionMismatch, match="must be an integer"):
+            Tensor4.from_entries(n, [])
+
+    def test_accepts_integral_float_and_numpy_dimension(self):
+        assert Tensor4(2.0) == Tensor4.zeros(2) == Tensor4(np.int64(2))
+        assert Tensor4.from_entries(2.0, []).n == 2
+
     def test_values_are_read_only(self, golden_eps):
         with pytest.raises(ValueError):
             golden_eps.values[0, 0, 0, 0] = 1.0

@@ -18,7 +18,7 @@ from ciph import (
     random_cons_irrev,
 )
 from ciph.fields import exp_sum_field
-from ciph.verify import OracleConfig, exhaustive_condition_check, exhaustive_psd_check
+from ciph.verify import exhaustive_condition_check, exhaustive_psd_check
 
 from conftest import EPS_ENTRIES
 
@@ -186,19 +186,3 @@ class TestRandomConsIrrev:
 
         base = symmetrize_34(product_tensor(j_std, j_std))
         assert Tensor4(2, 0.0 * base.values) == Tensor4.zeros(2)
-
-
-class TestOracleConfig:
-    def test_defaults(self):
-        cfg = OracleConfig()
-        assert cfg.trials == 100
-        assert cfg.fd_step == 1e-6
-        assert cfg.poly_degree_max == 3
-
-    def test_validation(self):
-        from ciph import NegativeCoefficient
-
-        with pytest.raises(NegativeCoefficient):
-            OracleConfig(trials=0)
-        with pytest.raises(NegativeCoefficient):
-            OracleConfig(fd_step=0.0)
