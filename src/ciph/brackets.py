@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
-from .tensor import Tensor4
+from .tensor import Tensor4, _checked_dimension
 
 
 class BracketMatrix:
@@ -33,6 +33,7 @@ class BracketMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "BracketMatrix":
+        n = _checked_dimension(n)
         return cls(np.zeros((n, n)))
 
     @classmethod

@@ -18,6 +18,7 @@ variable), and floats are written with full round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -181,6 +182,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if agree else EXIT_CONDITION_FAIL
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="ciph",

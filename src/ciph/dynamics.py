@@ -18,6 +18,14 @@ evaluates it once, which gives H, S, sigma_int, the input powers
 p = dH^T (W + g u) and q = dS^T (W + g u), and the next step's k1 at the same
 (x, t): 8 field gradients a step (2 per rhs for k2-k4, 2 at the sample).
 
+The input term W + g u(t) is compiled once per model into a list function.
+A constant W or g (``Constant``) and a piecewise-constant u (``Schedule``),
+the types a model file builds, carry list forms: W + g u is then a table
+with one row per schedule segment, and their shapes are checked once, when
+the model is built. Any other callable is called on ndarrays and its shapes
+are checked at every call. Component i is (0.0 + W_i) + (left-fold dot of
+g_i and u) on either path, so both give the same floats.
+
 ``balance_ledger`` keeps both balances in integral form (change in H or S
 minus the trapezoid integral of its recorded rate), for the audit and the
 CSV alike. The entropy gate is the chain-rule identity of the integrated ODE,
@@ -27,6 +35,7 @@ dS/dt = sigma_int + dS^T (W + g u); the dH^T (W + g u) form is reported too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
 from operator import add, mul
@@ -86,6 +95,7 @@ class IphsModel:
             raise DimensionMismatch("J must be skew-symmetric to within 1e-12")
         forms = (list_form(self.gamma)[0], *list_form(self.H), *list_form(self.S))
         object.__setattr__(self, "_kernel", (*forms, self.J.array.tolist()))  # see _drift_parts
+        object.__setattr__(self, "_inputs", _compile_inputs(self.n, self.W, self.g, self.u))
 
     def gamma_at(self, x) -> float:
         return _drift_parts(self, _as_vector(x, self.n).tolist())[0]
@@ -93,11 +103,12 @@ class IphsModel:
     @property
     def forced(self) -> bool:
         """Whether W or g u contributes an input term."""
-        return self.W is not None or (self.g is not None and self.u is not None)
+        return self._inputs is not None
 
     def input_term(self, x, dH, t: float) -> np.ndarray:
         """W(x, dH) + g(x, dH) u(t), with missing pieces treated as zero."""
-        return np.array(_input_term(self, _as_vector(x, self.n), dH, t))
+        xs = _as_vector(x, self.n).tolist()
+        return np.zeros(self.n) if self._inputs is None else np.array(self._inputs(xs, dH, t))
 
 
 @dataclass(frozen=True)
@@ -152,33 +163,107 @@ def _drift_parts(model: IphsModel, xs: list) -> tuple:
     return gamma, dH, dS, JdH, _dot(dS, JdH)
 
 
-def _input_term(model: IphsModel, xs: list, dH: list, t: float) -> list:
-    """``IphsModel.input_term`` as a list; W, g and u see ndarrays."""
-    n, x, dH = model.n, np.array(xs), np.array(dH)
-    total = [0.0] * n
-    if model.W is not None:
-        w = np.asarray(model.W(x, dH), dtype=float)
-        if w.shape != (n,):
-            raise DimensionMismatch(f"W returned shape {w.shape}, expected ({n},)")
-        total = [a + b for a, b in zip(total, w.tolist())]
-    if model.g is not None and model.u is not None:
-        gmat = np.asarray(model.g(x, dH), dtype=float)
-        uvec = np.array(model.u(t), dtype=float, ndmin=1)
-        if gmat.ndim != 2 or uvec.ndim != 1 or gmat.shape != (n, len(uvec)):
-            raise DimensionMismatch(f"g has shape {gmat.shape}, u has shape {uvec.shape}")
-        us = uvec.tolist()
-        total = [a + _dot(row, us) for a, row in zip(total, gmat.tolist())]
-    return total
+class Constant:
+    """A constant input: W(x, dH) = w or g(x, dH) = G."""
+
+    __slots__ = ("array", "values")
+
+    def __init__(self, value):
+        self.array = np.array(value, dtype=float)
+        self.array.setflags(write=False)
+        self.values = self.array.tolist()
+
+    def __call__(self, x, dH) -> np.ndarray:
+        return self.array
+
+
+class Schedule:
+    """Piecewise-constant u(t): values[i] for the largest times[i] <= t, and
+    zero before the first breakpoint. ``values`` has one row per breakpoint
+    (a flat list is one scalar input per breakpoint)."""
+
+    __slots__ = ("times", "array", "segments", "_zero")
+
+    def __init__(self, times, values):
+        times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+        if values.ndim == 1:
+            values = values[:, None]
+        if times.ndim != 1 or values.ndim != 2 or len(values) != len(times) or not len(times):
+            raise FormatError("'u' needs nonempty, equally long 'times' and 'values' lists")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise FormatError("'u' times and values must be finite")
+        self.times = times.tolist()
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+            raise FormatError("'u' times must be strictly increasing")
+        values.setflags(write=False)
+        self.array, self._zero = values, np.zeros(values.shape[1])
+        # u on each segment as a list, indexed by bisect_right(times, t)
+        self.segments = [self._zero.tolist(), *values.tolist()]
+
+    @property
+    def width(self) -> int:
+        return self.array.shape[1]
+
+    def __call__(self, t: float) -> np.ndarray:
+        k = bisect_right(self.times, t)  # breakpoints <= t
+        return self.array[k - 1] if k else self._zero
+
+
+def _compile_inputs(n: int, W, g, u) -> Callable | None:
+    """``inputs(xs, dH, t)``, the input term W + g u as a list (not to be
+    mutated), or None when nothing is forced. A u without a g, or a g
+    without a u, contributes nothing."""
+    if g is None or u is None:
+        g = u = None
+    if W is None and g is None:
+        return None
+    if isinstance(W, Constant) and W.array.shape != (n,):
+        raise DimensionMismatch(f"W has shape {W.array.shape}, expected ({n},)")
+    if isinstance(g, Constant) and isinstance(u, Schedule) and g.array.shape != (n, u.width):
+        raise DimensionMismatch(f"g has shape {g.array.shape}, u has shape ({u.width},)")
+    typed_g = g is None or isinstance(g, Constant) and isinstance(u, Schedule)
+    if not (typed_g and (W is None or isinstance(W, Constant))):
+        return _adapted_inputs(n, W, g, u)
+    # W_i + dot equals (0.0 + W_i) + dot bit for bit, as a left fold from 0.0
+    # is never -0.0; without a g, the table is one segment of zero rows
+    w0 = [0.0] * n if W is None else W.values
+    times, segments, rows = (u.times, u.segments, g.values) if g is not None else ([], [[0.0]], [[0.0]] * n)
+    table = [[a + _dot(row, us) for a, row in zip(w0, rows)] for us in segments]
+    return lambda xs, dH, t: table[bisect_right(times, t)]
+
+
+def _adapted_inputs(n: int, W, g, u) -> Callable:
+    """``inputs`` for plain callables: W, g and u see ndarrays, and the
+    shapes they return are checked at every call."""
+
+    def inputs(xs: list, dH: list, t: float) -> list:
+        x, dH = np.array(xs), np.array(dH)
+        total = [0.0] * n
+        if W is not None:
+            w = np.asarray(W(x, dH), dtype=float)
+            if w.shape != (n,):
+                raise DimensionMismatch(f"W returned shape {w.shape}, expected ({n},)")
+            total = [a + b for a, b in zip(total, w.tolist())]
+        if g is not None:
+            gmat = np.asarray(g(x, dH), dtype=float)
+            uvec = np.array(u(t), dtype=float, ndmin=1)
+            if gmat.ndim != 2 or uvec.ndim != 1 or gmat.shape != (n, len(uvec)):
+                raise DimensionMismatch(f"g has shape {gmat.shape}, u has shape {uvec.shape}")
+            us = uvec.tolist()
+            total = [a + _dot(row, us) for a, row in zip(total, gmat.tolist())]
+        return total
+
+    return inputs
 
 
 def _rhs(model: IphsModel, xs: list, t: float) -> tuple:
     """(full rhs, drift parts, input term or None) at (xs, t), on lists."""
     parts = gamma, dH, _, JdH, bracket = _drift_parts(model, xs)
-    rhs, inp = [gamma * bracket * v for v in JdH], None
-    if model.forced:
-        inp = _input_term(model, xs, dH, t)
-        rhs = [a + b for a, b in zip(rhs, inp)]
-    return rhs, parts, inp
+    scale, inputs = gamma * bracket, model._inputs
+    if inputs is None:
+        return [scale * v for v in JdH], parts, None
+    inp = inputs(xs, dH, t)
+    return [scale * v + b for v, b in zip(JdH, inp)], parts, inp
 
 
 def drift_rhs(model: IphsModel, x) -> np.ndarray:

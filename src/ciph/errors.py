@@ -18,7 +18,7 @@ class NegativeCoefficient(CiphError):
 
 
 class NonFiniteValue(CiphError):
-    """A tolerance or sampled input is NaN or infinite."""
+    """A tolerance, sampled input or polynomial coefficient is NaN or infinite."""
 
 
 class EmptyDirectionSet(CiphError):

@@ -13,11 +13,12 @@ wherever a scalar field is expected.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError, NonFiniteValue
 from .tensor import _integer
 
 
@@ -45,6 +46,17 @@ def _as_vector(x, n: int) -> np.ndarray:
     return x
 
 
+def _coefficient(c) -> float:
+    """A polynomial coefficient under the file readers' number rule: an int
+    or float (a numpy one too) but not a boolean; inf beyond the double range."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
+        raise FormatError(f"coefficient {c!r} is not a number")
+    try:
+        return float(c)
+    except OverflowError:  # an int beyond the double range
+        return math.inf if c > 0 else -math.inf
+
+
 class PolynomialField:
     """Polynomial scalar field with rational-style exact differentiation.
 
@@ -70,7 +82,10 @@ class PolynomialField:
                 raise DimensionMismatch(
                     f"exponent multi-index {exps} has length {len(exps)}, expected {n}"
                 )
-            merged[exps] = merged.get(exps, 0.0) + float(coeff)
+            merged[exps] = merged.get(exps, 0.0) + _coefficient(coeff)
+        bad = [c for c in merged.values() if not math.isfinite(c)]  # inputs, or sums that overflowed
+        if bad:
+            raise NonFiniteValue(f"coefficient {bad[0]!r} is not finite")
         self.n = n
         self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0.0))
 

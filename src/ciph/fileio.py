@@ -9,7 +9,6 @@ doubles exactly.
 
 from __future__ import annotations
 
-import bisect
 import inspect
 import json
 from itertools import chain
@@ -19,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .brackets import BracketMatrix
-from .dynamics import BUILTIN_MODELS, IphsModel, Trajectory, balance_ledger, builtin_model
+from .dynamics import (
+    BUILTIN_MODELS,
+    Constant,
+    IphsModel,
+    Schedule,
+    Trajectory,
+    balance_ledger,
+    builtin_model,
+)
 # Not called here: the CSV reads the balance ledger. The name stays bound in
 # this module because the benchmark tracer wraps ``ciph.fileio.input_power``.
 from .dynamics import input_power  # noqa: F401
@@ -238,18 +245,16 @@ def _field_from_spec(spec, n: int, label: str):
 
 
 def _input_vector_from_spec(spec, n: int):
-    """W: either a constant vector or one polynomial per component (in x)."""
+    """W: either a constant vector (its length is checked when the model is
+    built) or one polynomial per component (in x)."""
     if isinstance(spec, dict) and "constant" in spec:
-        w = _numbers(spec["constant"], "'W' constant")
-        if w.shape != (n,):
-            raise FormatError(f"'W' constant has shape {w.shape}, expected ({n},)")
-        return lambda x, dH: w
-    if isinstance(spec, dict) and "poly" in spec:
+        return Constant(_numbers(spec["constant"], "'W' constant"))
+    if isinstance(spec, dict) and isinstance(spec.get("poly"), list):
         comps = [_field_from_spec({"poly": c}, n, f"W[{i + 1}]") for i, c in enumerate(spec["poly"])]
         if len(comps) != n:
             raise FormatError(f"'W' needs {n} components, got {len(comps)}")
         return lambda x, dH: np.array([c.value(x) for c in comps])
-    raise FormatError(f"'W' must be a 'constant' or 'poly' spec, got {spec!r}")
+    raise FormatError(f"'W' must be a 'constant' or 'poly' (list) spec, got {spec!r}")
 
 
 def _input_matrix_from_spec(spec, n: int):
@@ -257,34 +262,32 @@ def _input_matrix_from_spec(spec, n: int):
         gmat = _numbers(spec["rows"], "'g' rows")
         if gmat.ndim != 2 or gmat.shape[0] != n:
             raise FormatError(f"'g' rows have shape {gmat.shape}, expected ({n}, m)")
-        return lambda x, dH: gmat
+        return Constant(gmat)
     raise FormatError(f"'g' must be a constant 'rows' spec, got {spec!r}")
 
 
 def _schedule_from_spec(spec):
-    """Piecewise-constant u(t): {"times": [...], "values": [[...], ...]}.
-
-    u(t) is values[i] for the largest times[i] <= t, and zero before the
-    first breakpoint.
-    """
+    """Piecewise-constant u(t): {"times": [...], "values": [[...], ...]}
+    (see ``Schedule``)."""
     if not isinstance(spec, dict) or "times" not in spec or "values" not in spec:
         raise FormatError(f"'u' must have 'times' and 'values', got {spec!r}")
-    times = _numbers(spec["times"], "'u' times")
-    values = _numbers(spec["values"], "'u' values")
-    if values.ndim == 1:  # one scalar input per breakpoint
-        values = values[:, None]
-    if times.ndim != 1 or values.ndim != 2 or len(values) != len(times) or not len(times):
-        raise FormatError("'u' needs nonempty, equally long 'times' and 'values' lists")
-    times = times.tolist()
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise FormatError("'u' times must be strictly increasing")
-    zero = np.zeros(values.shape[1])
+    return Schedule(_numbers(spec["times"], "'u' times"), _numbers(spec["values"], "'u' values"))
 
-    def u(t: float) -> np.ndarray:
-        k = bisect.bisect_right(times, t)  # breakpoints <= t
-        return values[k - 1] if k else zero
 
-    return u
+def _bracket_from_spec(spec, n: int) -> BracketMatrix:
+    """A model's 'J': {"rows": [...]} with an optional "n", which must match
+    the rows and the model."""
+    if not isinstance(spec, dict):
+        raise FormatError("'J' must be an object with numeric 'rows'")
+    rows = _numbers(spec["rows"], "'J' rows")
+    if "n" in spec:
+        try:
+            m = _dimension(spec["n"])
+        except ValueError:
+            raise FormatError(f"'J' has an invalid 'n': {spec['n']!r}") from None
+        if rows.shape != (m, m) or m != n:
+            raise FormatError(f"'J' has n = {m} and rows of shape {rows.shape}, model n = {n}")
+    return BracketMatrix(rows)
 
 
 def load_model(path) -> IphsModel:
@@ -304,23 +307,19 @@ def load_model(path) -> IphsModel:
             H = _field_from_spec(data["H"], n, "H")
             S = _field_from_spec(data["S"], n, "S")
             gamma = _field_from_spec(data["gamma"], n, "gamma")
-            if not isinstance(data["J"], dict):
-                raise FormatError("'J' must be an object with numeric 'rows'")
-            Jrows = _numbers(data["J"]["rows"], "'J' rows")
-            base = IphsModel(n, H, S, BracketMatrix(Jrows), gamma)
+            base = IphsModel(n, H, S, _bracket_from_spec(data["J"], n), gamma)
+        W = _input_vector_from_spec(data["W"], base.n) if "W" in data else base.W
+        g = _input_matrix_from_spec(data["g"], base.n) if "g" in data else base.g
+        u = _schedule_from_spec(data["u"]) if "u" in data else base.u
+        if u is not None and g is None:
+            raise FormatError("'u' has no effect without 'g'")
+        if W is base.W and g is base.g and u is base.u:
+            return base
+        return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)
     except KeyError as exc:
         raise FormatError(f"{path}: missing model field {exc}") from None
-    except FormatError as exc:
+    except CiphError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-    W = _input_vector_from_spec(data["W"], base.n) if "W" in data else base.W
-    g = _input_matrix_from_spec(data["g"], base.n) if "g" in data else base.g
-    u = _schedule_from_spec(data["u"]) if "u" in data else base.u
-    if u is not None and g is None:
-        raise FormatError(f"{path}: 'u' has no effect without 'g'")
-    if W is base.W and g is base.g and u is base.u:
-        return base
-    return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)
 
 
 def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None:

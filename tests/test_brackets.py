@@ -20,6 +20,16 @@ from ciph.verify import random_polynomial, random_skew
 from conftest import EJ_ENTRIES
 
 
+@pytest.mark.parametrize("n", [2.5, True, "2", 0, -1, None])
+def test_zeros_rejects_a_non_dimension(n):
+    with pytest.raises(DimensionMismatch):
+        BracketMatrix.zeros(n)
+
+
+def test_zeros_accepts_an_integral_float():
+    assert BracketMatrix.zeros(2.0) == BracketMatrix.zeros(2)
+
+
 class TestBracketEval:
     def test_hand_value(self, j_std, x2, x1_plus_x2):
         # e2^T J (1,1)^T = (-1, 0) . (1, 1)

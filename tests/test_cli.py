@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ciph.cli import main
+from ciph.cli import build_parser, main
 from ciph.fileio import load_tensor, save_matrix, save_tensor
 
 from conftest import EJ_ENTRIES, EPS_ENTRIES
@@ -572,6 +572,10 @@ MALFORMED = {
     "u-values-number": ("simulate", {"M": _model(u={"times": [0.0], "values": 0.5})}),
     "u-times-nan": ("simulate", {"M": _model(u={"times": [0.0, float("nan")], "values": [[0.5], [0.0]]})}),
     "W-constant-inf": ("simulate", {"M": _model(W={"constant": [float("inf"), 0.0]})}),
+    "W-poly-number": ("simulate", {"M": _model(W={"poly": 5})}),
+    "W-poly-short": ("simulate", {"M": _model(W={"poly": [[[[1, 0], 1.0]]]})}),
+    "W-constant-long": ("simulate", {"M": _model(W={"constant": [0.1, -0.1, 0.0]})}),
+    "g-u-width": ("simulate", {"M": _model(u={"times": [0.0], "values": [[0.5, 1.0]]})}),
     "J-rows-huge": ("simulate", {"M": _model(J={"n": 2, "rows": 10**400})}),
     "poly-exponent-huge": ("simulate", {"M": _model(S={"poly": [[[10**400, 0], 1.0]]})}),
     "param-huge": ("simulate", {"M": {"builtin": "heat-exchanger", "params": {"conductance": 10**400}}}),
@@ -599,6 +603,65 @@ def test_malformed_file_is_a_format_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+class TestModelChecks:
+    """Model-file faults that surface when the model is built: exit 1, no output."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"u": {"times": [0.0], "values": [[0.5, 1.0]]}}, "g has shape (2, 1), u has shape (2,)"),
+            ({"J": {"n": 7, "rows": [[0.0, 1.0], [-1.0, 0.0]]}}, "'J' has n = 7"),
+            ({"J": {"n": 2.5, "rows": [[0.0, 1.0], [-1.0, 0.0]]}}, "'J' has an invalid 'n'"),
+            ({"J": {"n": True, "rows": [[0.0, 1.0], [-1.0, 0.0]]}}, "'J' has an invalid 'n'"),
+            ({"J": {"n": 3, "rows": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}},
+             "'J' has n = 3 and rows of shape (3, 3), model n = 2"),
+            ({"W": None}, "'W' must be a 'constant' or 'poly' (list) spec, got None"),
+            ({"g": None}, "'g' must be a constant 'rows' spec, got None"),
+            ({"u": None}, "'u' must have 'times' and 'values', got None"),
+            ({"W": {"constant": [0.1, -0.1, 0.0]}}, "W has shape (3,), expected (2,)"),
+        ],
+    )
+    def test_model_fault_exits_one(self, tmp_path, capsys, change, message):
+        m = write_json(tmp_path / "m.json", _model(**change))
+        out = tmp_path / "t.csv"
+        assert main(["simulate", m, "--t-end", "0.01", "--x0", "1,0", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {m}: ") and message in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", [2, 2.0, None])
+    def test_matching_j_n_accepted(self, tmp_path, capsys, n):
+        J = {"rows": [[0.0, 1.0], [-1.0, 0.0]]} if n is None else {"n": n, "rows": [[0.0, 1.0], [-1.0, 0.0]]}
+        m = write_json(tmp_path / "m.json", _model(J=J))
+        assert main(["simulate", m, "--t-end", "0.01", "--x0", "1,0", "-o", str(tmp_path / "t.csv")]) == 0
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_do_not_leak_state(self, eps_file, tmp_path, capsys):
+        def run(*argv):
+            code = main(list(argv))
+            return code, capsys.readouterr().out
+
+        plain = run("check", eps_file)
+        assert {r["tolerance"] for r in map(json.loads, plain[1].splitlines())} == {1e-10}
+        tight = run("check", eps_file, "--tol", "1e-3")
+        assert {r["tolerance"] for r in map(json.loads, tight[1].splitlines())} == {1e-3}
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        assert run("simulate", m, "--t-end", "0.01", "--dt", "5e-3", "--x0", "1,0", "-o", str(out))[0] == 0
+        assert len(out.read_text().splitlines()) == 4
+        assert run("split", eps_file, "--tol", "1e-3")[0] == 0
+        assert run("check", eps_file) == plain
+        assert run("simulate", m, "--t-end", "0.01", "--x0", "1,0", "-o", str(out))[0] == 0
+        assert len(out.read_text().splitlines()) == 12  # the default --dt 1e-3 again
+        assert run("check", eps_file, "--bogus")[0] == 1
+        assert run("check", eps_file) == plain
 
 
 class TestOracle:

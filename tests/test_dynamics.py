@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from ciph import (
     BracketMatrix,
     DimensionMismatch,
     DimensionTooLarge,
+    FormatError,
     IphsModel,
     NonFiniteValue,
     NonpositiveGamma,
@@ -22,7 +24,15 @@ from ciph import (
     quadratic_linear_model,
 )
 from ciph import dynamics
-from ciph.dynamics import MAX_STEPS, balance_ledger, builtin_model, input_power
+from ciph.dynamics import (
+    MAX_STEPS,
+    Constant,
+    Schedule,
+    balance_ledger,
+    builtin_model,
+    input_power,
+)
+from ciph.fileio import load_model
 from ciph.fields import exp_sum_field
 from ciph.verify import random_polynomial, random_skew
 
@@ -806,3 +816,149 @@ class TestKernelFaults:
                      lambda x: observable_rate(model, model.H, x), model.gamma_at):
             with pytest.raises(DimensionMismatch):
                 call([1.0, 0.0, 0.0])
+
+
+def poly_spec(f: PolynomialField) -> dict:
+    return {"poly": [[list(e), c] for e, c in f.terms]}
+
+
+def assert_same_trajectory(a, b):
+    for name in ("times", "states", "H_values", "S_values", "sigma_int", "p", "q"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+    assert a.fault == b.fault
+
+
+class Counted:
+    """A plain callable that counts its calls, so the model takes the ndarray path."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.f(*args)
+
+
+class TestCompiledInputs:
+    """File-loaded inputs run on their compiled list form; the same model
+    built from plain callables runs through the checked ndarray path. Both
+    must give the same trajectory, bit for bit."""
+
+    README_MODEL = {
+        "n": 2,
+        "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+        "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+        "gamma": {"poly": [[[0, 0], 1.0]]},
+        "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+        "W": {"constant": [0.1, -0.1]},
+        "g": {"rows": [[1.0], [0.0]]},
+        "u": {"times": [0.0, 5.0], "values": [[0.5], [0.0]]},
+    }
+
+    def test_readme_model_matches_plain_callables(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.README_MODEL), encoding="utf-8")
+        model = load_model(path)
+        assert (type(model.W), type(model.g), type(model.u)) == (Constant, Constant, Schedule)
+        w, gmat = np.array([0.1, -0.1]), np.array([[1.0], [0.0]])
+        W, g = Counted(lambda x, dH: w), Counted(lambda x, dH: gmat)
+        u = Counted(lambda t: np.array([0.5 if 0.0 <= t < 5.0 else 0.0]))
+        plain = dataclasses.replace(model, W=W, g=g, u=u)
+        compiled = integrate(model, [1.0, 0.0], t_end=10.0, dt=2e-3)
+        assert_same_trajectory(compiled, integrate(plain, [1.0, 0.0], t_end=10.0, dt=2e-3))
+        assert W.calls == g.calls == u.calls == 1 + 4 * 5000
+        assert len(set(compiled.p.tolist())) > 1  # the schedule switches at t = 5
+
+    def test_random_n6_poly_w_and_mid_step_breakpoint(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        n = 6
+        H, S, comps = random_polynomial(rng, n), random_polynomial(rng, n), [random_polynomial(rng, n) for _ in range(n)]
+        gamma = PolynomialField(n, [((0,) * n, 0.8), ((2,) + (0,) * (n - 1), 0.5)])
+        J, gmat = random_skew(rng, n), rng.uniform(-1.0, 1.0, size=(n, 2))
+        u0, u1 = rng.uniform(-1.0, 1.0, size=(2, 2))
+        payload = {
+            "n": n, "H": poly_spec(H), "S": poly_spec(S), "gamma": poly_spec(gamma),
+            "J": {"rows": J.array.tolist()},
+            "W": {"poly": [poly_spec(c)["poly"] for c in comps]},
+            "g": {"rows": gmat.tolist()},
+            # u switches at t = 0.0503, between step 25's k1 (t = 0.05) and its k2/k3 (t = 0.051)
+            "u": {"times": [0.0, 0.0503], "values": [u0.tolist(), u1.tolist()]},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(path)
+        # a polynomial W is a plain callable, so this model takes the checked ndarray path
+        assert (type(model.g), type(model.u)) == (Constant, Schedule) and type(model.W) is not Constant
+        W = Counted(lambda x, dH: np.array([c.value(x) for c in comps]))
+        plain = dataclasses.replace(model, W=W, g=lambda x, dH: gmat, u=lambda t: u0 if t < 0.0503 else u1)
+        x0 = rng.uniform(-0.5, 0.5, size=n)
+        compiled = integrate(model, x0, t_end=0.1, dt=2e-3)
+        assert_same_trajectory(compiled, integrate(plain, x0, t_end=0.1, dt=2e-3))
+        assert W.calls == 1 + 4 * 50
+        assert_plain_rk4(model, x0, dt=2e-3, steps=50)
+
+    @pytest.mark.parametrize("with_w, with_g", [(True, False), (False, True), (True, True)])
+    def test_every_typed_combination_matches_plain_callables(self, with_w, with_g):
+        base = quadratic_linear_model()
+        typed, plain = {}, {}
+        if with_w:
+            typed["W"], plain["W"] = Constant([-0.0, 0.25]), lambda x, dH: np.array([-0.0, 0.25])
+        if with_g:
+            gmat = np.array([[1.0, -0.5], [0.0, 2.0]])
+            typed["g"], typed["u"] = Constant(gmat), Schedule([0.01, 0.02], [[0.5, -1.0], [0.0, 0.75]])
+            plain["g"] = lambda x, dH: gmat
+            plain["u"] = lambda t: np.array([0.0, 0.0] if t < 0.01 else [0.5, -1.0] if t < 0.02 else [0.0, 0.75])
+        a = dataclasses.replace(base, **typed)
+        b = dataclasses.replace(base, **plain)
+        assert_same_trajectory(integrate(a, [0.6, -0.4], t_end=0.05, dt=1e-3),
+                               integrate(b, [0.6, -0.4], t_end=0.05, dt=1e-3))
+        for t in (0.0, 0.015, 0.03):
+            x, dH = [0.6, -0.4], [0.6, -0.4]
+            assert a.input_term(x, dH, t).tobytes() == b.input_term(x, dH, t).tobytes()  # -0.0 too
+
+    def test_typed_callables_keep_their_ndarray_signatures(self):
+        W = Constant([0.1, -0.1])
+        assert W([5.0, 5.0], None).tolist() == [0.1, -0.1]
+        g = Constant([[1.0], [0.0]])
+        assert g(None, None).shape == (2, 1)
+        u = Schedule([0.0, 1.0], [0.5, 0.25])  # a flat list is one scalar input
+        assert [u(t).tolist() for t in (-1.0, 0.0, 0.5, 1.0, 7.0)] == [[0.0], [0.5], [0.5], [0.25], [0.25]]
+        with pytest.raises(ValueError):
+            u.array[0, 0] = 1.0  # read-only
+
+    @pytest.mark.parametrize(
+        "times, values, match",
+        [([], [], "nonempty"), ([0.0, 1.0], [[1.0]], "equally long"), ([1.0, 1.0], [[1.0], [2.0]], "increasing"),
+         ([0.0, float("nan")], [[1.0], [2.0]], "finite")],
+    )
+    def test_bad_schedule_is_a_format_error(self, times, values, match):
+        with pytest.raises(FormatError, match=match):
+            Schedule(times, values)
+
+    def test_typed_shapes_are_checked_once_at_build(self):
+        base = quadratic_linear_model()
+        with pytest.raises(DimensionMismatch, match=r"g has shape \(2, 1\), u has shape \(2,\)"):
+            dataclasses.replace(base, g=Constant([[1.0], [0.0]]), u=Schedule([0.0], [[1.0, 2.0]]))
+        with pytest.raises(DimensionMismatch, match="W has shape"):
+            dataclasses.replace(base, W=Constant([1.0, 2.0, 3.0]))
+        # typed pieces are checked at build next to plain ones too
+        with pytest.raises(DimensionMismatch, match="W has shape"):
+            dataclasses.replace(base, W=Constant([1.0, 2.0, 3.0]), g=lambda x, dH: np.ones((2, 1)),
+                                u=lambda t: np.ones(1))
+        with pytest.raises(DimensionMismatch, match=r"g has shape \(2, 1\), u has shape \(2,\)"):
+            dataclasses.replace(base, W=lambda x, dH: np.zeros(2), g=Constant([[1.0], [0.0]]),
+                                u=Schedule([0.0], [[1.0, 2.0]]))
+        # a g without a u (or a u without a g) contributes nothing and is not checked
+        unforced = dataclasses.replace(base, g=Constant([[1.0, 2.0, 3.0]]))
+        assert not unforced.forced
+        assert unforced.input_term([1.0, 0.0], [1.0, 0.0], 0.0).tolist() == [0.0, 0.0]
+
+    def test_mixed_typed_and_plain_pieces_keep_per_call_checks(self):
+        base = quadratic_linear_model()
+        model = dataclasses.replace(base, g=Constant([[1.0], [0.0]]), u=lambda t: np.array([1.0, 2.0]))
+        with pytest.raises(DimensionMismatch, match="g has shape"):
+            full_rhs(model, [1.0, 0.0], 0.0)
+        model = dataclasses.replace(base, W=lambda x, dH: np.ones(3), g=Constant([[1.0], [0.0]]),
+                                    u=Schedule([0.0], [[1.0]]))
+        with pytest.raises(DimensionMismatch, match="W returned shape"):
+            integrate(model, [1.0, 0.0], t_end=0.1, dt=1e-2)

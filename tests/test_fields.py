@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ciph import DimensionMismatch, FormatError, PolynomialField
+from ciph import DimensionMismatch, FormatError, NonFiniteValue, PolynomialField
 from ciph.fields import CallableField, builtin_field, exp_neg_sum_field, exp_sum_field, list_form
 from ciph.verify import fd_gradient, loop_polynomial, random_polynomial
 
@@ -52,6 +52,33 @@ def test_dimension_mismatch_on_bad_exponents():
 def test_non_integral_or_negative_exponent_rejected(exponent):
     with pytest.raises(FormatError, match="not a nonnegative integer"):
         PolynomialField(2, [((exponent, 0), 1.0)])
+
+
+@pytest.mark.parametrize("coeff", ["1.5", True, np.bool_(True), None, [1.0]])
+def test_non_number_coefficient_rejected(coeff):
+    with pytest.raises(FormatError, match="is not a number"):
+        PolynomialField(2, [((1, 0), coeff)])
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf"), 10**400, -(10**400)])
+def test_non_finite_coefficient_rejected(coeff):
+    with pytest.raises(NonFiniteValue, match="is not finite"):
+        PolynomialField(2, [((1, 0), coeff)])
+
+
+def test_coefficient_overflow_in_arithmetic_rejected():
+    f = PolynomialField(2, [((1, 0), 1e308)])
+    for build in (lambda: f + f, lambda: f - (-f), lambda: f * 1e300, lambda: 1e300 * f,
+                  lambda: PolynomialField(2, [((1, 0), 1e308), ((1, 0), 1e308)])):
+        with pytest.raises(NonFiniteValue, match="coefficient inf is not finite"):
+            build()
+    assert (f + (-f)).terms == () and (f * 1.0).terms == f.terms
+
+
+def test_number_coefficients_accepted():
+    f = PolynomialField(2, [((1, 0), 2), ((0, 1), np.float64(0.5)), ((1, 1), np.int64(3))])
+    assert f.terms == (((0, 1), 0.5), ((1, 0), 2.0), ((1, 1), 3.0))
+    assert all(type(c) is float for _, c in f.terms)
 
 
 def test_integral_float_exponent_accepted():
