@@ -10,21 +10,26 @@ and a strictly positive coefficient gamma. W, g and u are optional input
 terms with no structural constraints.
 
 Integration is fixed-step classical Runge-Kutta (RK4): deterministic
-trajectories matter more here than adaptive efficiency. Gradients of H and S
-are taken in one kernel, ``_drift_parts``. It and the RK4 stages run on lists
-of Python floats, as at the small n of these models numpy's per-call cost
-dwarfs the arithmetic; its dot products are left folds. Each accepted sample
-evaluates it once, which gives H, S, sigma_int, the input powers
-p = dH^T (W + g u) and q = dS^T (W + g u), and the next step's k1 at the same
-(x, t): 8 field gradients a step (2 per rhs for k2-k4, 2 at the sample).
+trajectories matter more here than adaptive efficiency. At the small n of
+these models, Python's per-call cost (and numpy's more so) dwarfs the
+arithmetic, so each model writes its right-hand side out once as
+straight-line Python on floats and compiles it (``_ModelCode``): one
+function takes a whole RK4 step, with the coordinate powers, gradients,
+dot products (left folds) and stage points as local variables. Each
+accepted sample gives H, S, sigma_int, the input powers
+p = dH^T (W + g u) and q = dS^T (W + g u), and the next step's k1 at the
+same (x, t): 8 field gradients a step (2 per stage for k2-k4, 2 at the
+sample). ``drift_rhs``, ``full_rhs``, ``observable_rate`` and ``gamma_at``
+call functions compiled from the same statements.
 
 The input term W + g u(t) is compiled once per model into a list function.
 A constant W or g (``Constant``) and a piecewise-constant u (``Schedule``),
 the types a model file builds, carry list forms: W + g u is then a table
-with one row per schedule segment, and their shapes are checked once, when
-the model is built. Any other callable is called on ndarrays and its shapes
-are checked at every call. Component i is (0.0 + W_i) + (left-fold dot of
-g_i and u) on either path, so both give the same floats.
+with one row per schedule segment, which the step indexes inline, and their
+shapes are checked once, when the model is built. Any other callable is
+called on ndarrays and its shapes are checked at every call. Component i
+is (0.0 + W_i) + (left-fold dot of g_i and u) on either path, so both give
+the same floats.
 
 ``balance_ledger`` keeps both balances in integral form (change in H or S
 minus the trapezoid integral of its recorded rate), for the audit and the
@@ -34,6 +39,7 @@ dS/dt = sigma_int + dS^T (W + g u); the dH^T (W + g u) form is reported too.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -53,14 +59,25 @@ from .errors import (
     NonpositiveGamma,
     TrajectoryTooShort,
 )
-from .fields import PolynomialField, _as_vector, exp_neg_sum_field, exp_sum_field, list_form
+from .fields import (
+    PolynomialField,
+    _as_vector,
+    _compile,
+    _fold,
+    _list,
+    _names,
+    _unpack,
+    exp_neg_sum_field,
+    exp_sum_field,
+    list_form,
+)
 
 SKEW_TOL = 1e-12
 # An audit passes when min sigma_int >= -AUDIT_SIGMA_SLACK and each gated
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; at n = 2 a step peaks at about 450 B.
+# Largest step count integrate accepts; at n = 2 a step peaks at about 490 B.
 MAX_STEPS = 10**6
 
 
@@ -93,12 +110,11 @@ class IphsModel:
             raise DimensionMismatch(f"J has dimension {self.J.n}, expected {self.n}")
         if not is_skew(self.J, SKEW_TOL):
             raise DimensionMismatch("J must be skew-symmetric to within 1e-12")
-        forms = (list_form(self.gamma)[0], *list_form(self.H), *list_form(self.S))
-        object.__setattr__(self, "_kernel", (*forms, self.J.array.tolist()))  # see _drift_parts
         object.__setattr__(self, "_inputs", _compile_inputs(self.n, self.W, self.g, self.u))
+        object.__setattr__(self, "_code", _ModelCode(self))
 
     def gamma_at(self, x) -> float:
-        return _drift_parts(self, _as_vector(x, self.n).tolist())[0]
+        return self._code.parts(_as_vector(x, self.n).tolist())[0]
 
     @property
     def forced(self) -> bool:
@@ -149,18 +165,6 @@ class BalanceReport:
 def _dot(a: list, b: list) -> float:
     """Left-fold dot product of two float lists, the same on every Python."""
     return reduce(add, map(mul, a, b), 0.0)
-
-
-def _drift_parts(model: IphsModel, xs: list) -> tuple:
-    """(gamma, dH, dS, J dH, dS^T J dH) at ``xs``, all on float lists: the one
-    place the dynamics check gamma and take gradients of H and S."""
-    gamma_value, _, H_grad, _, S_grad, J_rows = model._kernel
-    gamma = gamma_value(xs)
-    if not gamma > 0.0:
-        raise NonpositiveGamma(xs, gamma)
-    dH, dS = H_grad(xs), S_grad(xs)
-    JdH = [_dot(row, dH) for row in J_rows]
-    return gamma, dH, dS, JdH, _dot(dS, JdH)
 
 
 class Constant:
@@ -228,8 +232,20 @@ def _compile_inputs(n: int, W, g, u) -> Callable | None:
     # is never -0.0; without a g, the table is one segment of zero rows
     w0 = [0.0] * n if W is None else W.values
     times, segments, rows = (u.times, u.segments, g.values) if g is not None else ([], [[0.0]], [[0.0]] * n)
-    table = [[a + _dot(row, us) for a, row in zip(w0, rows)] for us in segments]
-    return lambda xs, dH, t: table[bisect_right(times, t)]
+    return _InputTable(times, [[a + _dot(row, us) for a, row in zip(w0, rows)] for us in segments])
+
+
+class _InputTable:
+    """``inputs`` for typed pieces: the row of W + g u for the schedule
+    segment that holds t. The model step indexes ``rows`` inline."""
+
+    __slots__ = ("times", "rows")
+
+    def __init__(self, times: list, rows: list):
+        self.times, self.rows = times, rows
+
+    def __call__(self, xs: list, dH: list, t: float) -> list:
+        return self.rows[bisect_right(self.times, t)]
 
 
 def _adapted_inputs(n: int, W, g, u) -> Callable:
@@ -256,25 +272,139 @@ def _adapted_inputs(n: int, W, g, u) -> Callable:
     return inputs
 
 
-def _rhs(model: IphsModel, xs: list, t: float) -> tuple:
-    """(full rhs, drift parts, input term or None) at (xs, t), on lists."""
-    parts = gamma, dH, _, JdH, bracket = _drift_parts(model, xs)
-    scale, inputs = gamma * bracket, model._inputs
-    if inputs is None:
-        return [scale * v for v in JdH], parts, None
-    inp = inputs(xs, dH, t)
-    return [scale * v + b for v, b in zip(JdH, inp)], parts, inp
+class _ModelCode:
+    """One model's right-hand side written out as straight-line Python and
+    compiled, each function on first use: the RK4 ``step``, the first
+    sample ``start``, and the ``rhs`` and drift ``parts`` behind the public
+    functions.
+
+    A ``PolynomialField`` contributes the statements of its ``emit``; any
+    other field is called once per evaluation through ``list_form``, which
+    keeps its shape checks. Every float operation is the one a loop over
+    lists would make, in the same order: gamma is checked first; dot
+    products are left folds from 0.0 over every J entry, zeros included;
+    the update is ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``. J entries,
+    coefficients and the input table are namespace names, never text.
+
+    Every evaluation is at the point y. Other local names: x (the state), a
+    b c d (k1-k4), e (the rhs a sample returns, the next k1), u (the input
+    row), j (J dH), w (dS^T J dH), m (gamma w), and per field G (gamma), H
+    and S.
+    """
+
+    def __init__(self, model: IphsModel):
+        self.n, self.inputs = model.n, model._inputs
+        self.fields = (("G", model.gamma), ("H", model.H), ("S", model.S))
+        self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right}
+        for i, row in enumerate(model.J.array.tolist()):
+            for j, entry in enumerate(row):
+                self.namespace[f"J{i:d}_{j:d}"] = entry
+        if isinstance(self.inputs, _InputTable):
+            self.namespace.update(_times=self.inputs.times, _table=self.inputs.rows)
+        elif self.inputs is not None:
+            self.namespace["_inputs"] = self.inputs
+        self.y = _names("y", self.n)
+
+    @functools.cached_property
+    def step(self) -> Callable:
+        """step(x, k1, t, tn, half, dt, sixth): one RK4 step from (x, t)
+        whose k1 is known, and the sample at tn = t + dt as
+        (state, (H, S, sigma_int, p, q), next k1), or None once the state or
+        H, S or sigma_int is not finite."""
+        n, y = self.n, self.y
+        x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
+        body = [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1"]
+        if self.inputs is not None:
+            body += ["th = t + half", "te = t + dt"]
+        for k, factor, time, out in ((k1, "half", "th", "b"), (k2, "half", "th", "c"), (k3, "dt", "te", "d")):
+            body += [f"{y[i]} = {x[i]} + {factor} * {k[i]}" for i in range(n)]
+            body += self._stage(time, out)
+        body += [f"{y[i]} = {x[i]} + sixth * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})" for i in range(n)]
+        body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return None",
+                 *self._record("tn"),
+                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(sig)):", "    return None",
+                 f"return {_list(y)}, (Hv, Sv, sig, p, q), {_list(_names('e', n))}"]
+        return self._function("step(x, k1, t, tn, half, dt, sixth)", body)
+
+    @functools.cached_property
+    def start(self) -> Callable:
+        """start(xs, t) = ((H, S, sigma_int, p, q), rhs) at (xs, t)."""
+        return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"),
+                                              f"return (Hv, Sv, sig, p, q), {_list(_names('e', self.n))}"])
+
+    @functools.cached_property
+    def rhs(self) -> Callable:
+        """rhs(xs, t): the full right-hand side as a list."""
+        return self._function("rhs(x, t)", [f"{_unpack(self.y)}= x", *self._stage("t", "e"),
+                                            f"return {_list(_names('e', self.n))}"])
+
+    @functools.cached_property
+    def parts(self) -> Callable:
+        """parts(xs) = (gamma, gamma dS^T J dH, J dH as a list)."""
+        return self._function("parts(x)", [f"{_unpack(self.y)}= x", *self._drift[0],
+                                           f"return Gv, m, {_list(_names('j', self.n))}"])
+
+    def _function(self, signature: str, body: list) -> Callable:
+        return _compile([f"def {signature}:", *("    " + line for line in body)], self.namespace,
+                        signature.split("(")[0])
+
+    def _field(self, prefix: str, field) -> tuple[list, list, list]:
+        """(powers, value, gradient) statements for one field at y."""
+        if isinstance(field, PolynomialField):
+            return field.emit(self.y, prefix, self.namespace)
+        self.namespace[prefix + "value"], self.namespace[prefix + "grad"] = list_form(field)
+        return ([], [f"{prefix}v = {prefix}value({_list(self.y)})"],
+                [f"{_unpack(_names(prefix + 'g', self.n))}= {prefix}grad({_list(self.y)})"])
+
+    @functools.cached_property
+    def _drift(self) -> tuple[list, list]:
+        """Statements for gamma (checked > 0), dH, dS, j, w and m at y, and
+        the H and S value statements, which read the powers these leave."""
+        n = self.n
+        (g_pow, g_value, _), (h_pow, h_value, h_grad), (s_pow, s_value, s_grad) = (
+            self._field(prefix, field) for prefix, field in self.fields)
+        lines = [*g_pow, *g_value, "if not Gv > 0.0:", f"    raise _NonpositiveGamma({_list(self.y)}, Gv)",
+                 *h_pow, *h_grad, *s_pow, *s_grad]
+        dH, dS, JdH = _names("Hg", n), _names("Sg", n), _names("j", n)
+        for i in range(n):
+            lines += _fold(JdH[i], [f"J{i:d}_{j:d} * {dH[j]}" for j in range(n)])
+        lines += _fold("w", [f"{a} * {b}" for a, b in zip(dS, JdH)])
+        return [*lines, "m = Gv * w"], h_value + s_value
+
+    def _stage(self, time: str, out: str) -> list:
+        """Statements setting ``out<i>`` to the full rhs at (y, time)."""
+        rhs, JdH, u = _names(out, self.n), _names("j", self.n), _names("u", self.n)
+        lines = list(self._drift[0])
+        if self.inputs is None:
+            return [*lines, *(f"{r} = m * {j}" for r, j in zip(rhs, JdH))]
+        if isinstance(self.inputs, _InputTable):
+            lines.append(f"{_unpack(u)}= _table[_bisect(_times, {time})]")
+        else:
+            lines.append(f"{_unpack(u)}= _inputs({_list(self.y)}, {_list(_names('Hg', self.n))}, {time})")
+        return [*lines, *(f"{r} = m * {j} + {b}" for r, j, b in zip(rhs, JdH, u))]
+
+    def _record(self, time: str) -> list:
+        """Statements for a sample at (y, time): the rhs e there (the next
+        step's k1), p, q, H (Hv), S (Sv) and sigma_int (sig)."""
+        lines = self._stage(time, "e")
+        if self.inputs is None:
+            lines.append("p = q = 0.0")
+        else:
+            u = _names("u", self.n)
+            lines += _fold("p", [f"{h} * {b}" for h, b in zip(_names("Hg", self.n), u)])
+            lines += _fold("q", [f"{s} * {b}" for s, b in zip(_names("Sg", self.n), u)])
+        return [*lines, *self._drift[1], "sig = m * w"]
 
 
 def drift_rhs(model: IphsModel, x) -> np.ndarray:
     """gamma(x) * (dS^T J dH) * (J dH); zero wherever dH vanishes."""
-    gamma, _, _, JdH, bracket = _drift_parts(model, _as_vector(x, model.n).tolist())
-    return np.array([gamma * bracket * v for v in JdH])
+    _, scale, JdH = model._code.parts(_as_vector(x, model.n).tolist())
+    return np.array([scale * v for v in JdH])
 
 
 def full_rhs(model: IphsModel, x, t: float) -> np.ndarray:
     """Drift plus input terms W + g u."""
-    return np.array(_rhs(model, _as_vector(x, model.n).tolist(), t)[0])
+    return np.array(model._code.rhs(_as_vector(x, model.n).tolist(), t))
 
 
 def observable_rate(model: IphsModel, f, x) -> float:
@@ -285,17 +415,8 @@ def observable_rate(model: IphsModel, f, x) -> float:
     if f.n != model.n:
         raise DimensionMismatch(f"field has dimension {f.n}, expected {model.n}")
     xs = _as_vector(x, model.n).tolist()
-    gamma, _, _, JdH, bracket = _drift_parts(model, xs)
-    return gamma * bracket * _dot(list_form(f)[1](xs), JdH)
-
-
-def _sample(model: IphsModel, xs: list, t: float) -> tuple:
-    """(H, S, sigma_int, p, q) at an accepted sample, and the rhs there,
-    which is the next RK4 step's k1."""
-    rhs, (gamma, dH, dS, _, bracket), inp = _rhs(model, xs, t)
-    p, q = (0.0, 0.0) if inp is None else (_dot(dH, inp), _dot(dS, inp))
-    _, H_value, _, S_value, _, _ = model._kernel
-    return (H_value(xs), S_value(xs), gamma * bracket * bracket, p, q), rhs
+    _, scale, JdH = model._code.parts(xs)
+    return scale * _dot(list_form(f)[1](xs), JdH)
 
 
 def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
@@ -318,36 +439,30 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     if steps > MAX_STEPS:
         raise DimensionTooLarge(f"t_end / dt = {steps} steps exceeds the cap of {MAX_STEPS}")
     x = _as_vector(x0, model.n).tolist()
-    _, H_value, _, S_value, _, _ = model._kernel
+    step = model._code.step
     times, states, fault = [0.0], [x], None
     half, sixth = 0.5 * dt, dt / 6.0
     # Overflow to inf/nan (silent in float arithmetic) is caught by the finiteness checks.
     with np.errstate(all="ignore"):
         try:
-            row, k1 = _sample(model, x, 0.0)
+            row, k1 = model._code.start(x, 0.0)
             rows = [row]
         except NonpositiveGamma:
-            rows = [(H_value(x), S_value(x), 0.0, 0.0, 0.0)]
+            rows = [(list_form(model.H)[0](x), list_form(model.S)[0](x), 0.0, 0.0, 0.0)]
             fault, steps = "NonpositiveGamma", 0
 
         for k in range(steps):
-            t = k * dt
+            tn = (k + 1) * dt
             try:
-                k2 = _rhs(model, [a + half * b for a, b in zip(x, k1)], t + half)[0]
-                k3 = _rhs(model, [a + half * b for a, b in zip(x, k2)], t + half)[0]
-                k4 = _rhs(model, [a + dt * b for a, b in zip(x, k3)], t + dt)[0]
-                x = [a + sixth * (b + 2.0 * c + 2.0 * d + e)
-                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-                row = None
-                if all(map(math.isfinite, x)):
-                    row, k1 = _sample(model, x, (k + 1) * dt)
-                if row is None or not all(map(math.isfinite, row[:3])):
-                    fault = "NonFiniteState"
-                    break
+                sample = step(x, k1, k * dt, tn, half, dt, sixth)
             except NonpositiveGamma:
                 fault = "NonpositiveGamma"
                 break
-            times.append((k + 1) * dt)
+            if sample is None:
+                fault = "NonFiniteState"
+                break
+            x, row, k1 = sample
+            times.append(tn)
             states.append(x)
             rows.append(row)
 

@@ -1,14 +1,16 @@
 """Scalar fields R^n -> R with exact analytic gradients.
 
 Two concrete kinds are provided. ``PolynomialField`` stores a polynomial as
-a list of (exponent multi-index, coefficient) terms, compiled once so that a
-call computes each coordinate power once; its gradient is exact up to
+a list of (exponent multi-index, coefficient) terms and writes its value and
+gradient out as straight-line Python statements (``emit``), which compute
+each coordinate power once; its own list functions are compiled from them,
+and so is the model step in ``ciph.dynamics``. Its gradient is exact up to
 rounding. ``CallableField`` wraps closed-form value/gradient callables and
 is used for the built-in non-polynomial energies (e.g. exponential
 compartment energies).
 
 Any object with attributes ``n``, ``value(x)`` and ``grad(x)`` is accepted
-wherever a scalar field is expected.
+wherever a scalar field is expected; ``list_form`` calls it on ndarrays.
 """
 
 from __future__ import annotations
@@ -57,6 +59,47 @@ def _coefficient(c) -> float:
         return math.inf if c > 0 else -math.inf
 
 
+def _names(stem: str, count: int) -> list[str]:
+    """Local names ``stem0, stem1, ...`` for generated source."""
+    return [f"{stem}{i:d}" for i in range(count)]
+
+
+def _unpack(targets: Sequence[str]) -> str:
+    """An assignment target list, ``a0, a1, `` (a lone name keeps its comma)."""
+    return "".join(f"{name}, " for name in targets)
+
+
+def _list(items: Sequence[str]) -> str:
+    """A list display of the names ``items``."""
+    return "[" + ", ".join(items) + "]"
+
+
+def _fold(total: str, products: Sequence[str]) -> list[str]:
+    """Statements for a left fold from 0.0, one accumulator statement per
+    term: deep expressions do not compile (CPython caps nesting at 200
+    parentheses, and a 5000-term ``+`` chain exhausts its recursion)."""
+    if not products:
+        return [f"{total} = 0.0"]
+    return [f"{total} = 0.0 + {products[0]}", *(f"{total} = {total} + {p}" for p in products[1:])]
+
+
+def _overflowed(bases: list, exponents: tuple) -> list[float]:
+    """The powers, for when float ``**`` raised OverflowError: numpy scalars
+    use the same pow and give +-inf."""
+    with np.errstate(over="ignore"):
+        return [float(np.float64(b) ** e) for b, e in zip(bases, exponents)]
+
+
+def _compile(lines: Sequence[str], namespace: dict, name: str) -> Callable:
+    """Compile ``lines`` (a whole ``def``) with ``namespace`` as its globals.
+
+    Every number of a model reaches the source as a namespace name, never as
+    text, so no float is printed and read back; only ints (exponents,
+    indices) are formatted."""
+    exec(compile("\n".join(lines), f"<ciph {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 class PolynomialField:
     """Polynomial scalar field with rational-style exact differentiation.
 
@@ -66,12 +109,16 @@ class PolynomialField:
     zero terms dropped, so the stored representation is canonical. They are
     compiled into the distinct (coordinate, power) pairs they use, value
     terms (coef, factor positions) and derivative terms (coordinate,
-    coef * exponent, factor positions); factors multiply in coordinate order
-    on Python floats, whose ``**`` is the scalar libm ``pow``. ``value_list``
-    and ``grad_list`` take a list of n floats; ``value`` and ``grad`` wrap them.
+    coef * exponent, factor positions). ``emit`` writes these out as
+    straight-line Python statements: each power once, by ``**`` on Python
+    floats (the scalar libm ``pow``), then one accumulator statement per
+    term, coefficient first and factors in coordinate order. ``value_list``
+    and ``grad_list`` take a list of n floats; they are compiled from
+    ``emit`` on first use, and ``value`` and ``grad`` wrap them. The model
+    step in ``ciph.dynamics`` inlines the same statements.
     """
 
-    __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms")
+    __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms", "value_list", "grad_list")
 
     def __init__(self, n: int, terms: Iterable[tuple[Sequence[int], float]] = ()):
         n = _dimension(n)
@@ -116,31 +163,51 @@ class PolynomialField:
         exps[i - 1] = 1
         return cls(n, [(exps, 1.0)])
 
-    def _powers(self, xs: list) -> list[float]:
-        try:
-            return [xs[j] ** e for j, e in self._pairs]
-        except OverflowError:
-            # float ** raises on overflow; numpy scalars use the same pow and give +-inf
-            with np.errstate(over="ignore"):
-                return [float(np.float64(xs[j]) ** e) for j, e in self._pairs]
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+        """Statements evaluating the field at the local names ``point``:
+        (powers, value, gradient). They set ``{prefix}p<k>`` (the powers),
+        ``{prefix}v`` (the value) and ``{prefix}g<m>`` (the gradient), and
+        bind the coefficients in ``namespace`` as ``{prefix}c<k>`` (value)
+        and ``{prefix}d<k>`` (gradient), the exponents as ``{prefix}e``.
+        The value and gradient statements read the powers, so the powers
+        come first."""
+        powers = _names(prefix + "p", len(self._pairs))
+        power_lines = [
+            "try:", *(f"    {p} = {point[j]} ** {e:d}" for p, (j, e) in zip(powers, self._pairs)),
+            "except OverflowError:",
+            f"    {_unpack(powers)}= _overflowed({_list([point[j] for j, _ in self._pairs])}, {prefix}e)",
+        ] if powers else []
+        namespace.update({"_overflowed": _overflowed, prefix + "e": tuple(e for _, e in self._pairs)})
 
-    def value_list(self, xs: list) -> float:
-        powers = self._powers(xs)
-        total = 0.0
-        for term, factors in self._value_terms:
-            for f in factors:
-                term *= powers[f]
-            total += term
-        return total
+        def product(coefficient, factors):
+            return " * ".join([coefficient, *(powers[f] for f in factors)])
 
-    def grad_list(self, xs: list) -> list[float]:
-        powers = self._powers(xs)
-        g = [0.0] * self.n
-        for m, term, factors in self._grad_terms:
-            for f in factors:
-                term *= powers[f]
-            g[m] += term
-        return g
+        value = []
+        for k, (c, factors) in enumerate(self._value_terms):
+            namespace[f"{prefix}c{k:d}"] = c
+            value.append(product(f"{prefix}c{k:d}", factors))
+        grad = {m: [] for m in range(self.n)}
+        for k, (m, c, factors) in enumerate(self._grad_terms):
+            namespace[f"{prefix}d{k:d}"] = c
+            grad[m].append(product(f"{prefix}d{k:d}", factors))
+        grad_lines = [line for m, terms in grad.items() for line in _fold(f"{prefix}g{m:d}", terms)]
+        return power_lines, _fold(prefix + "v", value), grad_lines
+
+    def __getattr__(self, name):
+        # value_list and grad_list are compiled from ``emit`` on first use
+        if name not in ("value_list", "grad_list"):
+            raise AttributeError(f"'PolynomialField' object has no attribute {name!r}")
+        point, namespace = _names("x", self.n), {}
+        powers, value, grad = self.emit(point, "", namespace)
+        head = f"    {_unpack(point)}= xs"
+        self.value_list = _compile(
+            ["def value_list(xs):", head, *("    " + s for s in powers + value), "    return v"],
+            namespace, "value_list")
+        self.grad_list = _compile(
+            ["def grad_list(xs):", head, *("    " + s for s in powers + grad),
+             f"    return {_list(_names('g', self.n))}"],
+            namespace, "grad_list")
+        return getattr(self, name)
 
     def value(self, x) -> float:
         return self.value_list(_as_vector(x, self.n).tolist())

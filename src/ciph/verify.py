@@ -2,8 +2,9 @@
 
 Everything here is deliberately written as plain Python loops over nested
 lists, with no helper code shared with the vectorized checkers, so that an
-agreement between the two is evidence rather than tautology. The loops are
-only meant for small dimensions (n <= 5).
+agreement between the two is evidence rather than tautology. The tensor
+loops are only meant for small dimensions (n <= 5). ``loop_trajectory`` is
+the same kind of reference for the compiled RK4 step of ``integrate``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import BracketMatrix, product_tensor
+from .dynamics import Trajectory
 from .eig import jacobi_eigenvalues
 from .errors import (
     DimensionMismatch,
@@ -21,7 +23,9 @@ from .errors import (
     EmptyDirectionSet,
     NegativeCoefficient,
     NonFiniteValue,
+    NonpositiveGamma,
 )
+from .fields import PolynomialField
 from .tensor import DEFAULT_TOL, Tensor4, symmetrize_34
 
 ORACLE_MAX_DIMENSION = 5
@@ -70,6 +74,16 @@ def fd_gradient(f, x, step: float = 1e-6) -> list[float]:
     return grad
 
 
+def _loop_pow(xv: float, e: int) -> float:
+    """xv ** e on Python floats; where Python raises OverflowError, numpy's
+    scalar ``**`` (the same libm pow) gives the signed infinity."""
+    try:
+        return xv**e
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.float64(xv) ** e)
+
+
 def loop_polynomial(f, x) -> tuple[float, list[float]]:
     """Value and gradient of a ``PolynomialField`` straight from its ``terms``.
 
@@ -87,7 +101,7 @@ def loop_polynomial(f, x) -> tuple[float, list[float]]:
         term = coeff
         for xv, e in zip(x, exps):
             if e:
-                term *= xv**e
+                term *= _loop_pow(xv, e)
         value += term
         for m, em in enumerate(exps):
             if em == 0:
@@ -96,9 +110,107 @@ def loop_polynomial(f, x) -> tuple[float, list[float]]:
             for j, (xv, e) in enumerate(zip(x, exps)):
                 p = e - 1 if j == m else e
                 if p:
-                    term *= xv**p
+                    term *= _loop_pow(xv, p)
             grad[m] += term
     return value, grad
+
+
+def _fold_dot(a, b) -> float:
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
+    """Reference for ``dynamics.integrate``: the same fixed-step RK4 and
+    fault rules, written as a loop over lists of floats.
+
+    Polynomial fields are evaluated by ``loop_polynomial``, other fields by
+    their own ndarray methods; W + g u comes from the model's callables as
+    (0.0 + W_i) + g_i . u; every dot product is a left fold from 0.0. Each
+    sample supplies the next step's k1. Unlike ``integrate`` it does not
+    check its arguments.
+    """
+    n, J = model.n, model.J.array.tolist()
+    W, g, u = model.W, model.g, model.u
+    if g is None or u is None:
+        g = None
+
+    def value(f, x):
+        if isinstance(f, PolynomialField):
+            return loop_polynomial(f, x)[0]
+        return float(f.value(np.array(x)))
+
+    def grad(f, x):
+        if isinstance(f, PolynomialField):
+            return loop_polynomial(f, x)[1]
+        return np.asarray(f.grad(np.array(x)), dtype=float).tolist()
+
+    def inputs(x, dH, t):
+        if W is None and g is None:
+            return None
+        total = [0.0] * n
+        if W is not None:
+            w = np.asarray(W(np.array(x), np.array(dH)), dtype=float).tolist()
+            total = [a + b for a, b in zip(total, w)]
+        if g is not None:
+            rows = np.asarray(g(np.array(x), np.array(dH)), dtype=float).tolist()
+            us = np.array(u(t), dtype=float, ndmin=1).tolist()
+            total = [a + _fold_dot(row, us) for a, row in zip(total, rows)]
+        return total
+
+    def rhs(x, t):
+        gamma = value(model.gamma, x)
+        if not gamma > 0.0:
+            raise NonpositiveGamma(x, gamma)
+        dH, dS = grad(model.H, x), grad(model.S, x)
+        JdH = [_fold_dot(row, dH) for row in J]
+        bracket = _fold_dot(dS, JdH)
+        inp = inputs(x, dH, t)
+        k = [gamma * bracket * v for v in JdH]
+        if inp is not None:
+            k = [a + b for a, b in zip(k, inp)]
+        p, q = (0.0, 0.0) if inp is None else (_fold_dot(dH, inp), _fold_dot(dS, inp))
+        return k, (gamma * bracket * bracket, p, q)
+
+    def sample(x, t):
+        k, (sigma, p, q) = rhs(x, t)
+        return (value(model.H, x), value(model.S, x), sigma, p, q), k
+
+    steps = max(1, int(round(t_end / dt)))
+    x = [float(v) for v in x0]
+    times, states, fault = [0.0], [x], None
+    half, sixth = 0.5 * dt, dt / 6.0
+    with np.errstate(all="ignore"):
+        try:
+            row, k1 = sample(x, 0.0)
+            rows = [row]
+        except NonpositiveGamma:
+            rows = [(value(model.H, x), value(model.S, x), 0.0, 0.0, 0.0)]
+            fault, steps = "NonpositiveGamma", 0
+        for k in range(steps):
+            t = k * dt
+            try:
+                k2 = rhs([a + half * b for a, b in zip(x, k1)], t + half)[0]
+                k3 = rhs([a + half * b for a, b in zip(x, k2)], t + half)[0]
+                k4 = rhs([a + dt * b for a, b in zip(x, k3)], t + dt)[0]
+                x = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, x)):
+                    fault = "NonFiniteState"
+                    break
+                row, k1 = sample(x, (k + 1) * dt)
+                if not all(map(math.isfinite, row[:3])):
+                    fault = "NonFiniteState"
+                    break
+            except NonpositiveGamma:
+                fault = "NonpositiveGamma"
+                break
+            times.append((k + 1) * dt)
+            states.append(x)
+            rows.append(row)
+    columns = [np.array(column) for column in zip(*rows)]
+    return Trajectory(np.array(times), np.array(states), *columns, fault=fault)
 
 
 def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleReport:
@@ -210,8 +322,6 @@ def random_polynomial(rng: np.random.Generator, n: int, degree_max: int = 3, ter
     The guaranteed linear part keeps gradients generically nonzero at
     random points.
     """
-    from .fields import PolynomialField
-
     entries = []
     for i in range(n):
         exps = [0] * n

@@ -4,10 +4,13 @@ The golden tensors are written out entry by entry so the tests that build
 them through library operations compare against independent tables.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ciph import BracketMatrix, PolynomialField, Tensor4
+from ciph import BracketMatrix, PolynomialField, Tensor4, integrate
+from ciph.verify import loop_trajectory
 
 # Product tensor of the standard 2x2 skew bracket with itself.
 EJ_ENTRIES = {
@@ -63,3 +66,22 @@ def random_unit_scaled_skew(rng: np.random.Generator, n: int) -> BracketMatrix:
     upper = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), k=1)
     arr = upper - upper.T
     return BracketMatrix(arr / np.max(np.abs(arr)))
+
+
+TRAJECTORY_COLUMNS = ("times", "states", "H_values", "S_values", "sigma_int", "p", "q")
+
+
+def assert_matches_reference(model, x0, t_end, dt):
+    """integrate agrees with the loop reference ``loop_trajectory`` bit for
+    bit on every column, on the fault and on the prefix length, without a
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(model, x0, t_end=t_end, dt=dt)
+    want = loop_trajectory(model, x0, t_end=t_end, dt=dt)
+    assert (got.fault, len(got)) == (want.fault, len(want))
+    for name in TRAJECTORY_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return got
+

@@ -36,6 +36,8 @@ from ciph.fileio import load_model
 from ciph.fields import exp_sum_field
 from ciph.verify import random_polynomial, random_skew
 
+from conftest import assert_matches_reference
+
 
 def constant_gamma(n: int, c: float = 1.0) -> PolynomialField:
     return PolynomialField.constant(n, c)
@@ -732,6 +734,44 @@ class TestAuditGate:
         assert report.passed is False
 
 
+def recording_gamma(points, value):
+    """A non-polynomial gamma that records every point it is evaluated at."""
+
+    class Gamma:
+        n = 2
+
+        def value(self, x):
+            points.append(x.tolist())
+            return value(float(x[0]))
+
+        def grad(self, x):
+            return np.zeros(2)
+
+    return Gamma()
+
+
+# stage -> (u switch time, u after it, position of the stage in step 3).
+# Steps 0-2 hold x1 = 0.5 (J = 0, u = 0); from the switch on, dx1/dt = u.
+# Only the named stage of step 3 (t = 0.03, dt = 0.01) and the stages after
+# it see a point with x1 > 6: k2 through the k1 that the previous k4 and
+# sample supply, k3 and k4 through u at t + dt/2, the sample through u at t + dt.
+STAGE_PUSHES = {
+    "k2": (0.0299, 1200.0, 1),  # step 2's k4 and sample see u: x1 = 2.5, k2 point 8.5
+    "k3": (0.032, 1200.0, 2),  # k2 point 0.5, k3 point 6.5
+    "k4": (0.032, 800.0, 3),  # k3 point 4.5, k4 point 8.5
+    "sample": (0.037, 4800.0, 4),  # k2-k4 points 0.5, new state 8.5
+}
+
+
+def pushed_model(stage, H, gamma):
+    switch, size, _ = STAGE_PUSHES[stage]
+    return IphsModel(
+        2, H, PolynomialField(2, [((1, 0), 1.0)]), BracketMatrix.zeros(2), gamma,
+        g=lambda x, dH: np.array([[1.0], [0.0]]),
+        u=lambda t: np.array([0.0 if t < switch else size]),
+    )
+
+
 class TestKernelFaults:
     def test_gamma_nonpositive_at_stage_k3(self):
         # gamma = x1 and dx/dt = g u(t) with u switching from 0 to -200 at
@@ -767,6 +807,42 @@ class TestKernelFaults:
         # one sample, 3 steps of (k2, k3, k4, sample), then step 3's k2 and k3
         assert len(points) == 1 + 4 * 3 + 2
         assert points[-2:] == [[0.5, 0.25], [-0.5, 0.25]]
+
+    # Stage parity: the first stage of step 3 to see gamma <= 0, or a power
+    # overflow, is each of k2, k3, k4 and the sample in turn; each gamma
+    # evaluation is a stage, so the recorded points show where it happened.
+    @pytest.mark.parametrize("stage", list(STAGE_PUSHES))
+    def test_gamma_nonpositive_first_at(self, stage):
+        points = []
+        model = pushed_model(stage, PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)]),
+                             recording_gamma(points, lambda x1: 6.0 - x1))
+        tr = assert_matches_reference(model, [0.5, 0.25], t_end=1.0, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma" and len(tr) == 4
+        # the reference ran the same stages: halve the record
+        first = points[: len(points) // 2]
+        assert len(first) == 1 + 4 * 3 + STAGE_PUSHES[stage][2]
+        assert first[-1][0] > 6.0 and all(p[0] < 6.0 for p in first[:-1])
+
+    @pytest.mark.parametrize("stage", list(STAGE_PUSHES))
+    def test_power_overflow_first_at(self, stage):
+        points = []
+        # float ** raises on x1^400 once x1 > 5.9; the fallback gives inf
+        H = PolynomialField(2, [((400, 0), 1e-300), ((0, 2), 0.5)])
+        model = pushed_model(stage, H, recording_gamma(points, lambda x1: 1.0))
+        tr = assert_matches_reference(model, [0.5, 0.25], t_end=1.0, dt=1e-2)
+        assert tr.fault == "NonFiniteState" and len(tr) == 4
+        first = points[: len(points) // 2]
+        big = [i for i, p in enumerate(first) if not abs(p[0]) < 5.9]
+        assert big[0] == 4 * 3 + STAGE_PUSHES[stage][2]
+
+    def test_nonpositive_gamma_reports_point_and_value(self):
+        model = IphsModel(2, PolynomialField(2, [((2, 0), 0.5)]), PolynomialField(2, [((1, 0), 1.0)]),
+                          BracketMatrix.standard_skew(), PolynomialField(2, [((1, 0), 1.0), ((0, 0), -0.25)]))
+        for call in (lambda x: drift_rhs(model, x), lambda x: full_rhs(model, x, 0.0), model.gamma_at,
+                     lambda x: observable_rate(model, model.H, x)):
+            with pytest.raises(NonpositiveGamma) as err:
+                call([0.125, 3.0])
+            assert (err.value.x, err.value.value) == ((0.125, 3.0), -0.125)
 
     @pytest.mark.parametrize("case", ["numpy-input", "unobserved", "polynomial-power", "exp-field"])
     def test_overflow_is_a_nonfinite_state_without_warnings(self, case):
