@@ -81,9 +81,12 @@ def _direction_seed() -> int:
     if raw is None:
         return DIRECTION_SEED
     try:
-        return int(raw, 0)
+        seed = int(raw, 0)
     except ValueError:
-        raise _UsageError(f"CIPH_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:  # numpy takes no negative seed
+        raise _UsageError(f"CIPH_SEED must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def cmd_check(args) -> int:

@@ -21,15 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, NonFiniteValue
-from .tensor import _integer
-
-
-def _dimension(n) -> int:
-    """A field's dimension: an integer >= 1 (integral floats accepted),
-    never truncated."""
-    if (m := _integer(n)) is None or m < 1:
-        raise DimensionMismatch(f"dimension must be an integer >= 1, got {n!r}")
-    return m
+from .tensor import _dimension, _integer
 
 
 def _exponent(e) -> int:

@@ -5,12 +5,17 @@ layout (that of ``json.dumps(..., indent=1)``) with shortest round-trip
 floats. Numbers in the trajectory CSV are written with 17 significant
 digits ("%.17g"). Both are byte-deterministic and round-trip through
 doubles exactly.
+
+Every reader and writer runs inside one error boundary, ``_naming``: an
+OSError, KeyError (a missing field) or CiphError raised inside leaves as one
+FormatError that begins with the file's path; the code inside names no path.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -35,16 +40,35 @@ from .fields import BUILTIN_FIELDS, PolynomialField, _exponent, builtin_field
 from .tensor import Tensor4, _integer
 
 
-def _load_json(path) -> dict:
+@contextmanager
+def _naming(path):
+    """The error boundary of one file: an OSError, KeyError or CiphError
+    raised inside becomes a FormatError "<path>: <what went wrong>"."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        yield
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field {exc}") from exc
+    except CiphError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _write(path, text: str) -> None:
+    with _naming(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def _load_json(path) -> dict:
+    """A JSON file's top-level object. A parse failure (ValueError for bad JSON
+    or UTF-8, RecursionError for deep nesting) becomes a FormatError without a path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object at top level")
+        raise FormatError("expected a JSON object at top level")
     return data
 
 
@@ -79,12 +103,11 @@ def _numbers(value, what: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _dimension(n) -> int:
-    """The integral 'n' of a tensor, matrix or model file (see
-    ``tensor._integer``); anything else raises ValueError."""
-    if (m := _integer(n)) is None:
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    return m
+def _n(spec: dict, what: str = "invalid 'n'") -> int:
+    """The integral 'n' of a file or of a model's 'J' (see ``tensor._integer``)."""
+    if (n := _integer(spec["n"])) is None:
+        raise FormatError(f"{what}: {spec['n']!r}")
+    return n
 
 
 _ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
@@ -117,28 +140,23 @@ def load_tensor(path) -> Tensor4:
     index or a duplicated (i,j,k,l) tuple is an error naming the first
     offending entry.
     """
-    data = _load_json(path)
-    try:
-        n = _dimension(data["n"])
-    except (KeyError, ValueError):
-        raise FormatError(f"{path}: missing or invalid 'n'") from None
-    entries = data.get("entries", [])
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: 'entries' must be a list")
-    try:
-        table = _entry_table(entries)
-    except _ENTRY_ERRORS:
-        for pos, entry in enumerate(entries):  # only to name the first bad entry
-            try:
-                _entry_table([entry])
-            except _ENTRY_ERRORS:
-                raise FormatError(f"{path}: entry #{pos + 1} is malformed: {entry!r}") from None
-        raise
-    del data, entries  # the parsed JSON is several times larger than the table
-    try:
+    with _naming(path):
+        data = _load_json(path)
+        n = _n(data)
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise FormatError("'entries' must be a list")
+        try:
+            table = _entry_table(entries)
+        except _ENTRY_ERRORS:
+            for pos, entry in enumerate(entries, 1):  # only to name the first bad entry
+                try:
+                    _entry_table([entry])
+                except _ENTRY_ERRORS:
+                    raise FormatError(f"entry #{pos} is malformed: {entry!r}") from None
+            raise
+        del data, entries  # the parsed JSON is several times larger than the table
         return Tensor4.from_entries(n, table)
-    except CiphError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 # One tensor entry as ``json.dumps(..., indent=1)`` lays it out inside the
@@ -164,47 +182,37 @@ def save_tensor(t: Tensor4, path) -> None:
         entries = f"[\n{body}\n ]"
     else:
         entries = "[]"
-    text = f'{{\n "n": {t.n},\n "entries": {entries}\n}}\n'
-    Path(path).write_text(text, encoding="utf-8")
+    _write(path, f'{{\n "n": {t.n},\n "entries": {entries}\n}}\n')
 
 
 def load_matrix(path) -> BracketMatrix:
     """Read the dense matrix format {"n": ..., "rows": [[...], ...]}."""
-    data = _load_json(path)
-    try:
-        n = _dimension(data["n"])
-        rows = data["rows"]
-    except (KeyError, ValueError):
-        raise FormatError(f"{path}: missing or invalid 'n'/'rows'") from None
-    arr = _numbers(rows, f"{path}: 'rows'")
-    if arr.shape != (n, n):
-        raise FormatError(f"{path}: rows have shape {arr.shape}, expected ({n}, {n})")
-    try:
+    with _naming(path):
+        data = _load_json(path)
+        n = _n(data)
+        arr = _numbers(data["rows"], "'rows'")
+        if arr.shape != (n, n):
+            raise FormatError(f"rows have shape {arr.shape}, expected ({n}, {n})")
         return BracketMatrix(arr)
-    except CiphError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_matrix(A: BracketMatrix, path) -> None:
-    payload = {"n": A.n, "rows": A.array.tolist()}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    _write(path, json.dumps({"n": A.n, "rows": A.array.tolist()}, indent=1) + "\n")
 
 
 def load_directions(path, n: int) -> list[np.ndarray]:
     """Read {"directions": [[...], ...]} for the sampled PSD check."""
-    data = _load_json(path)
-    dirs = data.get("directions")
-    if not isinstance(dirs, list) or not dirs:
-        raise FormatError(f"{path}: 'directions' must be a nonempty list of vectors")
-    out = []
-    for pos, vec in enumerate(dirs):
-        arr = _numbers(vec, f"{path}: direction #{pos + 1}")
-        if arr.shape != (n,):
-            raise FormatError(
-                f"{path}: direction #{pos + 1} has shape {arr.shape}, expected ({n},)"
-            )
-        out.append(arr)
-    return out
+    with _naming(path):
+        dirs = _load_json(path).get("directions")
+        if not isinstance(dirs, list) or not dirs:
+            raise FormatError("'directions' must be a nonempty list of vectors")
+        out = []
+        for pos, vec in enumerate(dirs, 1):
+            arr = _numbers(vec, f"direction #{pos}")
+            if arr.shape != (n,):
+                raise FormatError(f"direction #{pos} has shape {arr.shape}, expected ({n},)")
+            out.append(arr)
+        return out
 
 
 def _builtin_params(registry: dict, name: str, params, *args) -> dict | None:
@@ -281,10 +289,7 @@ def _bracket_from_spec(spec, n: int) -> BracketMatrix:
         raise FormatError("'J' must be an object with numeric 'rows'")
     rows = _numbers(spec["rows"], "'J' rows")
     if "n" in spec:
-        try:
-            m = _dimension(spec["n"])
-        except ValueError:
-            raise FormatError(f"'J' has an invalid 'n': {spec['n']!r}") from None
+        m = _n(spec, "'J' has an invalid 'n'")
         if rows.shape != (m, m) or m != n:
             raise FormatError(f"'J' has n = {m} and rows of shape {rows.shape}, model n = {n}")
     return BracketMatrix(rows)
@@ -294,16 +299,13 @@ def load_model(path) -> IphsModel:
     """Read a model file; a top-level "builtin" selects a named model and
     optional W/g/u sections are attached on top. A "u" needs a "g" to act
     through, so a "u" without one is an error rather than silently unused."""
-    data = _load_json(path)
-    try:
+    with _naming(path):
+        data = _load_json(path)
         if "builtin" in data:
             name = str(data["builtin"])
             base = builtin_model(name, _builtin_params(BUILTIN_MODELS, name, data.get("params")))
         else:
-            try:
-                n = _dimension(data["n"])
-            except ValueError:
-                raise FormatError(f"invalid 'n': {data['n']!r}") from None
+            n = _n(data)
             H = _field_from_spec(data["H"], n, "H")
             S = _field_from_spec(data["S"], n, "S")
             gamma = _field_from_spec(data["gamma"], n, "gamma")
@@ -316,10 +318,6 @@ def load_model(path) -> IphsModel:
         if W is base.W and g is base.g and u is base.u:
             return base
         return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing model field {exc}") from None
-    except CiphError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None:
@@ -337,4 +335,4 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     header = ["t", *(f"x{i + 1}" for i in range(model.n)), "H", "S", "sigma_int", "energy_defect"]
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     body = (row * len(rows)) % tuple(rows.ravel().tolist())
-    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
+    _write(path, ",".join(header) + "\n" + body)

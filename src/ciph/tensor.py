@@ -58,13 +58,19 @@ def _integer(value) -> int | None:
     return None
 
 
-def _checked_dimension(n) -> int:
+def _dimension(n) -> int:
+    """A dimension: an integer >= 1 (an integral float too), never truncated."""
     if (m := _integer(n)) is None:
         raise DimensionMismatch(f"dimension must be an integer, got {n!r}")
-    n = m
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    if n > MAX_DIMENSION:
+    if m < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {m}")
+    return m
+
+
+def _checked_dimension(n) -> int:
+    """The dimension of a tensor or bracket matrix: ``_dimension`` capped at
+    MAX_DIMENSION."""
+    if (n := _dimension(n)) > MAX_DIMENSION:
         raise DimensionTooLarge(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
     return n
 
@@ -254,12 +260,20 @@ def _violation_witness(
 def symmetrize_34(t: Tensor4) -> Tensor4:
     """Average the tensor with its copy carrying the last two slots swapped.
 
-    The result is exactly symmetric in slots 3 and 4 ((x + y)/2 on finite
-    floats is exact under swap), and applying the map twice equals applying
-    it once.
+    Each entry is the correctly rounded average: 0.5 * (x + y), or, where
+    x + y overflows, 0.5 * x + 0.5 * y, whose halves are exact there. Both
+    forms are symmetric in x and y, so the result is exactly symmetric in
+    slots 3 and 4, and applying the map twice equals applying it once.
     """
     v = t.values
-    return Tensor4(t.n, 0.5 * (v + v.transpose(0, 1, 3, 2)))
+    w = v.transpose(0, 1, 3, 2)
+    with np.errstate(over="ignore"):
+        average = v + w
+    wide = np.isinf(average)
+    average *= 0.5
+    if wide.any():
+        average[wide] = 0.5 * v[wide] + 0.5 * w[wide]
+    return Tensor4(t.n, average)
 
 
 def _rearranged(v: np.ndarray, pattern: str) -> np.ndarray:
@@ -271,7 +285,8 @@ def check_sym_a(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Pass iff max |t[i,j,k,l] - t[i,j,l,k]| <= tol."""
     tol = _require_tol(tol)
     v = t.values
-    resid = np.abs(v - _rearranged(v, "ijlk"))
+    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
+        resid = np.abs(v - _rearranged(v, "ijlk"))
     witness = _violation_witness(resid, v, tol)
     return ConditionReport("SYM_A", witness is None, witness, tol)
 
@@ -280,7 +295,8 @@ def check_cyclic_b(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Pass iff max |t[i,j,k,l] + t[k,j,l,i] + t[l,j,i,k]| <= tol."""
     tol = _require_tol(tol)
     v = t.values
-    resid = np.abs(v + _rearranged(v, "kjli") + _rearranged(v, "ljik"))
+    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
+        resid = np.abs(v + _rearranged(v, "kjli") + _rearranged(v, "ljik"))
     witness = _violation_witness(resid, v, tol)
     return ConditionReport("CYCLIC_B", witness is None, witness, tol)
 
@@ -302,25 +318,27 @@ def check_raw_iii(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     v = t.values
     n = t.n
 
-    # Family 1 over (i, j, l).
-    fam1 = (
-        np.einsum("ijil->ijl", v)
-        + np.einsum("ijli->ijl", v)
-        + np.einsum("ljii->ijl", v)
-    )
+    # A sum of finite terms that overflows is inf, never NaN, and inf fails.
+    with np.errstate(over="ignore"):
+        # Family 1 over (i, j, l).
+        fam1 = (
+            np.einsum("ijil->ijl", v)
+            + np.einsum("ijli->ijl", v)
+            + np.einsum("ljii->ijl", v)
+        )
+        # Family 2 over (i, j, k, l) with i, k, l pairwise different. Keep the
+        # term order: adjacent pairs cancel exactly for bracket-product tensors.
+        six = (
+            v
+            + _rearranged(v, "kjil")
+            + _rearranged(v, "kjli")
+            + _rearranged(v, "ljki")
+            + _rearranged(v, "ijlk")
+            + _rearranged(v, "ljik")
+        )
     resid1 = np.abs(fam1)
     worst1 = float(resid1.max())
 
-    # Family 2 over (i, j, k, l) with i, k, l pairwise different. Keep the
-    # term order: adjacent pairs cancel exactly for bracket-product tensors.
-    six = (
-        v
-        + _rearranged(v, "kjil")
-        + _rearranged(v, "kjli")
-        + _rearranged(v, "ljki")
-        + _rearranged(v, "ijlk")
-        + _rearranged(v, "ljik")
-    )
     ii, kk, ll = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     distinct = (ii != kk) & (ii != ll) & (kk != ll)
     mask = np.broadcast_to(distinct[:, None, :, :], six.shape)
@@ -343,7 +361,8 @@ def check_quasi_poisson(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport
     """Pass iff max |t[i,j,k,l] + t[l,j,k,i]| <= tol (outer-slot antisymmetry)."""
     tol = _require_tol(tol)
     v = t.values
-    resid = np.abs(v + _rearranged(v, "ljki"))
+    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
+        resid = np.abs(v + _rearranged(v, "ljki"))
     witness = _violation_witness(resid, v, tol)
     return ConditionReport("QUASI_POISSON", witness is None, witness, tol)
 
@@ -387,17 +406,19 @@ def check_psd_c(
     pairs = t.values.reshape(n * n, n * n).T
     for start in range(0, len(Y), PSD_BLOCK):
         block = Y[start : start + PSD_BLOCK]
-        # Overflow is caught by the finiteness checks, not reported as a warning;
-        # M + M^T can overflow where M does not, and eigvalsh then returns NaN.
+        # Overflow is caught by the finiteness checks, not reported as a warning.
+        # M + M^T is not finite where M is not, and it can overflow where M
+        # does not; eigvalsh may fail to converge on inf, so it is checked first.
         with np.errstate(over="ignore", invalid="ignore"):
             yy = (block[:, :, None] * block[:, None, :]).reshape(len(block), n * n)
             M = (yy @ pairs).reshape(len(block), n, n)
-            if not np.all(np.isfinite(M)):
-                raise NonFiniteValue("M(y) overflowed; rescale the directions")
             Mt = M.transpose(0, 2, 1)
+            twice = M + Mt
+            if not np.all(np.isfinite(twice)):
+                raise NonFiniteValue("M(y) overflowed; rescale the directions")
             bound = tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
             asym = np.abs(M - Mt).max(axis=(1, 2))
-            lam_min = np.linalg.eigvalsh(0.5 * (M + Mt))[:, 0]
+            lam_min = np.linalg.eigvalsh(0.5 * twice)[:, 0]
         if not (np.all(np.isfinite(asym)) and np.all(np.isfinite(lam_min))):
             raise NonFiniteValue("M(y) overflowed; rescale the directions")
         asym_fail = asym > bound

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ciph.cli import build_parser, main
 from ciph.fileio import load_tensor, save_matrix, save_tensor
+from ciph.tensor import Tensor4
 
 from conftest import EJ_ENTRIES, EPS_ENTRIES
 
@@ -140,9 +142,11 @@ class TestCheck:
         assert proc.stderr.startswith("error: ") and "dimension must be >= 1" in proc.stderr
 
     def test_bad_seed_env(self, eps_file, capsys, monkeypatch):
-        monkeypatch.setenv("CIPH_SEED", "not-a-number")
-        assert main(["check", eps_file]) == 1
-        assert "CIPH_SEED" in capsys.readouterr().err
+        for seed in ("not-a-number", "-1"):
+            monkeypatch.setenv("CIPH_SEED", seed)
+            assert main(["check", eps_file]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: CIPH_SEED") and err.count("\n") == 1
 
     def test_hex_seed_env(self, eps_file, capsys, monkeypatch):
         monkeypatch.setenv("CIPH_SEED", "0x1234")
@@ -603,6 +607,112 @@ def test_malformed_file_is_a_format_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+# The file error boundary: every read or write fault ends in one line
+# "error: <path>: ..." and exit 1. Reader faults, by the file they break,
+# with a fragment of the expected message; MISSING_FIELD drops a required one.
+READ_FAULTS = {
+    "missing": (None, "No such file or directory"),
+    "directory": ("dir", "Is a directory"),
+    "invalid-json": (b"{not json", "not valid JSON"),
+    "non-utf8": (b'{"n": 2, "x": "\xff"}', "not valid JSON: 'utf-8' codec"),
+    "nested-100000": (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: maximum recursion depth"),
+    "missing-field": ("field", "missing field"),
+}
+MISSING_FIELD = {
+    "tensor": ({"entries": []}, "'n'"),
+    "matrix": ({"n": 2}, "'rows'"),
+    "directions": ({}, "'directions' must be a nonempty list"),
+    "model": ({"n": 2, "S": {"poly": []}}, "'H'"),
+}
+WRITERS = ("symmetrize", "product", "simulate")
+
+
+def _boundary_argv(tmp_path, kind, path, out) -> list:
+    tensor = write_json(tmp_path / "good_t.json", {"n": 2, "entries": []})
+    matrix = write_json(tmp_path / "good_J.json", {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]})
+    model = write_json(tmp_path / "good_m.json", {"builtin": "quadratic-linear"})
+    return {
+        "tensor": ["check", path],
+        "symmetrize": ["symmetrize", tensor, "-o", out],
+        "matrix": ["product", "-A", path, "-B", matrix, "-o", out],
+        "product": ["product", "-A", matrix, "-B", matrix, "-o", out],
+        "directions": ["check", tensor, "--directions", path],
+        "model": ["simulate", path, "--t-end", "0.01", "--x0", "1,0", "-o", out],
+        "simulate": ["simulate", model, "--t-end", "0.01", "--x0", "1,0", "-o", out],
+    }[kind]
+
+
+def _one_error_line(capsys, path) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: ")
+    return captured.err
+
+
+@pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+@pytest.mark.parametrize("kind", sorted(MISSING_FIELD))
+def test_read_fault_names_the_file(tmp_path, capsys, kind, fault):
+    content, message = READ_FAULTS[fault]
+    path = tmp_path / f"{kind}.json"
+    if content == "dir":
+        path.mkdir()
+    elif content == "field":
+        payload, message = MISSING_FIELD[kind]
+        write_json(path, payload)
+    elif content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(_boundary_argv(tmp_path, kind, str(path), str(out))) == 1
+    assert message in _one_error_line(capsys, path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", WRITERS)
+def test_write_fault_names_the_file(tmp_path, capsys, command, target):
+    out = tmp_path / "nowhere" / "out" if target == "missing-dir" else tmp_path
+    assert main(_boundary_argv(tmp_path, command, None, str(out))) == 1
+    err = _one_error_line(capsys, out)
+    assert ("No such file or directory" if target == "missing-dir" else "Is a directory") in err
+
+
+# Finite entries up to the largest double: sums of two of them overflow, and
+# so do the checkers' residuals. Pairs of subnormals test the other end.
+NEAR_MAX = [1.7976931348623157e308, -1.7976931348623157e308, 1.5e308, -1.2e308, 9e307,
+            1e308, 5e-324, -1e-323, 2.5e-308, 1.0, 0.0]
+
+
+@pytest.fixture
+def near_max_file(tmp_path):
+    values = np.random.default_rng(7).choice(NEAR_MAX, size=(3, 3, 3, 3))
+    p = tmp_path / "big.json"
+    save_tensor(Tensor4(3, values), p)
+    return p
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNearMaxTensor:
+    """Overflow inside numpy surfaces as an exit code, never as a warning."""
+
+    @pytest.mark.parametrize("command", ["check", "split", "oracle"])
+    def test_no_runtime_warning(self, near_max_file, capsys, command):
+        assert main([command, str(near_max_file)]) in (0, 1, 2, 3)
+
+    def test_symmetrize_is_the_correctly_rounded_average(self, near_max_file, tmp_path, capsys):
+        out = tmp_path / "sym.json"
+        assert main(["symmetrize", str(near_max_file), "-o", str(out)]) == 0
+        v = load_tensor(near_max_file).values
+        s = load_tensor(out).values
+        with np.errstate(over="ignore"):  # the case under test occurs
+            assert np.isinf(v + v.transpose(0, 1, 3, 2)).any()
+        for (i, j, k, l), x in np.ndenumerate(v):
+            assert s[i, j, k, l] == float((Fraction(x) + Fraction(v[i, j, l, k])) / 2)
+        again = tmp_path / "again.json"
+        assert main(["symmetrize", str(out), "-o", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
 
 class TestModelChecks:

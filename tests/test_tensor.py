@@ -113,6 +113,34 @@ class TestSymmetrize:
         assert symmetrize_34(s) == s
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNearMaxEntries:
+    """Entries of +-1.5e308: every checker's residual overflows somewhere."""
+
+    @pytest.fixture
+    def big(self):
+        values = np.full((2, 2, 2, 2), 1.5e308)
+        values[0, 0, 0, 1] = -1.5e308
+        return Tensor4(2, values)
+
+    @pytest.mark.parametrize("check", [check_sym_a, check_cyclic_b, check_raw_iii, check_quasi_poisson])
+    def test_overflowed_residual_fails_without_warning(self, big, check):
+        assert not check(big).passed
+
+    def test_psd_scan_reports_an_overflowed_symmetric_part(self):
+        # M(y) is finite, but M + M^T has -inf on its diagonal, where eigvalsh
+        # may fail to converge instead of returning NaN.
+        t = Tensor4.from_entries(3, {(2, 2, 2, 1): -1e308})
+        with pytest.raises(NonFiniteValue, match="overflowed"):
+            check_psd_c(t, default_directions(3))
+
+    def test_symmetrize_halves_before_adding_where_the_sum_overflows(self, big):
+        s = symmetrize_34(big).values
+        assert s[0, 0, 0, 1] == s[0, 0, 1, 0] == 0.0
+        assert s[1, 1, 0, 1] == s[0, 0, 0, 0] == 1.5e308
+        assert check_sym_a(symmetrize_34(big), 0.0).passed
+
+
 class TestSymAWitness:
     def test_golden_tensor_passes(self, golden_eps):
         assert check_sym_a(golden_eps).passed
