@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Machine-readable reports go to stdout as line-delimited JSON; human notes
-go to stderr. Exit codes form a fixed protocol so shell harnesses need no
+Machine-readable reports go to stdout as line-delimited JSON (an infinite
+float as the literal 1e999 or -1e999, NaN as null); human notes go to
+stderr. Exit codes form a fixed protocol so shell harnesses need no
 output parsing:
 
     0  success (checks passed / split found / balances closed)
@@ -68,8 +69,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _json(obj) -> str:
+    """``json.dumps(obj)``, but valid JSON for non-finite floats: +-inf is
+    written as the literal +-1e999 (which parses back to +-inf) and NaN as
+    null, where json.dumps writes Infinity and NaN."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null" if math.isnan(obj) else ("1e999" if obj > 0.0 else "-1e999")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    return json.dumps(obj)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(_json(obj) + "\n")
 
 
 def _note(message: str) -> None:

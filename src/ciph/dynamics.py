@@ -278,12 +278,13 @@ class _ModelCode:
     sample ``start``, and the ``rhs`` and drift ``parts`` behind the public
     functions.
 
-    A ``PolynomialField`` contributes the statements of its ``emit``; any
-    other field is called once per evaluation through ``list_form``, which
-    keeps its shape checks. Every float operation is the one a loop over
-    lists would make, in the same order: gamma is checked first; dot
-    products are left folds from 0.0 over every J entry, zeros included;
-    the update is ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``. J entries,
+    A field with ``emit`` (every built-in field) contributes its statements,
+    so no built-in model's step calls numpy; any other field is called once
+    per evaluation through ``list_form``, which keeps its shape checks.
+    Every float operation is the one a loop over lists would make, in the
+    same order: gamma is checked first; dot products are left folds from
+    0.0 over every J entry, zeros included; the update is
+    ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``. J entries,
     coefficients and the input table are namespace names, never text.
 
     Every evaluation is at the point y. Other local names: x (the state), a
@@ -350,7 +351,7 @@ class _ModelCode:
 
     def _field(self, prefix: str, field) -> tuple[list, list, list]:
         """(powers, value, gradient) statements for one field at y."""
-        if isinstance(field, PolynomialField):
+        if hasattr(field, "emit"):
             return field.emit(self.y, prefix, self.namespace)
         self.namespace[prefix + "value"], self.namespace[prefix + "grad"] = list_form(field)
         return ([], [f"{prefix}v = {prefix}value({_list(self.y)})"],

@@ -1,16 +1,19 @@
 """Scalar fields R^n -> R with exact analytic gradients.
 
-Two concrete kinds are provided. ``PolynomialField`` stores a polynomial as
-a list of (exponent multi-index, coefficient) terms and writes its value and
-gradient out as straight-line Python statements (``emit``), which compute
-each coordinate power once; its own list functions are compiled from them,
-and so is the model step in ``ciph.dynamics``. Its gradient is exact up to
-rounding. ``CallableField`` wraps closed-form value/gradient callables and
-is used for the built-in non-polynomial energies (e.g. exponential
-compartment energies).
+Three concrete kinds share one base, ``CompiledField``: each writes its
+value and gradient out as straight-line Python statements on floats
+(``emit``), and its list functions ``value_list`` and ``grad_list`` are
+compiled from them, as is the model step in ``ciph.dynamics``.
+``PolynomialField`` stores a polynomial as a list of (exponent
+multi-index, coefficient) terms and computes each coordinate power once;
+its gradient is exact up to rounding. ``ExpSumField`` (scale * sum_i
+exp(x_i)) and ``ExpNegSumField`` (scale * exp(-sum_i x_i)), the built-in
+energies of the exponential compartment models, call ``math.exp``.
+``CallableField`` wraps user-supplied value/gradient callables.
 
 Any object with attributes ``n``, ``value(x)`` and ``grad(x)`` is accepted
-wherever a scalar field is expected; ``list_form`` calls it on ndarrays.
+wherever a scalar field is expected; ``list_form`` calls it on ndarrays
+unless it has ``emit`` (then it is a ``CompiledField``).
 """
 
 from __future__ import annotations
@@ -82,6 +85,22 @@ def _overflowed(bases: list, exponents: tuple) -> list[float]:
         return [float(np.float64(b) ** e) for b, e in zip(bases, exponents)]
 
 
+def _exp_or_inf(a: float) -> float:
+    """math.exp, but inf where it overflows, as numpy's exp gives."""
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
+
+
+def _exps(targets: Sequence[str], arguments: Sequence[str]) -> list[str]:
+    """Statements ``target = exp(argument)``; when one overflows, every
+    target is recomputed with the overflowing ones set to inf."""
+    return ["try:", *(f"    {t} = _exp({a})" for t, a in zip(targets, arguments)),
+            "except OverflowError:",
+            f"    {_unpack(targets)}= map(_exp_or_inf, {_list(arguments)})"]
+
+
 def _compile(lines: Sequence[str], namespace: dict, name: str) -> Callable:
     """Compile ``lines`` (a whole ``def``) with ``namespace`` as its globals.
 
@@ -92,7 +111,48 @@ def _compile(lines: Sequence[str], namespace: dict, name: str) -> Callable:
     return namespace[name]
 
 
-class PolynomialField:
+class CompiledField:
+    """Base of the fields that write themselves out as statements.
+
+    A subclass sets ``n`` and defines ``emit(point, prefix, namespace)``,
+    which returns (powers, value, gradient) statement lists evaluating the
+    field at the local names ``point``. They set ``{prefix}v`` (the value)
+    and ``{prefix}g<m>`` (the gradient), read only what the powers
+    statements set, and bind every number in ``namespace`` under a name
+    that starts with ``prefix``. ``value_list`` and ``grad_list`` take a
+    list of n floats; they are compiled from ``emit`` on first use, and
+    ``value`` and ``grad`` wrap them.
+    """
+
+    __slots__ = ("n", "value_list", "grad_list")
+
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+        raise NotImplementedError
+
+    def __getattr__(self, name):
+        # value_list and grad_list are compiled from ``emit`` on first use
+        if name not in ("value_list", "grad_list"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        point, namespace = _names("x", self.n), {}
+        powers, value, grad = self.emit(point, "", namespace)
+        head = f"    {_unpack(point)}= xs"
+        self.value_list = _compile(
+            ["def value_list(xs):", head, *("    " + s for s in powers + value), "    return v"],
+            namespace, "value_list")
+        self.grad_list = _compile(
+            ["def grad_list(xs):", head, *("    " + s for s in powers + grad),
+             f"    return {_list(_names('g', self.n))}"],
+            namespace, "grad_list")
+        return getattr(self, name)
+
+    def value(self, x) -> float:
+        return self.value_list(_as_vector(x, self.n).tolist())
+
+    def grad(self, x) -> np.ndarray:
+        return np.array(self.grad_list(_as_vector(x, self.n).tolist()))
+
+
+class PolynomialField(CompiledField):
     """Polynomial scalar field with rational-style exact differentiation.
 
     Terms are (exponents, coefficient) pairs; exponents are nonnegative
@@ -104,13 +164,10 @@ class PolynomialField:
     coef * exponent, factor positions). ``emit`` writes these out as
     straight-line Python statements: each power once, by ``**`` on Python
     floats (the scalar libm ``pow``), then one accumulator statement per
-    term, coefficient first and factors in coordinate order. ``value_list``
-    and ``grad_list`` take a list of n floats; they are compiled from
-    ``emit`` on first use, and ``value`` and ``grad`` wrap them. The model
-    step in ``ciph.dynamics`` inlines the same statements.
+    term, coefficient first and factors in coordinate order.
     """
 
-    __slots__ = ("n", "terms", "_pairs", "_value_terms", "_grad_terms", "value_list", "grad_list")
+    __slots__ = ("terms", "_pairs", "_value_terms", "_grad_terms")
 
     def __init__(self, n: int, terms: Iterable[tuple[Sequence[int], float]] = ()):
         n = _dimension(n)
@@ -156,13 +213,10 @@ class PolynomialField:
         return cls(n, [(exps, 1.0)])
 
     def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
-        """Statements evaluating the field at the local names ``point``:
-        (powers, value, gradient). They set ``{prefix}p<k>`` (the powers),
-        ``{prefix}v`` (the value) and ``{prefix}g<m>`` (the gradient), and
-        bind the coefficients in ``namespace`` as ``{prefix}c<k>`` (value)
-        and ``{prefix}d<k>`` (gradient), the exponents as ``{prefix}e``.
-        The value and gradient statements read the powers, so the powers
-        come first."""
+        """(powers, value, gradient) statements at the local names
+        ``point``. The powers are ``{prefix}p<k>``; the coefficients are
+        bound as ``{prefix}c<k>`` (value) and ``{prefix}d<k>`` (gradient),
+        the exponents as ``{prefix}e``."""
         powers = _names(prefix + "p", len(self._pairs))
         power_lines = [
             "try:", *(f"    {p} = {point[j]} ** {e:d}" for p, (j, e) in zip(powers, self._pairs)),
@@ -184,28 +238,6 @@ class PolynomialField:
             grad[m].append(product(f"{prefix}d{k:d}", factors))
         grad_lines = [line for m, terms in grad.items() for line in _fold(f"{prefix}g{m:d}", terms)]
         return power_lines, _fold(prefix + "v", value), grad_lines
-
-    def __getattr__(self, name):
-        # value_list and grad_list are compiled from ``emit`` on first use
-        if name not in ("value_list", "grad_list"):
-            raise AttributeError(f"'PolynomialField' object has no attribute {name!r}")
-        point, namespace = _names("x", self.n), {}
-        powers, value, grad = self.emit(point, "", namespace)
-        head = f"    {_unpack(point)}= xs"
-        self.value_list = _compile(
-            ["def value_list(xs):", head, *("    " + s for s in powers + value), "    return v"],
-            namespace, "value_list")
-        self.grad_list = _compile(
-            ["def grad_list(xs):", head, *("    " + s for s in powers + grad),
-             f"    return {_list(_names('g', self.n))}"],
-            namespace, "grad_list")
-        return getattr(self, name)
-
-    def value(self, x) -> float:
-        return self.value_list(_as_vector(x, self.n).tolist())
-
-    def grad(self, x) -> np.ndarray:
-        return np.array(self.grad_list(_as_vector(x, self.n).tolist()))
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -236,7 +268,8 @@ class PolynomialField:
 
 
 class CallableField:
-    """Scalar field backed by closed-form value and gradient callables."""
+    """Scalar field backed by user-supplied value and gradient callables,
+    which ``list_form`` calls on ndarrays."""
 
     __slots__ = ("n", "_value", "_grad", "name")
 
@@ -261,36 +294,71 @@ class CallableField:
 
 def list_form(field) -> tuple[Callable, Callable]:
     """(value, grad) of a scalar field on lists of n floats (unchecked), grad
-    returning a list: a ``PolynomialField``'s own, other fields via ndarrays."""
-    if isinstance(field, PolynomialField):
+    returning a list: compiled from the field's ``emit`` when it has one,
+    other fields via ndarrays."""
+    if hasattr(field, "emit"):
         return field.value_list, field.grad_list
     return (lambda xs: float(field.value(np.array(xs))),
             lambda xs: _as_vector(field.grad(np.array(xs)), field.n).tolist())
 
 
-def exp_sum_field(n: int, scale: float = 1.0) -> CallableField:
-    """scale * sum_i exp(x_i): monotone convex compartment energy."""
-    return CallableField(
-        n,
-        value=lambda x: scale * float(np.exp(x).sum()),
-        grad=lambda x: scale * np.exp(x),
-        name="exp_sum",
-    )
+class _ScaledExp(CompiledField):
+    """The exponential fields: a dimension, a finite scale (a number under
+    the coefficient rule) and ``math.exp`` in the statements."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, n: int, scale: float = 1.0):
+        self.n, self.scale = _dimension(n), _coefficient(scale)
+        if not math.isfinite(self.scale):
+            raise NonFiniteValue(f"scale {self.scale!r} is not finite")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, scale={self.scale!r})"
 
 
-def exp_neg_sum_field(n: int, scale: float = 1.0) -> CallableField:
-    """scale * exp(-sum_i x_i): strictly positive, e.g. conductance/(T1*T2)."""
+class ExpSumField(_ScaledExp):
+    """scale * sum_i exp(x_i): monotone convex compartment energy.
 
-    def _v(x):
-        return scale * float(np.exp(-x.sum()))
+    ``emit`` takes the n exps by ``math.exp`` (inf where one overflows);
+    the value is scale times their left fold from 0.0, and gradient
+    component i is scale * exp(x_i), the same exp.
+    """
 
-    def _g(x):
-        return np.full(n, -scale * np.exp(-x.sum()))
+    __slots__ = ()
 
-    return CallableField(n, value=_v, grad=_g, name="exp_neg_sum")
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+        exps = _names(prefix + "p", self.n)
+        namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf, prefix + "s": self.scale})
+        value = [*_fold(prefix + "t", exps), f"{prefix}v = {prefix}s * {prefix}t"]
+        grad = [f"{prefix}g{m:d} = {prefix}s * {e}" for m, e in enumerate(exps)]
+        return _exps(exps, point), value, grad
 
 
-BUILTIN_FIELDS: dict[str, Callable[..., CallableField]] = {
+class ExpNegSumField(_ScaledExp):
+    """scale * exp(-sum_i x_i): strictly positive for scale > 0, e.g.
+    conductance / (T1 * T2).
+
+    ``emit`` folds the point from 0.0 and takes one ``math.exp`` (inf where
+    it overflows); the value is scale times it and every gradient
+    component is -scale times it.
+    """
+
+    __slots__ = ()
+
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+        e = prefix + "p0"
+        namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf,
+                          prefix + "s": self.scale, prefix + "d": -self.scale})
+        powers = [*_fold(prefix + "t", point), *_exps([e], [f"-{prefix}t"])]
+        grad = [f"{prefix}g{m:d} = {prefix}d * {e}" for m in range(self.n)]
+        return powers, [f"{prefix}v = {prefix}s * {e}"], grad
+
+
+# The factory names that model files and the library have always used.
+exp_sum_field, exp_neg_sum_field = ExpSumField, ExpNegSumField
+
+BUILTIN_FIELDS: dict[str, Callable[..., CompiledField]] = {
     "exp_sum": exp_sum_field,
     "exp_neg_sum": exp_neg_sum_field,
 }

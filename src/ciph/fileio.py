@@ -135,15 +135,16 @@ def _entry_table(entries: list) -> np.ndarray:
 def load_tensor(path) -> Tensor4:
     """Read the sparse tensor format {"n": ..., "entries": [{i,j,k,l,v}, ...]}.
 
-    Any JSON layout is accepted. Omitted entries are zero. An entry that is
-    not an object of finite numbers with integer indices, an out-of-range
-    index or a duplicated (i,j,k,l) tuple is an error naming the first
-    offending entry.
+    Any JSON layout is accepted. The "entries" key is required, so a matrix
+    file is not read as the zero tensor; entries not listed are zero. An
+    entry that is not an object of finite numbers with integer indices, an
+    out-of-range index or a duplicated (i,j,k,l) tuple is an error naming
+    the first offending entry.
     """
     with _naming(path):
         data = _load_json(path)
         n = _n(data)
-        entries = data.get("entries", [])
+        entries = data["entries"]
         if not isinstance(entries, list):
             raise FormatError("'entries' must be a list")
         try:

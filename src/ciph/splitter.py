@@ -129,7 +129,8 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     """Decide whether the product tensor of (A, B) is a scaled skew square.
 
     Checks, in order: A skew; B globally proportional to A (ratio taken at
-    A's max-abs entry); proportionality factor nonnegative. On success the
+    A's max-abs entry, and between the unit-max-abs factors when that ratio
+    overflows); proportionality factor nonnegative. On success the
     factor pair is rewritten in the canonical gauge and the reconstruction
     error of the gauged product against the original product is reported.
     A zero factor splits trivially with J = 0, gamma = 0.
@@ -148,15 +149,20 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
         return SplitResult(NOT_SKEW, residual=skew.residual)
 
     p, q = np.unravel_index(int(np.argmax(np.abs(A.array))), (n, n))
-    lam = float(B.array[p, q] / A.array[p, q])
-    deviation = float(np.max(np.abs(B.array - lam * A.array)))
+    lam = float(B.array[p, q]) / float(A.array[p, q])  # a float quotient overflows to inf silently
+    if math.isfinite(lam):
+        deviation = float(np.max(np.abs(B.array - lam * A.array)))
+    else:  # e.g. a subnormal A: compare the factors at unit max-abs, lam = unit * bmax / amax
+        unit = float((B.array[p, q] / bmax) / (A.array[p, q] / amax))
+        deviation = bmax * float(np.max(np.abs(B.array / bmax - unit * (A.array / amax))))
     if deviation > tol * max(1.0, bmax):
         return SplitResult(NOT_PROPORTIONAL, residual=deviation)
     if lam < -tol:
         return SplitResult(NEGATIVE_GAMMA, residual=deviation)
 
     J_arr, c = _canonical_gauge(A.array)
-    gamma = max(lam, 0.0) * c * c
+    # c * c is amax^2; lam * amax^2 = unit * bmax * amax
+    gamma = max(lam, 0.0) * c * c if math.isfinite(lam) else max(unit, 0.0) * bmax * amax
     J = BracketMatrix(J_arr)
     recon = product_tensor(J, BracketMatrix(gamma * J_arr))
     residual = float(np.max(np.abs(recon.values - product_tensor(A, B).values)))

@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteValue,
     NonpositiveGamma,
 )
-from .fields import PolynomialField
+from .fields import ExpNegSumField, ExpSumField, PolynomialField
 from .tensor import DEFAULT_TOL, Tensor4, symmetrize_34
 
 ORACLE_MAX_DIMENSION = 5
@@ -115,6 +115,34 @@ def loop_polynomial(f, x) -> tuple[float, list[float]]:
     return value, grad
 
 
+def _loop_exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def loop_exponential(f, x) -> tuple[float, list[float]]:
+    """Value and gradient of an ``ExpSumField`` or ``ExpNegSumField`` by a
+    loop over the coordinates, ``math.exp`` giving inf where it overflows.
+    The sums run from 0.0 in coordinate order and the scale multiplies
+    last, as in the compiled statements, so the two agree bit for bit."""
+    x = [float(v) for v in x]
+    if len(x) != f.n:
+        raise DimensionMismatch(f"expected a point in R^{f.n}, got {len(x)} coordinates")
+    if isinstance(f, ExpSumField):
+        exps = [_loop_exp(v) for v in x]
+        total = 0.0
+        for e in exps:
+            total += e
+        return f.scale * total, [f.scale * e for e in exps]
+    total = 0.0
+    for v in x:
+        total += v
+    e = _loop_exp(-total)
+    return f.scale * e, [-f.scale * e] * f.n
+
+
 def _fold_dot(a, b) -> float:
     total = 0.0
     for u, v in zip(a, b):
@@ -126,8 +154,9 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     """Reference for ``dynamics.integrate``: the same fixed-step RK4 and
     fault rules, written as a loop over lists of floats.
 
-    Polynomial fields are evaluated by ``loop_polynomial``, other fields by
-    their own ndarray methods; W + g u comes from the model's callables as
+    Polynomial fields are evaluated by ``loop_polynomial``, the exponential
+    fields by ``loop_exponential``, other fields by their own ndarray
+    methods; W + g u comes from the model's callables as
     (0.0 + W_i) + g_i . u; every dot product is a left fold from 0.0. Each
     sample supplies the next step's k1. Unlike ``integrate`` it does not
     check its arguments.
@@ -140,11 +169,15 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     def value(f, x):
         if isinstance(f, PolynomialField):
             return loop_polynomial(f, x)[0]
+        if isinstance(f, (ExpSumField, ExpNegSumField)):
+            return loop_exponential(f, x)[0]
         return float(f.value(np.array(x)))
 
     def grad(f, x):
         if isinstance(f, PolynomialField):
             return loop_polynomial(f, x)[1]
+        if isinstance(f, (ExpSumField, ExpNegSumField)):
+            return loop_exponential(f, x)[1]
         return np.asarray(f.grad(np.array(x)), dtype=float).tolist()
 
     def inputs(x, dH, t):

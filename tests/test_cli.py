@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ciph import cli
 from ciph.cli import build_parser, main
 from ciph.fileio import load_tensor, save_matrix, save_tensor
 from ciph.tensor import Tensor4
@@ -32,9 +33,18 @@ def j_file(tmp_path, j_std):
     return str(p)
 
 
+def strict_json(line: str):
+    """json.loads that refuses the non-JSON constants Infinity, -Infinity and NaN."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
 def stdout_reports(capsys):
     out = capsys.readouterr().out
-    return [json.loads(line) for line in out.strip().split("\n") if line]
+    return [strict_json(line) for line in out.strip().split("\n") if line]
 
 
 class TestCheck:
@@ -151,6 +161,29 @@ class TestCheck:
     def test_hex_seed_env(self, eps_file, capsys, monkeypatch):
         monkeypatch.setenv("CIPH_SEED", "0x1234")
         assert main(["check", eps_file]) == 0
+
+
+    def test_matrix_file_is_not_a_tensor(self, j_file, capsys):
+        assert main(["check", j_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {j_file}: missing field 'entries'\n"
+
+    def test_overflowed_residual_is_valid_json(self, tmp_path, capsys):
+        p = write_json(tmp_path / "big.json", {"n": 2, "entries": [
+            {"i": 1, "j": 1, "k": 1, "l": 2, "v": 1e308}, {"i": 1, "j": 1, "k": 2, "l": 1, "v": -1e308}]})
+        assert main(["check", p]) == 2
+        out = capsys.readouterr().out
+        assert '"residual": 1e999,' in out and "Infinity" not in out
+        by_id = {r["condition_id"]: r for r in map(strict_json, out.splitlines())}
+        assert by_id["SYM_A"]["witness"]["residual"] == float("inf")
+        assert by_id["QUASI_POISSON"]["witness"]["residual"] == 1e308
+
+    def test_finite_output_is_json_dumps(self):
+        obj = {"a": [1, 2.5, -0.0, 1e-300, 5e-324, 1.7976931348623157e308], "b": None, "c": True,
+               "d": {"e": (0.1, "x\"y\u00e9")}, "f": "tab\t", "g": -3}
+        assert cli._json(obj) == json.dumps(obj)
+        assert cli._json({"r": [float("inf"), -float("inf"), float("nan")]}) == '{"r": [1e999, -1e999, null]}'
 
 
 class TestSymmetrize:
@@ -382,6 +415,16 @@ class TestSplit:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["split", str(tmp_path / "none.json")]) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_product_splits(self, tmp_path, capsys):
+        # 5e-324 * J (x) J: the plain ratio of the rank-one factors overflows
+        entries = [{"i": i, "j": j, "k": k, "l": l, "v": 5e-324 * v} for (i, j, k, l), v in EJ_ENTRIES.items()]
+        p = write_json(tmp_path / "tiny.json", {"n": 2, "entries": entries})
+        assert main(["split", p]) == 0
+        result = stdout_reports(capsys)[0]
+        assert result["status"] == "SPLIT" and result["gamma"] == 5e-324
+        assert result["J"]["rows"] == [[0.0, 1.0], [-1.0, 0.0]]
+
 
 class TestSimulate:
     def test_builtin_benchmark_passes(self, tmp_path, capsys):
@@ -426,6 +469,25 @@ class TestSimulate:
         assert summary["fault"] == "NonpositiveGamma"
         assert summary["t_last"] < 0.55
         assert out.exists()  # partial trajectory still written
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exp_field_overflow_exits_four(self, tmp_path, capsys):
+        payload = {
+            "n": 2,
+            "H": {"builtin": "exp_sum"},
+            "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+            "gamma": {"poly": [[[0, 0], 1.0]]},
+            "J": {"n": 2, "rows": [[0.0, 0.0], [0.0, 0.0]]},
+            "W": {"constant": [1000, 0]},
+        }
+        m = write_json(tmp_path / "m.json", payload)
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", m, "--t-end", "2", "--x0", "0,0", "--dt", "1e-2", "-o", str(out)])
+        summary = stdout_reports(capsys)[0]
+        assert code == 4
+        assert summary["fault"] == "NonFiniteState"
+        assert 0.7 <= summary["t_last"] < 0.71  # exp(x1) overflows once x1 = 1000 t > 709.78
+        assert out.exists()
 
     def test_wrong_x0_length_exits_one(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})

@@ -25,6 +25,7 @@ from ciph import (
 )
 from ciph import dynamics
 from ciph.dynamics import (
+    BUILTIN_MODELS,
     MAX_STEPS,
     Constant,
     Schedule,
@@ -33,7 +34,7 @@ from ciph.dynamics import (
     input_power,
 )
 from ciph.fileio import load_model
-from ciph.fields import exp_sum_field
+from ciph.fields import exp_neg_sum_field, exp_sum_field
 from ciph.verify import random_polynomial, random_skew
 
 from conftest import assert_matches_reference
@@ -360,6 +361,53 @@ class TestBuiltins:
         model = heat_exchanger_model()
         tr = integrate(model, [0.3, 0.3], t_end=1.0, dt=1e-2)
         assert np.array_equal(tr.states[0], tr.states[-1])
+
+    def test_heat_exchanger_energy_rate_stays_at_rounding_level(self):
+        model = heat_exchanger_model(conductance=2.5)
+        rng = np.random.default_rng(81)
+        for x in rng.uniform(-3.0, 3.0, size=(50, 2)):
+            _, scale, JdH = model._code.parts(x.tolist())
+            rate = observable_rate(model, model.H, x)
+            assert type(rate) is float
+            assert abs(rate) <= 1e-15 * abs(scale) * float(np.abs(model.H.grad(x)) @ np.abs(JdH))
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_heat_exchanger_matches_the_loop_reference(self, forced):
+        model = heat_exchanger_model(conductance=1.5)
+        if forced:
+            model = dataclasses.replace(model, g=Constant([[1.0], [-0.5]]),
+                                        u=Schedule([0.0, 0.05], [[0.25], [-1.0]]))
+        tr = assert_matches_reference(model, [1.0, -1.0], t_end=0.1, dt=1e-3)
+        assert tr.fault is None and len(tr) == 101
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+    def test_no_builtin_step_calls_numpy(self, name):
+        # every built-in field emits statements: no list_form adapter (a
+        # "<prefix>value" or "<prefix>grad" callable) and no numpy function
+        # is bound where the compiled step looks its names up
+        code = builtin_model(name)._code
+        code.step, code.start, code.rhs, code.parts
+        adapters = [k for k in code.namespace if k.endswith(("value", "grad"))]
+        assert adapters == []
+        numpy_bound = [k for k, v in code.namespace.items()
+                       if "numpy" in f"{getattr(v, '__module__', None)} {type(v).__module__}"]
+        assert numpy_bound == []
+
+    def test_underflowing_exp_gamma_is_nonpositive(self):
+        # gamma = exp(-(x1 + x2)) is a subnormal, still > 0, for sums in
+        # (708.4, 745.1) and underflows to 0 past them
+        quadratic = PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)])
+        linear = PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0)])
+        model = IphsModel(2, quadratic, linear, BracketMatrix.standard_skew(), exp_neg_sum_field(2),
+                          W=Constant([1e3, 0.0]))
+        tr = assert_matches_reference(model, [700.0, 0.0], t_end=1.0, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma"
+        assert 4 <= len(tr) <= 6 and tr.states[-1, 0] < 745.2
+        at_start = integrate(model, [400.0, 400.0], t_end=1.0, dt=1e-2)
+        assert at_start.fault == "NonpositiveGamma" and len(at_start) == 1
+        assert at_start.H_values.tolist() == [160000.0] and at_start.S_values.tolist() == [800.0]
+        with pytest.raises(NonpositiveGamma):
+            model.gamma_at([400.0, 400.0])
 
     def test_conductance_must_be_positive(self):
         from ciph import NegativeCoefficient
@@ -861,7 +909,7 @@ class TestKernelFaults:
             model = IphsModel(2, H, linear, BracketMatrix.zeros(2), constant_gamma(2),
                               W=lambda x, dH: 1e3 * x)
             x0, dt = [1.0, 1.0], 1e-2
-        else:  # H = exp(x1) + exp(x2) in numpy, x1 fed until it overflows
+        else:  # H = exp(x1) + exp(x2) by math.exp, x1 fed until it overflows
             model = IphsModel(2, exp_sum_field(2), linear, BracketMatrix.zeros(2), constant_gamma(2),
                               W=lambda x, dH: np.array([1e3, 0.0]))
             x0, dt = [0.0, 0.0], 1e-2

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ciph import DimensionMismatch, FormatError, NonFiniteValue, PolynomialField
-from ciph.fields import CallableField, builtin_field, exp_neg_sum_field, exp_sum_field, list_form
-from ciph.verify import fd_gradient, loop_polynomial, random_polynomial
+from ciph.fields import (
+    CallableField,
+    CompiledField,
+    builtin_field,
+    exp_neg_sum_field,
+    exp_sum_field,
+    list_form,
+)
+from ciph.verify import fd_gradient, loop_exponential, loop_polynomial, random_polynomial
 
 
 def test_value_and_grad_quadratic():
@@ -204,12 +213,19 @@ class TestListForm:
         assert f.grad_list([1e200, -1e200]) == [1e200, np.inf]
 
     def test_other_fields_go_through_ndarrays(self):
-        f = exp_sum_field(3, scale=2.0)
-        value, grad = list_form(f)
+        seen = []
+
+        def value(x):
+            seen.append(type(x))
+            return 2.0 * float(np.exp(x).sum())
+
+        f = CallableField(3, value=value, grad=lambda x: 2.0 * np.exp(x))
+        value_list, grad_list = list_form(f)
         x = [0.1, -0.4, 1.3]
-        assert value(x) == f.value(np.array(x))
-        g = grad(x)
+        assert value_list(x) == f.value(np.array(x))
+        g = grad_list(x)
         assert type(g) is list and g == f.grad(np.array(x)).tolist()
+        assert seen == [np.ndarray, np.ndarray]
 
     def test_wrong_gradient_shape_rejected(self):
         class Flat:
@@ -226,3 +242,77 @@ class TestListForm:
         bad = CallableField(2, value=lambda x: 0.0, grad=lambda x: np.zeros(3))
         with pytest.raises(DimensionMismatch):
             list_form(bad)[1]([1.0, 2.0])
+
+
+EXP_FIELDS = {"exp_sum": exp_sum_field, "exp_neg_sum": exp_neg_sum_field}
+
+
+def numpy_exp_field(kind, scale, x):
+    """The exponential fields in numpy: value and gradient."""
+    x = np.asarray(x, dtype=float)
+    if kind == "exp_sum":
+        return scale * float(np.exp(x).sum()), scale * np.exp(x)
+    e = np.exp(-x.sum())
+    return scale * float(e), np.full(len(x), -scale * e)
+
+
+class TestCompiledExponentials:
+    @pytest.mark.parametrize("kind", sorted(EXP_FIELDS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_agree_with_numpy_to_a_few_ulps(self, kind, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(50):
+            scale = float(rng.uniform(0.1, 10.0))
+            f = EXP_FIELDS[kind](n, scale=scale)
+            x = rng.uniform(-5.0, 5.0, size=n)
+            value, grad = numpy_exp_field(kind, scale, x)
+            # math.exp and numpy's exp may differ in the last bit, the sums in association
+            assert abs(f.value(x) - value) <= 8 * np.spacing(abs(value))
+            assert np.all(np.abs(f.grad(x) - grad) <= 4 * np.spacing(np.abs(grad)))
+
+    @pytest.mark.parametrize("kind", sorted(EXP_FIELDS))
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_list_form_is_the_compiled_field_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng(500 + n)
+        f = EXP_FIELDS[kind](n, scale=float(rng.uniform(0.1, 10.0)))
+        assert isinstance(f, CompiledField)
+        value, grad = list_form(f)
+        assert (value, grad) == (f.value_list, f.grad_list)
+        for x in rng.uniform(-3.0, 3.0, size=(20, n)):
+            xs = x.tolist()
+            g = grad(xs)
+            assert type(g) is list and all(type(v) is float for v in g)
+            assert value(xs) == f.value(x) and g == f.grad(x).tolist()
+            assert (value(xs), g) == loop_exponential(f, xs)
+
+    @pytest.mark.parametrize("kind, point, value, grad", [
+        ("exp_sum", [1e3, 0.0], np.inf, [np.inf, 1.0]),
+        ("exp_sum", [1e3, 1e3], np.inf, [np.inf, np.inf]),
+        ("exp_neg_sum", [-1e3, 0.0], np.inf, [-np.inf, -np.inf]),
+        ("exp_neg_sum", [1e3, 0.0], 0.0, [-0.0, -0.0]),
+    ])
+    def test_overflow_gives_inf_without_a_warning(self, kind, point, value, grad):
+        f = EXP_FIELDS[kind](2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.value_list(point) == value
+            assert f.grad_list(point) == grad
+            assert loop_exponential(f, point) == (value, grad)
+
+    def test_scale_keeps_the_number_rule(self):
+        for factory in EXP_FIELDS.values():
+            assert factory(2, scale=3).scale == 3.0
+            for bad in ("2", True, None):
+                with pytest.raises(FormatError, match="is not a number"):
+                    factory(2, scale=bad)
+            for bad in (np.inf, np.nan, 10**400):
+                with pytest.raises(NonFiniteValue, match="is not finite"):
+                    factory(2, scale=bad)
+            with pytest.raises(DimensionMismatch):
+                factory(0)
+
+    def test_wrong_shape_point_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            exp_sum_field(2).value([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch):
+            exp_neg_sum_field(2).grad([1.0])

@@ -166,6 +166,26 @@ class TestSplitProduct:
         with pytest.raises(DimensionMismatch):
             split_product(j_std, BracketMatrix.zeros(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, b, status, gamma", [
+        (5e-324, 1.0, SPLIT, 5e-324),
+        (1e-300, 1e300, SPLIT, 1.0),
+        (1e-300, -1e300, NEGATIVE_GAMMA, None),
+    ])
+    def test_overflowing_ratio_compares_unit_factors(self, j_std, a, b, status, gamma):
+        # B[p,q] / A[p,q] overflows; the unit-max-abs factors are compared instead
+        result = split_product(BracketMatrix(a * j_std.array), BracketMatrix(b * j_std.array))
+        assert result.status == status and result.residual == 0.0
+        if gamma is not None:
+            assert result.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
+            assert np.array_equal(result.J.array, j_std.array)
+
+    def test_overflowing_ratio_still_detects_disproportion(self):
+        A = BracketMatrix(1e-300 * block_diag_skew(1.0, 1.0))
+        B = BracketMatrix(1e300 * block_diag_skew(1.0, 0.5))
+        result = split_product(A, B)
+        assert result.status == NOT_PROPORTIONAL and result.residual == pytest.approx(0.5e300)
+
 
 class TestSplitTensor:
     def test_golden_tensor_splits_via_symmetric_branch(self, golden_eps, j_std):
