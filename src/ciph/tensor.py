@@ -86,15 +86,21 @@ class Tensor4:
 
     def __init__(self, n: int, values=None):
         n = _checked_dimension(n)
-        if values is None:
-            arr = np.zeros((n, n, n, n))
-        else:
-            arr = np.array(values, dtype=float)
-            if arr.shape != (n, n, n, n):
-                raise DimensionMismatch(
-                    f"values have shape {arr.shape}, expected {(n, n, n, n)}"
-                )
-        if not np.all(np.isfinite(arr)):
+        arr = np.zeros((n, n, n, n)) if values is None else np.array(values, dtype=float)
+        self._hold(n, arr)
+
+    @classmethod
+    def _owning(cls, n: int, arr: np.ndarray) -> "Tensor4":
+        """Wrap a fresh float array that no caller keeps, without copying it."""
+        t = cls.__new__(cls)
+        t._hold(_checked_dimension(n), arr)
+        return t
+
+    def _hold(self, n: int, arr: np.ndarray) -> None:
+        if arr.shape != (n, n, n, n):
+            raise DimensionMismatch(f"values have shape {arr.shape}, expected {(n, n, n, n)}")
+        # min and max propagate NaN and reach +-inf, with no n^4 mask.
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise FormatError("tensor entries must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         self.n = n
@@ -139,7 +145,7 @@ class Tensor4:
             raise FormatError(f"duplicate entry for index {key}")
         arr = np.zeros((n, n, n, n))
         arr.reshape(-1)[flat] = table[:, 4]
-        return cls(n, arr)
+        return cls._owning(n, arr)
 
     @property
     def values(self) -> np.ndarray:
@@ -155,7 +161,7 @@ class Tensor4:
         self._check_index(i, j, k, l)
         arr = self._values.copy()
         arr[i - 1, j - 1, k - 1, l - 1] = float(value)
-        return Tensor4(self.n, arr)
+        return Tensor4._owning(self.n, arr)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._values)))
@@ -247,14 +253,22 @@ def _violation_witness(
     one whose own tensor entry has the largest magnitude (the entry a reader
     would look up first); remaining ties resolve in row-major order. The
     witness carries the residual measured at that position.
+
+    ``residuals`` is the caller's own buffer, and the search reuses it for
+    the keys. Residuals are never NaN (a sum of finite terms overflows to
+    inf), so a pass needs only their maximum.
     """
-    mask = residuals > tol
-    if not mask.any():
+    if not residuals.max() > tol:
         return None
-    keyed = np.where(mask, np.abs(entries), -1.0)
+    over = residuals > tol
+    found = residuals[over]  # the violating residuals, in row-major order
+    keyed = residuals
+    keyed.fill(-1.0)
+    np.abs(entries, out=keyed, where=over)
     flat = int(np.argmax(keyed))
+    residual = found[np.count_nonzero(over.reshape(-1)[:flat])]
     idx = np.unravel_index(flat, residuals.shape)
-    return Witness(float(residuals[idx]), index=tuple(int(v) + 1 for v in idx))
+    return Witness(float(residual), index=tuple(int(v) + 1 for v in idx))
 
 
 def symmetrize_34(t: Tensor4) -> Tensor4:
@@ -273,7 +287,7 @@ def symmetrize_34(t: Tensor4) -> Tensor4:
     average *= 0.5
     if wide.any():
         average[wide] = 0.5 * v[wide] + 0.5 * w[wide]
-    return Tensor4(t.n, average)
+    return Tensor4._owning(t.n, average)
 
 
 def _rearranged(v: np.ndarray, pattern: str) -> np.ndarray:
@@ -281,23 +295,37 @@ def _rearranged(v: np.ndarray, pattern: str) -> np.ndarray:
     return np.einsum(f"{pattern}->ijkl", v)
 
 
+def _slot_sum(v: np.ndarray, terms: str) -> np.ndarray:
+    """|signed sum of slot permutations of v|, built in one buffer.
+
+    ``terms`` lists the permuted views (see ``_rearranged``), the first
+    unsigned and each later one with ``+`` or ``-``, e.g. ``"ijkl -ijlk"``.
+    They are combined left to right in the order written, so a sum whose
+    terms cancel in adjacent pairs stays exactly zero. An overflowed sum is
+    inf, which fails any tolerance.
+    """
+    first, *rest = terms.split()
+    out = np.empty(v.shape)
+    acc = _rearranged(v, first)
+    with np.errstate(over="ignore"):
+        for term in rest:
+            op = np.subtract if term[0] == "-" else np.add
+            op(acc, _rearranged(v, term[1:]), out=out)
+            acc = out
+    return np.abs(out, out=out)
+
+
 def check_sym_a(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Pass iff max |t[i,j,k,l] - t[i,j,l,k]| <= tol."""
     tol = _require_tol(tol)
-    v = t.values
-    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
-        resid = np.abs(v - _rearranged(v, "ijlk"))
-    witness = _violation_witness(resid, v, tol)
+    witness = _violation_witness(_slot_sum(t.values, "ijkl -ijlk"), t.values, tol)
     return ConditionReport("SYM_A", witness is None, witness, tol)
 
 
 def check_cyclic_b(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Pass iff max |t[i,j,k,l] + t[k,j,l,i] + t[l,j,i,k]| <= tol."""
     tol = _require_tol(tol)
-    v = t.values
-    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
-        resid = np.abs(v + _rearranged(v, "kjli") + _rearranged(v, "ljik"))
-    witness = _violation_witness(resid, v, tol)
+    witness = _violation_witness(_slot_sum(t.values, "ijkl +kjli +ljik"), t.values, tol)
     return ConditionReport("CYCLIC_B", witness is None, witness, tol)
 
 
@@ -318,31 +346,22 @@ def check_raw_iii(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     v = t.values
     n = t.n
 
-    # A sum of finite terms that overflows is inf, never NaN, and inf fails.
+    # Family 1 over (i, j, l). A sum of finite terms that overflows is inf,
+    # never NaN, and inf fails.
     with np.errstate(over="ignore"):
-        # Family 1 over (i, j, l).
         fam1 = (
             np.einsum("ijil->ijl", v)
             + np.einsum("ijli->ijl", v)
             + np.einsum("ljii->ijl", v)
         )
-        # Family 2 over (i, j, k, l) with i, k, l pairwise different. Keep the
-        # term order: adjacent pairs cancel exactly for bracket-product tensors.
-        six = (
-            v
-            + _rearranged(v, "kjil")
-            + _rearranged(v, "kjli")
-            + _rearranged(v, "ljki")
-            + _rearranged(v, "ijlk")
-            + _rearranged(v, "ljik")
-        )
     resid1 = np.abs(fam1)
     worst1 = float(resid1.max())
 
-    ii, kk, ll = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    distinct = (ii != kk) & (ii != ll) & (kk != ll)
-    mask = np.broadcast_to(distinct[:, None, :, :], six.shape)
-    resid2 = np.where(mask, np.abs(six), 0.0)
+    # Family 2 over (i, j, k, l), zeroed where two of i, k, l coincide.
+    resid2 = _slot_sum(v, "ijkl +kjil +kjli +ljki +ijlk +ljik")
+    i, k, l = np.ogrid[:n, :n, :n]
+    repeated = (i == k) | (i == l) | (k == l)
+    np.copyto(resid2, 0.0, where=repeated[:, None])
     worst2 = float(resid2.max())
 
     if max(worst1, worst2) <= tol:
@@ -353,17 +372,15 @@ def check_raw_iii(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
         i, j, l = w1.index
         witness = Witness(w1.residual, index=(i, j, i, l))
     else:
-        witness = _violation_witness(resid2, np.where(mask, v, 0.0), tol)
+        # A zeroed position never exceeds tol >= 0, so its entry is never keyed.
+        witness = _violation_witness(resid2, v, tol)
     return ConditionReport("RAW_III", False, witness, tol)
 
 
 def check_quasi_poisson(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Pass iff max |t[i,j,k,l] + t[l,j,k,i]| <= tol (outer-slot antisymmetry)."""
     tol = _require_tol(tol)
-    v = t.values
-    with np.errstate(over="ignore"):  # an overflowed residual is inf, which fails
-        resid = np.abs(v + _rearranged(v, "ljki"))
-    witness = _violation_witness(resid, v, tol)
+    witness = _violation_witness(_slot_sum(t.values, "ijkl +ljki"), t.values, tol)
     return ConditionReport("QUASI_POISSON", witness is None, witness, tol)
 
 
@@ -373,6 +390,28 @@ def contract_directions(t: Tensor4, y) -> np.ndarray:
     if y.shape != (t.n,):
         raise DimensionMismatch(f"direction has shape {y.shape}, expected ({t.n},)")
     return np.einsum("ijkl,k,l->ij", t.values, y, y)
+
+
+def _support_rows(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify directions by support, once per scan.
+
+    Returns the mask of directions with at most two nonzero coordinates,
+    and for those, in list order, the pair-matrix rows ``(a a, a b, b a,
+    b b)`` (flat ``k n + l``, ascending) and their weights ``y_k y_l``,
+    where a <= b are the first and last nonzero coordinates. With a single
+    nonzero coordinate (a == b) only the first row carries weight.
+    """
+    n = Y.shape[1]
+    nonzero = Y != 0.0
+    sparse = np.count_nonzero(nonzero, axis=1) <= 2
+    nz = nonzero[sparse]
+    a = np.argmax(nz, axis=1)
+    b = n - 1 - np.argmax(nz[:, ::-1], axis=1)
+    rows = np.stack([a * n + a, a * n + b, b * n + a, b * n + b], axis=1)
+    ya, yb = Y[sparse, a], Y[sparse, b]
+    weights = np.stack([ya * ya, ya * yb, yb * ya, yb * yb], axis=1)
+    weights[a == b, 1:] = 0.0
+    return sparse, rows, weights
 
 
 def check_psd_c(
@@ -386,11 +425,16 @@ def check_psd_c(
     scanned in list order and the first violation is reported; a pass means
     "no violation found among the supplied directions", not a proof.
 
-    The scan runs in blocks of ``PSD_BLOCK`` directions: with ``t`` flattened
-    to an (n^2, n^2) pair matrix, one matmul against the stacked ``y (x) y``
-    rows gives every M(y) of a block, and one batched LAPACK ``eigvalsh``
-    gives their smallest eigenvalues. ``ciph.verify.exhaustive_psd_check``
-    re-derives the same report with loops and the Jacobi solver.
+    The scan runs in blocks of ``PSD_BLOCK`` directions, with ``t`` seen as
+    an (n^2, n^2) pair matrix P whose row ``k n + l`` holds t[:, :, k, l].
+    A direction with at most two nonzero coordinates a <= b (a basis vector,
+    a pair direction e_a +- e_b, or multiples) builds M(y) from its support:
+    the rows aa, ab, ba, bb of P weighted by y_a y_a, y_a y_b, y_b y_a and
+    y_b y_b, added in that order. Every other direction takes one matmul of
+    the block's stacked ``y (x) y`` rows against P. One batched LAPACK
+    ``eigvalsh`` then gives the block's smallest eigenvalues.
+    ``ciph.verify.exhaustive_psd_check`` re-derives the same report with
+    loops and the Jacobi solver.
     """
     tol = _require_tol(tol)
     n = t.n
@@ -404,21 +448,42 @@ def check_psd_c(
     if not np.all(np.isfinite(Y)):
         raise NonFiniteValue("directions must be finite (no NaN/Inf)")
     pairs = t.values.reshape(n * n, n * n).T
+    # Overflow is caught by the finiteness checks, not reported as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sparse, rows, weights = _support_rows(Y)
+    row_start = np.concatenate([[0], np.cumsum(sparse)])  # direction -> its support row
+    P = np.ascontiguousarray(pairs) if sparse.any() else None
+    # Buffers reused by every block: M, one term of M, and M + M^T.
+    bufs = np.empty((3, min(len(Y), PSD_BLOCK), n * n))
     for start in range(0, len(Y), PSD_BLOCK):
         block = Y[start : start + PSD_BLOCK]
-        # Overflow is caught by the finiteness checks, not reported as a warning.
+        on_support = sparse[start : start + PSD_BLOCK]
+        M, term, twice = bufs[:, : len(block)]
+        lo, hi = row_start[start], row_start[start + len(block)]
         # M + M^T is not finite where M is not, and it can overflow where M
         # does not; eigvalsh may fail to converge on inf, so it is checked first.
         with np.errstate(over="ignore", invalid="ignore"):
-            yy = (block[:, :, None] * block[:, None, :]).reshape(len(block), n * n)
-            M = (yy @ pairs).reshape(len(block), n, n)
+            if on_support.all():
+                _weighted_rows(P, rows[lo:hi], weights[lo:hi], M, term)
+            else:
+                if on_support.any():
+                    built = term[: hi - lo]
+                    _weighted_rows(P, rows[lo:hi], weights[lo:hi], built, twice[: hi - lo])
+                    M[on_support] = built
+                dense = block[~on_support]
+                yy = (dense[:, :, None] * dense[:, None, :]).reshape(len(dense), n * n)
+                M[~on_support] = yy @ pairs
+            M = M.reshape(len(block), n, n)
             Mt = M.transpose(0, 2, 1)
-            twice = M + Mt
+            twice = np.add(M, Mt, out=twice.reshape(M.shape))
             if not np.all(np.isfinite(twice)):
                 raise NonFiniteValue("M(y) overflowed; rescale the directions")
-            bound = tol * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-            asym = np.abs(M - Mt).max(axis=(1, 2))
-            lam_min = np.linalg.eigvalsh(0.5 * twice)[:, 0]
+            # max|M| without an |M| array: the larger of max M and -min M.
+            top = np.maximum(M.max(axis=(1, 2)), -M.min(axis=(1, 2)))
+            bound = tol * np.maximum(1.0, top)
+            diff = np.subtract(M, Mt, out=term.reshape(M.shape))
+            asym = np.abs(diff, out=diff).max(axis=(1, 2))
+            lam_min = np.linalg.eigvalsh(np.multiply(twice, 0.5, out=twice))[:, 0]
         if not (np.all(np.isfinite(asym)) and np.all(np.isfinite(lam_min))):
             raise NonFiniteValue("M(y) overflowed; rescale the directions")
         asym_fail = asym > bound
@@ -431,6 +496,17 @@ def check_psd_c(
     return ConditionReport("PSD_C", True, None, tol)
 
 
+def _weighted_rows(P, rows, weights, out: np.ndarray, term: np.ndarray) -> None:
+    """Fill out[s] with sum_c weights[s, c] * P[rows[s, c]], the terms added
+    in column order; ``term`` is scratch of out's shape."""
+    np.take(P, rows[:, 0], axis=0, out=out)
+    out *= weights[:, :1]
+    for c in range(1, rows.shape[1]):
+        np.take(P, rows[:, c], axis=0, out=term)
+        term *= weights[:, c : c + 1]
+        out += term
+
+
 def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
     """Standard direction set: basis vectors, pairwise sums/differences, and
     64 seeded pseudorandom unit vectors.
@@ -438,11 +514,13 @@ def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
     Deterministic for a fixed seed, so reports are reproducible; the seed can
     be overridden (the CLI honors the CIPH_SEED environment variable).
     """
-    eye = np.eye(n)
-    dirs: list[np.ndarray] = list(eye)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dirs += [eye[i] + eye[j], eye[i] - eye[j]]
+    i, j = np.triu_indices(n, 1)
+    r = np.arange(len(i))
+    pair = np.zeros((len(i), 2, n))  # e_i + e_j, e_i - e_j for i < j, row-major
+    pair[r, :, i] = 1.0
+    pair[r, 0, j] = 1.0
+    pair[r, 1, j] = -1.0
+    dirs: list[np.ndarray] = list(np.concatenate([np.eye(n), pair.reshape(-1, n)]))
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_DIRECTIONS):
         v = rng.standard_normal(n)
@@ -484,4 +562,4 @@ def linear_combine(lam: float, a: Tensor4, b: Tensor4) -> Tensor4:
         raise NegativeCoefficient(f"coefficient must be >= 0, got {lam}")
     if a.n != b.n:
         raise DimensionMismatch(f"dimensions differ: {a.n} vs {b.n}")
-    return Tensor4(a.n, lam * a.values + b.values)
+    return Tensor4._owning(a.n, lam * a.values + b.values)
