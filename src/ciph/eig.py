@@ -26,8 +26,7 @@ def jacobi_eigenvalues(matrix, max_sweeps: int = 50) -> np.ndarray:
     if n == 1:
         return np.array([M[0, 0]])
     A = 0.5 * (M + M.T)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    stop = 1e-16 * scale
+    stop = 1e-16 * float(np.max(np.abs(A)))  # relative, so the sweep is scale-free
     for _ in range(max_sweeps):
         off = 0.0
         for p in range(n - 1):

@@ -12,6 +12,12 @@ known rank-1 term. Every recovery is verified by reconstructing the tensor
 before a SPLIT is reported, so the heuristics can never accept a wrong
 answer.
 
+Every tolerance is relative, as in ``ciph.tensor``: a residual is measured
+against ``tol`` times the largest magnitude of the quantity it belongs to
+(the tensor, a factor, the pair matrix), never against ``tol`` alone, so
+scaling the input by c > 0 scales gamma by c and leaves the status and J
+unchanged (bit for bit when c is an even power of two).
+
 Gauge convention for reported factors: J is scaled so its largest entry in
 magnitude is 1 and signed so its first nonzero entry in row-major order is
 positive; gamma absorbs the scale (and is invariant under the sign flip).
@@ -128,9 +134,12 @@ def _canonical_gauge(K: np.ndarray) -> tuple[np.ndarray, float]:
 def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) -> SplitResult:
     """Decide whether the product tensor of (A, B) is a scaled skew square.
 
-    Checks, in order: A skew; B globally proportional to A (ratio taken at
-    A's max-abs entry, and between the unit-max-abs factors when that ratio
-    overflows); proportionality factor nonnegative. On success the
+    Checks, in order: A skew within ``tol * max|A|``; B globally
+    proportional to A within ``tol * max|B|`` (ratio taken at A's max-abs
+    entry, and between the unit-max-abs factors when that ratio overflows);
+    proportionality factor nonnegative, judged on the gauge-free ratio
+    ``lam * max|A| / max|B|`` (the ratio of the unit-max-abs factors), which
+    must not fall below ``-tol``. On success the
     factor pair is rewritten in the canonical gauge and the reconstruction
     error of the gauged product against the original product is reported.
     A zero factor splits trivially with J = 0, gamma = 0.
@@ -144,7 +153,7 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     if amax == 0.0 or bmax == 0.0:
         return SplitResult(SPLIT, BracketMatrix.zeros(n), 0.0, 0.0)
 
-    skew = is_skew(A, tol * max(1.0, amax))
+    skew = is_skew(A, tol * amax)
     if not skew:
         return SplitResult(NOT_SKEW, residual=skew.residual)
 
@@ -155,9 +164,9 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     else:  # e.g. a subnormal A: compare the factors at unit max-abs, lam = unit * bmax / amax
         unit = float((B.array[p, q] / bmax) / (A.array[p, q] / amax))
         deviation = bmax * float(np.max(np.abs(B.array / bmax - unit * (A.array / amax))))
-    if deviation > tol * max(1.0, bmax):
+    if deviation > tol * bmax:
         return SplitResult(NOT_PROPORTIONAL, residual=deviation)
-    if lam < -tol:
+    if (lam * amax < -tol * bmax) if math.isfinite(lam) else (unit < -tol):
         return SplitResult(NEGATIVE_GAMMA, residual=deviation)
 
     J_arr, c = _canonical_gauge(A.array)
@@ -178,10 +187,10 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     E = t[:,p,:,q] - t[:,p,q,q] t[p,p,:,q] / (2 t[p,p,q,q]) = K[p,q] K, so
     rows whose overlap with E differs in sign from the first recovered
     row's are flipped. Returns None unless the reconstructed tensor matches
-    t within ``tol * max(1, max|t|)``.
+    t within ``tol * max|t|``.
     """
     v = t.values
-    accept = tol * max(1.0, t.max_abs())
+    accept = tol * t.max_abs()
 
     p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", v))), (t.n, t.n))
     pivot = float(v[p, p, q, q])
@@ -220,22 +229,20 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     Branch 1 treats t as a raw bracket product via the pair flattening;
     branch 2 treats it as a symmetric representative. A SPLIT is only
     returned once the canonical factors reproduce t itself within
-    ``tol * max(1, max|t|)``; tensors that fit neither shape come back as
+    ``tol * max|t|``; tensors that fit neither shape come back as
     NOT_RANK_ONE (which is a status, not a proof that no splitting exists).
     """
     tol = _require_tol(tol)
     # Near the double range residuals can overflow; an inf residual fails every
     # acceptance test.
     with np.errstate(over="ignore", invalid="ignore"):
-        accept = tol * max(1.0, t.max_abs())
-
         factor = rank_one_factor(flatten_pairs(t), tol)
         if factor.ok:
             result = split_product(factor.A, factor.B, tol)
             if result.status == SPLIT:
                 recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
                 residual = float(np.max(np.abs(recon.values - t.values)))
-                if residual <= accept:
+                if residual <= tol * t.max_abs():
                     return SplitResult(SPLIT, result.J, result.gamma, residual)
                 fallback = SplitResult(NOT_RANK_ONE, residual=residual)
             else:
@@ -243,7 +250,7 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
         else:
             fallback = SplitResult(NOT_RANK_ONE, residual=factor.residual)
 
-        if check_sym_a(t, accept).passed:
+        if check_sym_a(t, tol).passed:
             recovered = _recover_symmetric(t, tol)
             if recovered is not None:
                 return recovered

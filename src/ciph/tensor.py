@@ -7,11 +7,17 @@ tensors densely and decides, with explicit witnesses:
 * ``SYM_A``: symmetry in the last two slots,
 * ``CYCLIC_B``: the three-term cyclic sum over slots (1,3,4) vanishes,
 * ``RAW_III``: the annihilation identities that hold even without
-  last-two-slot symmetry (a three-term family on repeated indices and a
-  six-term family on distinct indices),
+  last-two-slot symmetry: the sum over the six permutations of slots
+  (1,3,4) vanishes (it is the ``CYCLIC_B`` sum at (i,j,k,l) plus the one at
+  (i,j,l,k), so ``CYCLIC_B`` implies ``RAW_III``),
 * ``PSD_C``: the contracted matrix M(y)[i,j] = sum_kl t[i,j,k,l] y_k y_l
   is symmetric positive semidefinite along sampled directions,
 * ``QUASI_POISSON``: antisymmetry under swapping the outer slots.
+
+Every tolerance is relative to the tensor: a residual fails when it
+exceeds ``tol * max|t|``, and the PSD scan's bound for a direction y is
+``tol * max|t| * |y|^2``. Each condition is homogeneous in t, so scaling t
+by c > 0 leaves every verdict unchanged; the zero tensor passes them all.
 
 All external index tuples are 1-based; storage is row-major with the first
 index slowest. Checkers are pure functions over immutable tensors.
@@ -82,7 +88,7 @@ class Tensor4:
     returns a new tensor, leaving the original untouched.
     """
 
-    __slots__ = ("n", "_values")
+    __slots__ = ("n", "_values", "_max_abs")
 
     def __init__(self, n: int, values=None):
         n = _checked_dimension(n)
@@ -99,12 +105,15 @@ class Tensor4:
     def _hold(self, n: int, arr: np.ndarray) -> None:
         if arr.shape != (n, n, n, n):
             raise DimensionMismatch(f"values have shape {arr.shape}, expected {(n, n, n, n)}")
-        # min and max propagate NaN and reach +-inf, with no n^4 mask.
-        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        # min and max propagate NaN and reach +-inf, with no n^4 mask, and
+        # give max|t| (abs: for an all -0.0 tensor).
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FormatError("tensor entries must be finite (no NaN/Inf)")
         arr.setflags(write=False)
         self.n = n
         self._values = arr
+        self._max_abs = abs(max(hi, -lo))
 
     @classmethod
     def zeros(cls, n: int) -> "Tensor4":
@@ -164,7 +173,8 @@ class Tensor4:
         return Tensor4._owning(self.n, arr)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._values)))
+        """max|t|, the scale of every relative tolerance."""
+        return self._max_abs
 
     def nonzero_entries(self) -> list[tuple[int, int, int, int, float]]:
         """Sparse 1-based (i, j, k, l, value) listing in row-major order."""
@@ -245,11 +255,11 @@ def _require_tol(tol: float) -> float:
 
 
 def _violation_witness(
-    residuals: np.ndarray, entries: np.ndarray, tol: float
+    residuals: np.ndarray, entries: np.ndarray, bound: float
 ) -> Witness | None:
     """Pick the most informative violating position, or None if all pass.
 
-    Among every position whose residual exceeds ``tol``, the witness is the
+    Among every position whose residual exceeds ``bound``, the witness is the
     one whose own tensor entry has the largest magnitude (the entry a reader
     would look up first); remaining ties resolve in row-major order. The
     witness carries the residual measured at that position.
@@ -258,9 +268,9 @@ def _violation_witness(
     the keys. Residuals are never NaN (a sum of finite terms overflows to
     inf), so a pass needs only their maximum.
     """
-    if not residuals.max() > tol:
+    if not residuals.max() > bound:
         return None
-    over = residuals > tol
+    over = residuals > bound
     found = residuals[over]  # the violating residuals, in row-major order
     keyed = residuals
     keyed.fill(-1.0)
@@ -315,73 +325,50 @@ def _slot_sum(v: np.ndarray, terms: str) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def check_sym_a(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Pass iff max |t[i,j,k,l] - t[i,j,l,k]| <= tol."""
+def _index_check(
+    condition_id: str, t: Tensor4, tol: float, terms: str, halve_repeated: bool = False
+) -> ConditionReport:
+    """Pass iff the signed slot sum ``terms`` of t (see ``_slot_sum``) is at
+    most ``tol * max|t|`` in magnitude everywhere; ``halve_repeated`` halves
+    it first where two of i, k, l coincide."""
     tol = _require_tol(tol)
-    witness = _violation_witness(_slot_sum(t.values, "ijkl -ijlk"), t.values, tol)
-    return ConditionReport("SYM_A", witness is None, witness, tol)
+    residuals = _slot_sum(t.values, terms)
+    if halve_repeated:
+        i, k, l = np.ogrid[: t.n, : t.n, : t.n]
+        repeated = ((i == k) | (i == l) | (k == l))[:, None]
+        np.multiply(residuals, 0.5, out=residuals, where=repeated)
+    witness = _violation_witness(residuals, t.values, tol * t.max_abs())
+    return ConditionReport(condition_id, witness is None, witness, tol)
+
+
+def check_sym_a(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
+    """Pass iff |t[i,j,k,l] - t[i,j,l,k]| <= tol * max|t| everywhere."""
+    return _index_check("SYM_A", t, tol, "ijkl -ijlk")
 
 
 def check_cyclic_b(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Pass iff max |t[i,j,k,l] + t[k,j,l,i] + t[l,j,i,k]| <= tol."""
-    tol = _require_tol(tol)
-    witness = _violation_witness(_slot_sum(t.values, "ijkl +kjli +ljik"), t.values, tol)
-    return ConditionReport("CYCLIC_B", witness is None, witness, tol)
+    """Pass iff |t[i,j,k,l] + t[k,j,l,i] + t[l,j,i,k]| <= tol * max|t| everywhere."""
+    return _index_check("CYCLIC_B", t, tol, "ijkl +kjli +ljik")
 
 
 def check_raw_iii(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Annihilation identities valid without last-two-slot symmetry.
+    """Annihilation identities valid without last-two-slot symmetry: the
+    sum over the six permutations of slots (1, 3, 4),
+    t[i,j,k,l] + t[k,j,i,l] + t[k,j,l,i] + t[l,j,k,i] + t[i,j,l,k] + t[l,j,i,k],
+    halved where two of i, k, l coincide (there it is twice the paper's
+    three-term identity t[i,j,i,l] + t[i,j,l,i] + t[l,j,i,i], relabeled),
+    is at most ``tol * max|t|`` in magnitude.
 
-    Two families must vanish within ``tol``:
-
-    * three-term, all i, j, l:
-      t[i,j,i,l] + t[i,j,l,i] + t[l,j,i,i];
-    * six-term, all j and pairwise different i, k, l:
-      t[i,j,k,l] + t[k,j,i,l] + t[k,j,l,i] + t[l,j,k,i] + t[i,j,l,k] + t[l,j,i,k].
-
-    The term order above is kept literally: for bracket-product tensors the
-    terms cancel in adjacent pairs, so the residual is exactly zero.
+    The term order is kept literally: for bracket-product tensors the terms
+    cancel in adjacent pairs, so the residual is exactly zero.
     """
-    tol = _require_tol(tol)
-    v = t.values
-    n = t.n
-
-    # Family 1 over (i, j, l). A sum of finite terms that overflows is inf,
-    # never NaN, and inf fails.
-    with np.errstate(over="ignore"):
-        fam1 = (
-            np.einsum("ijil->ijl", v)
-            + np.einsum("ijli->ijl", v)
-            + np.einsum("ljii->ijl", v)
-        )
-    resid1 = np.abs(fam1)
-    worst1 = float(resid1.max())
-
-    # Family 2 over (i, j, k, l), zeroed where two of i, k, l coincide.
-    resid2 = _slot_sum(v, "ijkl +kjil +kjli +ljki +ijlk +ljik")
-    i, k, l = np.ogrid[:n, :n, :n]
-    repeated = (i == k) | (i == l) | (k == l)
-    np.copyto(resid2, 0.0, where=repeated[:, None])
-    worst2 = float(resid2.max())
-
-    if max(worst1, worst2) <= tol:
-        return ConditionReport("RAW_III", True, None, tol)
-    if worst1 >= worst2:
-        # Witness is the 4-tuple of the violated identity's first term.
-        w1 = _violation_witness(resid1, np.einsum("ijil->ijl", v), tol)
-        i, j, l = w1.index
-        witness = Witness(w1.residual, index=(i, j, i, l))
-    else:
-        # A zeroed position never exceeds tol >= 0, so its entry is never keyed.
-        witness = _violation_witness(resid2, v, tol)
-    return ConditionReport("RAW_III", False, witness, tol)
+    return _index_check("RAW_III", t, tol, "ijkl +kjil +kjli +ljki +ijlk +ljik", True)
 
 
 def check_quasi_poisson(t: Tensor4, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Pass iff max |t[i,j,k,l] + t[l,j,k,i]| <= tol (outer-slot antisymmetry)."""
-    tol = _require_tol(tol)
-    witness = _violation_witness(_slot_sum(t.values, "ijkl +ljki"), t.values, tol)
-    return ConditionReport("QUASI_POISSON", witness is None, witness, tol)
+    """Pass iff |t[i,j,k,l] + t[l,j,k,i]| <= tol * max|t| everywhere
+    (outer-slot antisymmetry)."""
+    return _index_check("QUASI_POISSON", t, tol, "ijkl +ljki")
 
 
 def contract_directions(t: Tensor4, y) -> np.ndarray:
@@ -420,10 +407,13 @@ def check_psd_c(
     """Sampled symmetry + positive semidefiniteness of M(y).
 
     For each direction y (standing in for an arbitrary gradient), require
-    ``max|M - M^T| <= tol * max(1, max|M|)`` and the smallest eigenvalue of
-    the symmetrized M to be ``>= -tol * max(1, max|M|)``. Directions are
-    scanned in list order and the first violation is reported; a pass means
-    "no violation found among the supplied directions", not a proof.
+    ``max|M - M^T| <= bound`` and the smallest eigenvalue of the
+    symmetrized M to be ``>= -bound``, with ``bound = tol * max|t| * |y|^2``:
+    unlike a bound read off M(y), it does not shrink where M(y) is rounding
+    noise (y near the kernel of a cone member's J). In list order, the first
+    direction that fails, or whose M(y), M + M^T or bound is not finite
+    (NonFiniteValue), decides. A pass means "no violation found among the
+    supplied directions", not a proof.
 
     The scan runs in blocks of ``PSD_BLOCK`` directions, with ``t`` seen as
     an (n^2, n^2) pair matrix P whose row ``k n + l`` holds t[:, :, k, l].
@@ -451,6 +441,7 @@ def check_psd_c(
     # Overflow is caught by the finiteness checks, not reported as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         sparse, rows, weights = _support_rows(Y)
+        bounds = tol * t.max_abs() * np.einsum("ij,ij->i", Y, Y)
     row_start = np.concatenate([[0], np.cumsum(sparse)])  # direction -> its support row
     P = np.ascontiguousarray(pairs) if sparse.any() else None
     # Buffers reused by every block: M, one term of M, and M + M^T.
@@ -460,8 +451,10 @@ def check_psd_c(
         on_support = sparse[start : start + PSD_BLOCK]
         M, term, twice = bufs[:, : len(block)]
         lo, hi = row_start[start], row_start[start + len(block)]
+        bound = bounds[start : start + PSD_BLOCK]
         # M + M^T is not finite where M is not, and it can overflow where M
-        # does not; eigvalsh may fail to converge on inf, so it is checked first.
+        # does not; eigvalsh may fail to converge on inf, so such a direction
+        # is zeroed before the solve, its verdict already decided.
         with np.errstate(over="ignore", invalid="ignore"):
             if on_support.all():
                 _weighted_rows(P, rows[lo:hi], weights[lo:hi], M, term)
@@ -476,20 +469,20 @@ def check_psd_c(
             M = M.reshape(len(block), n, n)
             Mt = M.transpose(0, 2, 1)
             twice = np.add(M, Mt, out=twice.reshape(M.shape))
-            if not np.all(np.isfinite(twice)):
-                raise NonFiniteValue("M(y) overflowed; rescale the directions")
-            # max|M| without an |M| array: the larger of max M and -min M.
-            top = np.maximum(M.max(axis=(1, 2)), -M.min(axis=(1, 2)))
-            bound = tol * np.maximum(1.0, top)
+            finite = np.isfinite(twice).all(axis=(1, 2)) & np.isfinite(bound)
+            twice[~finite] = 0.0
             diff = np.subtract(M, Mt, out=term.reshape(M.shape))
             asym = np.abs(diff, out=diff).max(axis=(1, 2))
             lam_min = np.linalg.eigvalsh(np.multiply(twice, 0.5, out=twice))[:, 0]
-        if not (np.all(np.isfinite(asym)) and np.all(np.isfinite(lam_min))):
-            raise NonFiniteValue("M(y) overflowed; rescale the directions")
         asym_fail = asym > bound
-        failed = asym_fail | (lam_min < -bound)
+        failed = ~finite | asym_fail | (lam_min < -bound)
         if failed.any():
             k = int(np.argmax(failed))
+            if not finite[k]:
+                raise NonFiniteValue(
+                    f"M(y) or its bound overflowed at direction #{start + k + 1}; "
+                    "rescale the directions"
+                )
             residual = asym[k] if asym_fail[k] else lam_min[k]
             witness = Witness(float(residual), direction=tuple(map(float, block[k])))
             return ConditionReport("PSD_C", False, witness, tol)

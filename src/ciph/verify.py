@@ -5,6 +5,13 @@ lists, with no helper code shared with the vectorized checkers, so that an
 agreement between the two is evidence rather than tautology. The tensor
 loops are only meant for small dimensions (n <= 5). ``loop_trajectory`` is
 the same kind of reference for the compiled RK4 step of ``integrate``.
+
+The oracles apply the checkers' scale rule through their own loops: a
+tolerance is relative, bounding each residual by ``tol * max|t|`` and the
+PSD test along y by ``tol * max|t| * |y|^2``, with max|t| and |y|^2 taken
+by loops over the nested lists. ``RAW_III`` is re-derived in the paper's
+two families (three terms on repeated indices, six on distinct ones),
+not as the checker's halved six-term sum.
 """
 
 from __future__ import annotations
@@ -246,6 +253,27 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     return Trajectory(np.array(times), np.array(states), *columns, fault=fault)
 
 
+def _oracle_inputs(t: Tensor4, tol) -> tuple[float, list, float]:
+    """The validated tolerance, a nested-list copy of t, and max|t| by loops."""
+    if t.n > ORACLE_MAX_DIMENSION:
+        raise DimensionTooLarge(
+            f"oracle loops support n <= {ORACLE_MAX_DIMENSION}, got {t.n}"
+        )
+    tol = float(tol)
+    if not math.isfinite(tol):
+        raise NonFiniteValue(f"tolerance must be finite, got {tol}")
+    if tol < 0.0:
+        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    e = t.values.tolist()
+    top = 0.0
+    for block in e:
+        for row in block:
+            for col in row:
+                for v in col:
+                    top = max(top, abs(v))
+    return tol, e, top
+
+
 def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleReport:
     """Re-derive the index-identity verdicts with quadruple loops.
 
@@ -253,12 +281,8 @@ def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleRe
     primary implementation is involved. Restricted to n <= 5: the loops are
     O(n^4) per condition and meant as a cross-check, not as the fast path.
     """
-    if t.n > ORACLE_MAX_DIMENSION:
-        raise DimensionTooLarge(
-            f"oracle loops support n <= {ORACLE_MAX_DIMENSION}, got {t.n}"
-        )
+    tol, e, top = _oracle_inputs(t, tol)
     n = t.n
-    e = t.values.tolist()
 
     # One pass over every (i, j, k, l); the six-term RAW_III family only
     # over pairwise different i, k, l, keeping its literal term order.
@@ -284,34 +308,28 @@ def exhaustive_condition_check(t: Tensor4, tol: float = DEFAULT_TOL) -> OracleRe
                         )
                         raw_worst = max(raw_worst, abs(six))
 
+    bound = tol * top
     return OracleReport(
-        sym_a=sym_worst <= tol,
-        cyclic_b=cyc_worst <= tol,
-        raw_iii=raw_worst <= tol,
-        quasi_poisson=qp_worst <= tol,
+        sym_a=sym_worst <= bound,
+        cyclic_b=cyc_worst <= bound,
+        raw_iii=raw_worst <= bound,
+        quasi_poisson=qp_worst <= bound,
     )
 
 
 def exhaustive_psd_check(t: Tensor4, directions, tol: float = DEFAULT_TOL) -> PsdOracleReport:
     """Re-derive the sampled PSD verdict with loops and the Jacobi solver.
 
-    Same contract as the primary check: per direction, in list order, the
-    asymmetry ``max|M - M^T|`` is tested against ``tol * max(1, max|M|)``
-    before the smallest eigenvalue of the symmetrized M is tested against
-    its negative. M(y) is contracted entry by entry from a nested-list copy
-    of the tensor. Restricted to n <= 5.
+    Same contract as the primary check: per direction, in list order, a
+    non-finite entry of M or M + M^T, or a non-finite bound
+    ``tol * max|t| * |y|^2``, raises NonFiniteValue; then the asymmetry
+    ``max|M - M^T|`` is tested against the bound before the smallest
+    eigenvalue of the symmetrized M is tested against its negative. M(y) is
+    contracted entry by entry from a nested-list copy of the tensor.
+    Restricted to n <= 5.
     """
-    if t.n > ORACLE_MAX_DIMENSION:
-        raise DimensionTooLarge(
-            f"oracle loops support n <= {ORACLE_MAX_DIMENSION}, got {t.n}"
-        )
-    tol = float(tol)
-    if not math.isfinite(tol):
-        raise NonFiniteValue(f"tolerance must be finite, got {tol}")
-    if tol < 0.0:
-        raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    tol, e, top = _oracle_inputs(t, tol)
     n = t.n
-    e = t.values.tolist()
     dirs = []
     for y in directions:
         arr = np.asarray(y, dtype=float)
@@ -320,7 +338,7 @@ def exhaustive_psd_check(t: Tensor4, directions, tol: float = DEFAULT_TOL) -> Ps
         dirs.append(arr.tolist())
     if not dirs:
         raise EmptyDirectionSet("the PSD oracle needs at least one direction")
-    for y in dirs:
+    for number, y in enumerate(dirs, 1):
         M = [[0.0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -329,16 +347,22 @@ def exhaustive_psd_check(t: Tensor4, directions, tol: float = DEFAULT_TOL) -> Ps
                     for l in range(n):
                         acc += e[i][j][k][l] * y[k] * y[l]
                 M[i][j] = acc
-        scale = 1.0
+        length2 = 0.0
+        for v in y:
+            length2 += v * v
+        bound = tol * top * length2
+        finite = math.isfinite(bound)
         asym = 0.0
         for i in range(n):
             for j in range(n):
-                scale = max(scale, abs(M[i][j]))
+                finite = finite and math.isfinite(M[i][j] + M[j][i])
                 asym = max(asym, abs(M[i][j] - M[j][i]))
-        if asym > tol * scale:
+        if not finite:
+            raise NonFiniteValue(f"M(y) or its bound is not finite at direction #{number}")
+        if asym > bound:
             return PsdOracleReport(False, tuple(y), asym)
         lam_min = float(jacobi_eigenvalues(M)[0])
-        if lam_min < -tol * scale:
+        if lam_min < -bound:
             return PsdOracleReport(False, tuple(y), lam_min)
     return PsdOracleReport(True)
 

@@ -180,6 +180,15 @@ class TestSplitProduct:
             assert result.gamma == pytest.approx(gamma, rel=1e-15, abs=0.0)
             assert np.array_equal(result.J.array, j_std.array)
 
+    @pytest.mark.parametrize("c", [1e12, 1.0, 1e-12])
+    def test_negative_factor_at_any_scale(self, c):
+        # The sign is read off lam * max|A| / max|B|, which c does not move;
+        # lam itself scales like 1/c and fell inside -tol at c = 1e12.
+        J = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 2.0], [0.5, -2.0, 0.0]])
+        pair = (BracketMatrix(c * J), BracketMatrix(-J))
+        assert split_product(*pair).status == NEGATIVE_GAMMA
+        assert split_tensor(product_tensor(*pair)).status == NEGATIVE_GAMMA
+
     def test_overflowing_ratio_still_detects_disproportion(self):
         A = BracketMatrix(1e-300 * block_diag_skew(1.0, 1.0))
         B = BracketMatrix(1e300 * block_diag_skew(1.0, 0.5))
@@ -333,19 +342,21 @@ class TestSplitTensor:
             assert_splits_to(symmetrize_34(Tensor4(n, t)), K)
 
     def test_pivot_is_the_largest_diagonal_pair_entry(self):
-        # Entries at the tolerance scale (1e-10 for max|t| < 1): the Gram
-        # diagonal -t[2,3,2,3] outgrows -t[0,1,0,1], yet t[2,2,3,3] stays
-        # below the pivot guard while t[0,0,1,1] is above it.
-        a, b, eta = np.sqrt(1.2e-10), np.sqrt(0.9e-10), 0.4e-10
+        # Entries at the tolerance scale: with tol = 0.4 and max|t| = 2 the
+        # bound is 0.8 and the pivot guard 1.6. The Gram diagonal
+        # -t[2,3,2,3] = 1.1 outgrows -t[0,1,0,1] = 1, yet t[2,2,3,3] = 1.5
+        # stays below the pivot guard while t[0,0,1,1] = 2 is above it.
+        a, b, eta = 1.0, np.sqrt(0.75), 0.35
         K = np.zeros((4, 4))
         K[0, 1], K[2, 3] = a, b
         v = representative(K - K.T).values.copy()
         for idx in ((2, 3, 2, 3), (2, 3, 3, 2), (3, 2, 3, 2), (3, 2, 2, 3)):
             v[idx] -= eta
-        result = split_tensor(Tensor4(4, v))
-        assert_canonical(result)
-        assert result.gamma == pytest.approx(2.0 * (b * b + eta), rel=1e-12)
-        assert result.residual <= 1e-10
+        for scale in (1.0, 1e-10):
+            result = split_tensor(Tensor4(4, scale * v), tol=0.4)
+            assert_canonical(result)
+            assert result.gamma == pytest.approx(scale * 2.0 * (b * b + eta), rel=1e-12)
+            assert result.residual <= scale * 0.8
 
     def test_symmetric_but_wrong_shape_rejected(self):
         # symmetric in the last two slots yet not of the two-bracket form

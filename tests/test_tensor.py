@@ -24,7 +24,7 @@ from ciph import (
     product_tensor,
     symmetrize_34,
 )
-from ciph.tensor import PSD_BLOCK
+from ciph.tensor import PSD_BLOCK, Witness
 from ciph.verify import random_cons_irrev, random_polynomial, random_skew
 
 from conftest import EPS_ENTRIES
@@ -243,6 +243,20 @@ class TestPsdC:
         bad2 = np.array([0.0, 1.0])
         report = check_psd_c(neg, [good, bad1, bad2])
         assert report.witness.direction == (1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_failure_wins_over_a_later_overflow(self, golden_eps):
+        # Directions are judged one by one: a failure before an overflowing
+        # direction is reported, wherever the block boundaries fall, and an
+        # overflow before any failure raises.
+        neg = Tensor4(2, -golden_eps.values)
+        fail, huge, zero = np.array([1.0, 1.0]), np.array([1e200, 0.0]), np.zeros(2)
+        for dirs in ([fail, huge], [fail] + [zero] * (PSD_BLOCK - 1) + [huge]):
+            report = check_psd_c(neg, dirs)
+            assert report.witness == Witness(-4.0, direction=(1.0, 1.0))
+        for dirs in ([huge, fail], [zero] * PSD_BLOCK + [huge, fail]):
+            with pytest.raises(NonFiniteValue, match="overflowed at direction"):
+                check_psd_c(neg, dirs)
 
     def test_asymmetry_detected(self):
         # A skew, B not proportional: M(y) Gram-like product is asymmetric.

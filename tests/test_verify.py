@@ -5,6 +5,7 @@ from ciph import (
     DimensionMismatch,
     DimensionTooLarge,
     EmptyDirectionSet,
+    NegativeCoefficient,
     NonFiniteValue,
     PolynomialField,
     Tensor4,
@@ -80,6 +81,25 @@ class TestExhaustiveCheck:
     def test_dimension_limit(self):
         with pytest.raises(DimensionTooLarge):
             exhaustive_condition_check(Tensor4.zeros(6))
+
+    @pytest.mark.parametrize("tol, error", [
+        (float("inf"), NonFiniteValue),
+        (float("nan"), NonFiniteValue),
+        (-1.0, NegativeCoefficient),
+    ])
+    def test_tolerance_is_checked(self, tol, error):
+        # An infinite tolerance would pass every verdict vacuously.
+        t = Tensor4(2, np.random.default_rng(0).standard_normal((2, 2, 2, 2)))
+        with pytest.raises(error):
+            exhaustive_condition_check(t, tol)
+
+    def test_tolerance_is_relative(self):
+        t = Tensor4(3, np.random.default_rng(1).standard_normal((3, 3, 3, 3)))
+        for c in (1e-200, 1.0, 1e200):
+            scaled = Tensor4(3, c * t.values)
+            assert exhaustive_condition_check(scaled).as_dict() == primary_verdicts(scaled)
+            assert not any(exhaustive_condition_check(scaled).as_dict().values())
+            assert all(exhaustive_condition_check(scaled, 10.0).as_dict().values())
 
 
 def assert_psd_agreement(t: Tensor4, dirs) -> bool:
