@@ -31,10 +31,14 @@ called on ndarrays and its shapes are checked at every call. Component i
 is (0.0 + W_i) + (left-fold dot of g_i and u) on either path, so both give
 the same floats.
 
-``balance_ledger`` keeps both balances in integral form (change in H or S
-minus the trapezoid integral of its recorded rate), for the audit and the
-CSV alike. The entropy gate is the chain-rule identity of the integrated ODE,
-dS/dt = sigma_int + dS^T (W + g u); the dH^T (W + g u) form is reported too.
+``balance_ledger`` keeps both balances in integral form, for the audit and
+the CSV alike: the change in H or S minus int p or int (sigma_int + q).
+The step carries these integrals as extra ODE state, advanced with the same
+RK4 stages and weights as x (rates at k1, the previous sample, to k4), so
+their quadrature error is O(dt^4) like the state's; an isolated model
+(p = q = 0) carries one, int sigma_int. The entropy gate is the chain-rule
+identity of the integrated ODE, dS/dt = sigma_int + dS^T (W + g u); the
+dH^T (W + g u) form, int (sigma_int + p), is reported too.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ SKEW_TOL = 1e-12
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; at n = 2 a step peaks at about 490 B.
+# Largest step count integrate accepts; at n = 2 a step peaks at about 560 B.
 MAX_STEPS = 10**6
 
 
@@ -132,7 +136,8 @@ class Trajectory:
     """Sampled solution; ``fault`` is None for a clean run, otherwise the
     name of the abort condition and the trajectory is the valid prefix.
     ``p`` and ``q`` are the input powers dH^T (W + g u) and dS^T (W + g u)
-    at each sample (zero for an isolated model)."""
+    at each sample (zero for an isolated model). ``supplied`` holds, a row
+    per sample, int p, int (sigma_int + q) and int (sigma_int + p) from 0."""
 
     times: np.ndarray
     states: np.ndarray
@@ -141,6 +146,7 @@ class Trajectory:
     sigma_int: np.ndarray
     p: np.ndarray
     q: np.ndarray
+    supplied: np.ndarray
     fault: str | None = None
 
     def __len__(self) -> int:
@@ -289,8 +295,9 @@ class _ModelCode:
 
     Every evaluation is at the point y. Other local names: x (the state), a
     b c d (k1-k4), e (the rhs a sample returns, the next k1), u (the input
-    row), j (J dH), w (dS^T J dH), m (gamma w), and per field G (gamma), H
-    and S.
+    row), j (J dH), w (dS^T J dH), m (gamma w), s p q (sigma_int and the
+    input powers at a sample; s1-s4, p1-p4, q1-q4 at the stages), ip iq ia
+    (the running balance integrals), and per field G (gamma), H and S.
     """
 
     def __init__(self, model: IphsModel):
@@ -305,33 +312,41 @@ class _ModelCode:
         elif self.inputs is not None:
             self.namespace["_inputs"] = self.inputs
         self.y = _names("y", self.n)
+        # a sample row, and each balance integral with its rate at stage {0}
+        self.row, self.integrals = (
+            ("(Hv, Sv, s, 0.0, 0.0, 0.0, iq, iq)", [("iq", "s{0}")]) if self.inputs is None else
+            ("(Hv, Sv, s, p, q, ip, iq, ia)", [("ip", "p{0}"), ("iq", "(s{0} + q{0})"), ("ia", "(s{0} + p{0})")]))
 
     @functools.cached_property
     def step(self) -> Callable:
-        """step(x, k1, t, tn, half, dt, sixth): one RK4 step from (x, t)
-        whose k1 is known, and the sample at tn = t + dt as
-        (state, (H, S, sigma_int, p, q), next k1), or None once the state or
-        H, S or sigma_int is not finite."""
+        """step(x, k1, row, t, tn, half, dt, sixth): one RK4 step from (x, t)
+        whose k1 and sample row are known, and the sample at tn = t + dt as
+        (state, row, next k1), or None once the state or H, S or sigma_int
+        is not finite. A row is (H, S, sigma_int, p, q, int p,
+        int (sigma_int + q), int (sigma_int + p)); each integral advances by
+        the RK4 update over its rates at k1 (read off the row) to k4."""
         n, y = self.n, self.y
         x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
-        body = [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1"]
+        body = [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1", "_, _, s1, p1, q1, ip, iq, ia = row"]
         if self.inputs is not None:
             body += ["th = t + half", "te = t + dt"]
-        for k, factor, time, out in ((k1, "half", "th", "b"), (k2, "half", "th", "c"), (k3, "dt", "te", "d")):
+        for k, factor, time, out, tag in ((k1, "half", "th", "b", "2"), (k2, "half", "th", "c", "3"),
+                                          (k3, "dt", "te", "d", "4")):
             body += [f"{y[i]} = {x[i]} + {factor} * {k[i]}" for i in range(n)]
-            body += self._stage(time, out)
-        body += [f"{y[i]} = {x[i]} + sixth * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})" for i in range(n)]
+            body += [*self._stage(time, out), *self._rates(tag)]
+        body += [f"{y[i]} = {_rk4(x[i], k1[i], k2[i], k3[i], k4[i])}" for i in range(n)]
         body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return None",
                  *self._record("tn"),
-                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(sig)):", "    return None",
-                 f"return {_list(y)}, (Hv, Sv, sig, p, q), {_list(_names('e', n))}"]
-        return self._function("step(x, k1, t, tn, half, dt, sixth)", body)
+                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s)):", "    return None",
+                 *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals)]
+        return self._function("step(x, k1, row, t, tn, half, dt, sixth)",
+                              [*body, f"return {_list(y)}, {self.row}, {_list(_names('e', n))}"])
 
     @functools.cached_property
     def start(self) -> Callable:
-        """start(xs, t) = ((H, S, sigma_int, p, q), rhs) at (xs, t)."""
-        return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"),
-                                              f"return (Hv, Sv, sig, p, q), {_list(_names('e', self.n))}"])
+        """start(xs, t) = (row, rhs) at (xs, t), its integrals zero."""
+        return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"), "ip = iq = ia = 0.0",
+                                              f"return {self.row}, {_list(_names('e', self.n))}"])
 
     @functools.cached_property
     def rhs(self) -> Callable:
@@ -384,17 +399,24 @@ class _ModelCode:
             lines.append(f"{_unpack(u)}= _inputs({_list(self.y)}, {_list(_names('Hg', self.n))}, {time})")
         return [*lines, *(f"{r} = m * {j} + {b}" for r, j, b in zip(rhs, JdH, u))]
 
-    def _record(self, time: str) -> list:
-        """Statements for a sample at (y, time): the rhs e there (the next
-        step's k1), p, q, H (Hv), S (Sv) and sigma_int (sig)."""
-        lines = self._stage(time, "e")
-        if self.inputs is None:
-            lines.append("p = q = 0.0")
-        else:
+    def _rates(self, tag: str) -> list:
+        """Statements for the balance rates at y after a stage: ``s<tag>``
+        (sigma_int) and, when forced, the input powers ``p<tag>``, ``q<tag>``."""
+        lines = [f"s{tag} = m * w"]
+        if self.inputs is not None:
             u = _names("u", self.n)
-            lines += _fold("p", [f"{h} * {b}" for h, b in zip(_names("Hg", self.n), u)])
-            lines += _fold("q", [f"{s} * {b}" for s, b in zip(_names("Sg", self.n), u)])
-        return [*lines, *self._drift[1], "sig = m * w"]
+            lines += _fold(f"p{tag}", [f"{h} * {b}" for h, b in zip(_names("Hg", self.n), u)])
+            lines += _fold(f"q{tag}", [f"{s} * {b}" for s, b in zip(_names("Sg", self.n), u)])
+        return lines
+
+    def _record(self, time: str) -> list:
+        """A sample at (y, time): the rhs e (the next k1), its rates, Hv, Sv."""
+        return [*self._stage(time, "e"), *self._rates(""), *self._drift[1]]
+
+
+def _rk4(total: str, a: str, b: str, c: str, d: str) -> str:
+    """The RK4 update of ``total`` by the stage rates a-d, as source."""
+    return f"{total} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
 
 
 def drift_rhs(model: IphsModel, x) -> np.ndarray:
@@ -449,13 +471,13 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
             row, k1 = model._code.start(x, 0.0)
             rows = [row]
         except NonpositiveGamma:
-            rows = [(list_form(model.H)[0](x), list_form(model.S)[0](x), 0.0, 0.0, 0.0)]
+            rows = [(list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6)]
             fault, steps = "NonpositiveGamma", 0
 
         for k in range(steps):
             tn = (k + 1) * dt
             try:
-                sample = step(x, k1, k * dt, tn, half, dt, sixth)
+                sample = step(x, k1, row, k * dt, tn, half, dt, sixth)
             except NonpositiveGamma:
                 fault = "NonpositiveGamma"
                 break
@@ -468,7 +490,7 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
             rows.append(row)
 
     columns = [np.array(column) for column in zip(*rows)]
-    return Trajectory(np.array(times), np.array(states), *columns, fault=fault)
+    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:]), fault=fault)
 
 
 def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -476,26 +498,15 @@ def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, n
     return trajectory.p, trajectory.q
 
 
-def _accumulated_mismatch(values: np.ndarray, rate: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """values - values[0] - (trapezoid integral of rate over the samples t)."""
-    supplied = np.zeros(len(t))
-    increments = 0.5 * (rate[1:] + rate[:-1]) * (t[1:] - t[:-1])
-    supplied[1:] = np.cumsum(increments)
-    return values - values[0] - supplied
-
-
 def balance_ledger(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulated balance mismatches, one value per sample, from what
     ``integrate`` recorded: (H - H0 - int p, S - S0 - int (sigma_int + q),
-    S - S0 - int (sigma_int + p)). A faulted prefix may start from a
-    non-finite H or S; its columns are then non-finite, without a warning."""
-    t, H, S, sig = trajectory.times, trajectory.H_values, trajectory.S_values, trajectory.sigma_int
+    S - S0 - int (sigma_int + p)), the integrals read off ``supplied``. A
+    faulted prefix may start from a non-finite H or S; its columns are then
+    non-finite, without a warning."""
+    H, S, supplied = trajectory.H_values, trajectory.S_values, trajectory.supplied
     with np.errstate(all="ignore"):
-        return (
-            _accumulated_mismatch(H, trajectory.p, t),
-            _accumulated_mismatch(S, sig + trajectory.q, t),
-            _accumulated_mismatch(S, sig + trajectory.p, t),
-        )
+        return H - H[0] - supplied[:, 0], S - S[0] - supplied[:, 1], S - S[0] - supplied[:, 2]
 
 
 def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
@@ -513,28 +524,16 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     columns = balance_ledger(trajectory)
     energy, entropy, entropy_alt = (float(np.max(np.abs(c))) for c in columns)
 
-    def scale(values, mismatch):  # the supplied integral is change - mismatch
-        change = values - values[0]
-        return max(1.0, float(np.max(np.abs(change))), float(np.max(np.abs(change - mismatch))))
+    def scale(values, supplied):
+        return max(1.0, float(np.max(np.abs(values - values[0]))), float(np.max(np.abs(supplied))))
 
-    energy_scale = scale(trajectory.H_values, columns[0])
-    entropy_scale = scale(trajectory.S_values, columns[1])
+    energy_scale = scale(trajectory.H_values, trajectory.supplied[:, 0])
+    entropy_scale = scale(trajectory.S_values, trajectory.supplied[:, 1])
     min_sigma = float(np.min(trajectory.sigma_int))
-    passed = (
-        min_sigma >= -AUDIT_SIGMA_SLACK
-        and energy <= AUDIT_DEFECT_REL * energy_scale
-        and entropy <= AUDIT_DEFECT_REL * entropy_scale
-    )
-    return BalanceReport(
-        max_energy_defect=energy,
-        max_entropy_defect=entropy,
-        max_entropy_defect_alt=entropy_alt,
-        min_sigma_int=min_sigma,
-        energy_scale=energy_scale,
-        entropy_scale=entropy_scale,
-        samples=len(trajectory),
-        passed=passed,
-    )
+    passed = (min_sigma >= -AUDIT_SIGMA_SLACK and energy <= AUDIT_DEFECT_REL * energy_scale
+              and entropy <= AUDIT_DEFECT_REL * entropy_scale)
+    return BalanceReport(energy, entropy, entropy_alt, min_sigma, energy_scale, entropy_scale, len(trajectory),
+                         passed)
 
 
 def quadratic_linear_model() -> IphsModel:

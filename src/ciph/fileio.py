@@ -325,8 +325,9 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     """CSV with header t,x1..xn,H,S,sigma_int,energy_defect.
 
     energy_defect is the balance ledger's energy column: the accumulated
-    mismatch H(t) - H(0) - integral of dH^T (W + g u) dt (trapezoid rule on
-    the samples); for an isolated model it reduces to the energy drift.
+    mismatch H(t) - H(0) - integral of dH^T (W + g u) dt, the integral that
+    the RK4 step carried (``trajectory.supplied``); for an isolated model it
+    reduces to the energy drift.
     Every number is written as "%.17g", the body in one %-format.
     """
     tr = trajectory

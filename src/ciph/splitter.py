@@ -51,6 +51,8 @@ class SplitResult:
     For SPLIT, ``residual`` is the max-abs error of the verified
     reconstruction; for failures it is the defect that triggered the status
     (rank-1 residual, skewness residual, or proportionality deviation).
+    ``split_tensor`` reports each in the tensor's units: its proportionality
+    deviation is max|A (x) (B - lam A)| of the rank-one factors.
     """
 
     status: str
@@ -245,6 +247,10 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
                 if residual <= tol * t.max_abs():
                     return SplitResult(SPLIT, result.J, result.gamma, residual)
                 fallback = SplitResult(NOT_RANK_ONE, residual=residual)
+            elif result.status in (NOT_PROPORTIONAL, NEGATIVE_GAMMA):
+                # max|B| = 1 (its pivot entry), so t's units need max|A|:
+                # the residual is max|A (x) (B - lam A)|
+                fallback = SplitResult(result.status, residual=factor.A.max_abs() * result.residual)
             else:
                 fallback = result
         else:

@@ -165,8 +165,10 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     fields by ``loop_exponential``, other fields by their own ndarray
     methods; W + g u comes from the model's callables as
     (0.0 + W_i) + g_i . u; every dot product is a left fold from 0.0. Each
-    sample supplies the next step's k1. Unlike ``integrate`` it does not
-    check its arguments.
+    sample supplies the next step's k1 and first balance rates; the
+    integrals of p, sigma_int + q and sigma_int + p take the RK4 update of
+    x over the rates at k1-k4 (p = q = 0 for an isolated model). Unlike
+    ``integrate`` it does not check its arguments.
     """
     n, J = model.n, model.J.array.tolist()
     W, g, u = model.W, model.g, model.u
@@ -209,14 +211,19 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
         bracket = _fold_dot(dS, JdH)
         inp = inputs(x, dH, t)
         k = [gamma * bracket * v for v in JdH]
-        if inp is not None:
-            k = [a + b for a, b in zip(k, inp)]
-        p, q = (0.0, 0.0) if inp is None else (_fold_dot(dH, inp), _fold_dot(dS, inp))
-        return k, (gamma * bracket * bracket, p, q)
+        sigma = gamma * bracket * bracket
+        if inp is None:
+            return k, (sigma, 0.0, 0.0), (0.0, sigma, sigma)
+        k = [a + b for a, b in zip(k, inp)]
+        p, q = _fold_dot(dH, inp), _fold_dot(dS, inp)
+        return k, (sigma, p, q), (p, sigma + q, sigma + p)
 
     def sample(x, t):
-        k, (sigma, p, q) = rhs(x, t)
-        return (value(model.H, x), value(model.S, x), sigma, p, q), k
+        k, powers, rates = rhs(x, t)
+        return (value(model.H, x), value(model.S, x), *powers), k, rates
+
+    def rk4(x, k1, k2, k3, k4):
+        return [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
 
     steps = max(1, int(round(t_end / dt)))
     x = [float(v) for v in x0]
@@ -224,33 +231,35 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(all="ignore"):
         try:
-            row, k1 = sample(x, 0.0)
-            rows = [row]
+            row, k1, r1 = sample(x, 0.0)
+            totals = [0.0, 0.0, 0.0]
+            rows = [row + tuple(totals)]
         except NonpositiveGamma:
-            rows = [(value(model.H, x), value(model.S, x), 0.0, 0.0, 0.0)]
+            rows = [(value(model.H, x), value(model.S, x), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
             fault, steps = "NonpositiveGamma", 0
         for k in range(steps):
             t = k * dt
             try:
-                k2 = rhs([a + half * b for a, b in zip(x, k1)], t + half)[0]
-                k3 = rhs([a + half * b for a, b in zip(x, k2)], t + half)[0]
-                k4 = rhs([a + dt * b for a, b in zip(x, k3)], t + dt)[0]
-                x = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                k2, _, r2 = rhs([a + half * b for a, b in zip(x, k1)], t + half)
+                k3, _, r3 = rhs([a + half * b for a, b in zip(x, k2)], t + half)
+                k4, _, r4 = rhs([a + dt * b for a, b in zip(x, k3)], t + dt)
+                x = rk4(x, k1, k2, k3, k4)
                 if not all(map(math.isfinite, x)):
                     fault = "NonFiniteState"
                     break
-                row, k1 = sample(x, (k + 1) * dt)
+                row, k1, r5 = sample(x, (k + 1) * dt)
                 if not all(map(math.isfinite, row[:3])):
                     fault = "NonFiniteState"
                     break
             except NonpositiveGamma:
                 fault = "NonpositiveGamma"
                 break
+            totals, r1 = rk4(totals, r1, r2, r3, r4), r5
             times.append((k + 1) * dt)
             states.append(x)
-            rows.append(row)
+            rows.append(row + tuple(totals))
     columns = [np.array(column) for column in zip(*rows)]
-    return Trajectory(np.array(times), np.array(states), *columns, fault=fault)
+    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:]), fault=fault)
 
 
 def _oracle_inputs(t: Tensor4, tol) -> tuple[float, list, float]:

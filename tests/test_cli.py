@@ -443,6 +443,23 @@ class TestSimulate:
         defects = [abs(float(line.split(",")[-1])) for line in lines[1:]]
         assert max(defects) <= 1e-8 * 0.5
 
+    # Accurate runs that failed the audit while it integrated the recorded
+    # rates by the trapezoid rule (O(dt^2), and O(dt) across a switch of u):
+    # each exited 2 on its quadrature error alone.
+    @pytest.mark.parametrize("kind, dt, x0, energy_bound", [
+        ("heat-exchanger", "1e-3", "1,-1", 1e-10),
+        ("quadratic-linear", "1e-2", "1,0", 1e-9),
+        ("readme", "2e-3", "1,0", 1e-7),
+    ])
+    def test_stage_quadrature_passes_accurate_runs(self, tmp_path, capsys, kind, dt, x0, energy_bound):
+        model = _model(W={"constant": [0.1, -0.1]}) if kind == "readme" else {"builtin": kind}
+        m = write_json(tmp_path / "m.json", model)
+        code = main(["simulate", m, "--t-end", "10", "--dt", dt, "--x0", x0, "-o", str(tmp_path / "t.csv")])
+        summary = stdout_reports(capsys)[0]
+        assert (code, summary["passed"], summary["fault"]) == (0, True, None)
+        assert summary["max_entropy_defect"] <= 1e-12
+        assert summary["max_energy_defect"] <= energy_bound
+
     def test_heat_exchanger_equal_temperatures_constant(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "heat-exchanger"})
         out = tmp_path / "traj.csv"

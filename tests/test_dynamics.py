@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from ciph import (
+    BalanceReport,
     BracketMatrix,
     DimensionMismatch,
     DimensionTooLarge,
@@ -37,7 +39,7 @@ from ciph.fileio import load_model
 from ciph.fields import exp_neg_sum_field, exp_sum_field
 from ciph.verify import random_polynomial, random_skew
 
-from conftest import assert_matches_reference
+from conftest import TRAJECTORY_COLUMNS, assert_matches_reference
 
 
 def constant_gamma(n: int, c: float = 1.0) -> PolynomialField:
@@ -674,11 +676,18 @@ class TestBalanceLedger:
     def test_columns_match_their_definitions(self):
         tr = integrate(forced_model(), [0.7, 0.2], t_end=0.05, dt=1e-3)
         t, H, S, sig = tr.times, tr.H_values, tr.S_values, tr.sigma_int
+        assert tr.supplied.shape == (len(tr), 3) and tr.supplied[0].tolist() == [0.0] * 3
         expected = [(H, tr.p), (S, sig + tr.q), (S, sig + tr.p)]
-        for column, (values, rate) in zip(balance_ledger(tr), expected):
+        for k, (column, (values, rate)) in enumerate(zip(balance_ledger(tr), expected)):
             assert column.shape == (len(tr),)
             assert column[0] == 0.0
-            assert np.array_equal(column, values - values[0] - np.array(running_trapezoid(t, rate)))
+            assert np.array_equal(column, values - values[0] - tr.supplied[:, k])
+            # the integral of this rate, not another one: each step's increment
+            # is within O(dt^3) of the trapezoid's, except on the step that
+            # ends on the switch of u at t = 0.01 (k4 sees the new value there)
+            trapezoid = np.diff(running_trapezoid(t, rate))
+            mismatch = np.abs(np.diff(tr.supplied[:, k]) - trapezoid)
+            assert np.flatnonzero(mismatch > 1e-8).tolist() == [9]
 
     def test_single_sample_is_zero(self):
         model = IphsModel(
@@ -705,18 +714,43 @@ class TestBalanceLedger:
         tr = integrate(model, [0.7, 0.2], t_end=0.05, dt=1e-3)
         report = audit_balances(model, tr)
         H, S = tr.H_values, tr.S_values
-        supplied_E = running_trapezoid(tr.times, tr.p)
-        supplied_S = running_trapezoid(tr.times, tr.sigma_int + tr.q)
-        expected_E = max(1.0, np.max(np.abs(H - H[0])), np.max(np.abs(supplied_E)))
-        expected_S = max(1.0, np.max(np.abs(S - S[0])), np.max(np.abs(supplied_S)))
-        assert report.energy_scale == pytest.approx(expected_E, rel=1e-15)
-        assert report.entropy_scale == pytest.approx(expected_S, rel=1e-15)
+        expected_E = max(1.0, np.max(np.abs(H - H[0])), np.max(np.abs(tr.supplied[:, 0])))
+        expected_S = max(1.0, np.max(np.abs(S - S[0])), np.max(np.abs(tr.supplied[:, 1])))
+        assert report.energy_scale == expected_E
+        assert report.entropy_scale == expected_S
         # a balance that moves more than 1 sets its own scale: by its change...
         big = dataclasses.replace(tr, S_values=1e3 * S)
         assert audit_balances(model, big).entropy_scale == np.max(np.abs(big.S_values - big.S_values[0]))
         # ...or by its supplied integral
-        fed = dataclasses.replace(tr, p=tr.p + 1e3)
+        fed = dataclasses.replace(tr, supplied=tr.supplied + 1e3 * tr.times[:, None])
         assert audit_balances(model, fed).energy_scale == pytest.approx(1e3 * 0.05, rel=1e-3)
+
+
+def readme_model(tmp_path) -> IphsModel:
+    """The README's model-file example, loaded as ``ciph simulate`` loads it."""
+    path = tmp_path / "readme-model.json"
+    path.write_text(json.dumps(TestCompiledInputs.README_MODEL), encoding="utf-8")
+    return load_model(path)
+
+
+def mutate_step(monkeypatch, edit) -> list:
+    """Compile every model function from here on with ``edit`` applied to
+    each source line; returns the edited lines as they were."""
+    original, changed = dynamics._compile, []
+
+    def compile_edited(lines, namespace, name):
+        edited = [edit(line) for line in lines]
+        changed.extend(a for a, b in zip(lines, edited) if a != b)
+        return original(edited, namespace, name)
+
+    monkeypatch.setattr(dynamics, "_compile", compile_edited)
+    return changed
+
+
+def audited(model, x0) -> BalanceReport:
+    tr = integrate(model, x0, t_end=10.0, dt=1e-3)
+    assert tr.fault is None
+    return audit_balances(model, tr)
 
 
 class TestAuditGate:
@@ -751,26 +785,45 @@ class TestAuditGate:
         assert report.max_entropy_defect_alt > 0.1 * report.entropy_scale
         assert report.passed is True
 
-    def test_input_dropped_from_one_component_fails(self):
-        # integrate with g u acting on x1 only, then claim the input powers
-        # of g u acting on both components: neither balance may close
-        base = quadratic_linear_model()
-        u = np.array([0.5])
-
-        def partial(g):
-            return IphsModel(2, base.H, base.S, base.J, base.gamma, g=lambda x, dH: g, u=lambda t: u)
-
-        g_full = np.array([[1.0], [1.0]])
-        model = partial(np.array([[1.0], [0.0]]))
-        tr = integrate(model, [1.0, 0.0], t_end=1.0, dt=1e-3)
-        assert audit_balances(model, tr).passed is True
-        inp = g_full @ u
-        p = np.array([float(base.H.grad(x) @ inp) for x in tr.states])
-        q = np.array([float(base.S.grad(x) @ inp) for x in tr.states])
-        report = audit_balances(model, dataclasses.replace(tr, p=p, q=q))
+    # Negative tests: each runs a step compiled with one fault planted in
+    # it, which the audit must catch. The unmutated runs pass.
+    def test_input_dropped_from_one_component_fails(self, monkeypatch, tmp_path):
+        # x2's rhs loses its input at every stage, while p and q still count it
+        assert audited(readme_model(tmp_path), [1.0, 0.0]).passed is True
+        changed = mutate_step(monkeypatch, lambda line: line.replace("1 = m * j1 + u1", "1 = m * j1"))
+        report = audited(readme_model(tmp_path), [1.0, 0.0])
+        assert len(changed) >= 4  # k2, k3, k4 and the sample
         assert report.passed is False
-        assert report.max_energy_defect > 1e-6 * report.energy_scale
-        assert report.max_entropy_defect > 1e-6 * report.entropy_scale
+        assert report.max_energy_defect > 1.0 > 1e-6 * report.energy_scale
+        assert report.max_entropy_defect > 0.5 > 1e-6 * report.entropy_scale
+
+    @pytest.mark.parametrize("kind", ["readme", "quadratic-linear"])
+    def test_non_skew_j_fails(self, tmp_path, kind):
+        model = readme_model(tmp_path) if kind == "readme" else quadratic_linear_model()
+        assert audited(model, [1.0, 0.0]).passed is True
+        # the skew check ran when the model was built; the step reads J here
+        model._code.namespace["J0_0"] = 0.3
+        report = audited(model, [1.0, 0.0])
+        assert report.passed is False
+        assert report.max_energy_defect > 0.1 > 1e-6 * report.energy_scale
+
+    def test_sigma_with_the_wrong_power_fails(self, monkeypatch):
+        assert audited(quadratic_linear_model(), [1.0, 0.0]).passed is True
+        changed = mutate_step(monkeypatch, lambda line: re.sub(r"^(\s*s\d? = m \* w)$", r"\1 * w", line))
+        report = audited(quadratic_linear_model(), [1.0, 0.0])
+        assert len(changed) >= 4
+        assert report.passed is False
+        assert report.min_sigma_int == -1.0
+        assert report.max_entropy_defect > 0.5 > 1e-6 * report.entropy_scale
+
+    def test_q_from_dh_fails(self, monkeypatch, tmp_path):
+        assert audited(readme_model(tmp_path), [1.0, 0.0]).passed is True
+        changed = mutate_step(monkeypatch, lambda line: line.replace("Sg", "Hg") if line.lstrip()[:1] == "q" else line)
+        report = audited(readme_model(tmp_path), [1.0, 0.0])
+        assert len(changed) >= 4
+        assert report.passed is False
+        assert report.max_energy_defect <= 1e-6 * report.energy_scale
+        assert report.max_entropy_defect > 1.0 > 1e-6 * report.entropy_scale
 
     def test_negative_entropy_production_fails(self):
         model = quadratic_linear_model()
@@ -947,7 +1000,7 @@ def poly_spec(f: PolynomialField) -> dict:
 
 
 def assert_same_trajectory(a, b):
-    for name in ("times", "states", "H_values", "S_values", "sigma_int", "p", "q"):
+    for name in TRAJECTORY_COLUMNS:
         assert getattr(a, name).tolist() == getattr(b, name).tolist()
     assert a.fault == b.fault
 

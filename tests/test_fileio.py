@@ -554,6 +554,7 @@ class TestTrajectoryCsvFormat:
             sigma_int=np.roll(values, 7),
             p=np.zeros(k),
             q=np.zeros(k),
+            supplied=np.column_stack([np.roll(values, 5), values, values]),
             fault="NonFiniteState",
         )
         p = tmp_path / "traj.csv"

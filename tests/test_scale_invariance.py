@@ -4,8 +4,8 @@ Every condition is homogeneous in t and every tolerance is relative
 (``tol * max|t|``, and ``tol * max|t| * |y|^2`` for the PSD scan), so:
 
 * scaling t by 2^k leaves every verdict, witness position, split status and
-  J bit-identical, and scales each witness residual, gamma and the
-  residual of a SPLIT by exactly 2^k. The
+  J bit-identical, and scales each witness residual, gamma and the split
+  residual of every status by exactly 2^k. The
   exponent k is even because the symmetric recovery takes square roots,
   and the range keeps every entry and every intermediate normal;
 * permuting the basis, t -> P^{(x)4} t, permutes every index residual
@@ -86,12 +86,12 @@ def test_power_of_two_scaling_changes_nothing_but_the_scale(t, m):
         assert scaled_witness(after.witness, 0) == scaled_witness(before.witness, k)
     split, split_scaled = split_tensor(t), split_tensor(s)
     assert split_scaled.status == split.status
+    assert split_scaled.residual == np.ldexp(split.residual, k), split.status
     if split.J is None:
         assert split_scaled.J is None and split_scaled.gamma is None
     else:
         assert np.array_equal(split_scaled.J.array, split.J.array)
         assert split_scaled.gamma == np.ldexp(split.gamma, k)
-        assert split_scaled.residual == np.ldexp(split.residual, k)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
