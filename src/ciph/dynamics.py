@@ -15,18 +15,25 @@ these models, Python's per-call cost (and numpy's more so) dwarfs the
 arithmetic, so each model writes its right-hand side out once as
 straight-line Python on floats and compiles it (``_ModelCode``): one
 function takes a whole RK4 step, with the coordinate powers, gradients,
-dot products (left folds) and stage points as local variables. Each
-accepted sample gives H, S, sigma_int, the input powers
-p = dH^T (W + g u) and q = dS^T (W + g u), and the next step's k1 at the
-same (x, t): 8 field gradients a step (2 per stage for k2-k4, 2 at the
-sample). ``drift_rhs``, ``full_rhs``, ``observable_rate`` and ``gamma_at``
-call functions compiled from the same statements.
+dot products (left folds) and stage points as local variables. A stage
+(k2-k4) computes gamma and the gradients with the powers they read, and
+the rhs; each accepted sample gives, besides the next step's k1 at the
+same (x, t), H, S, sigma_int and the input powers p = dH^T (W + g u) and
+q = dS^T (W + g u). Only the sample evaluates H and S, with the powers
+that only their values read: 8 field gradients a step (2 per stage for
+k2-k4, 2 at the sample) and 2 field values. A constant gamma, a linear
+field's gradient, and any other fold of model numbers alone (J dH for a
+linear H) are computed once, when the step is written, and gamma's
+``> 0`` check is left out when gamma is a positive constant. ``drift_rhs``,
+``full_rhs``, ``observable_rate`` and ``gamma_at`` call functions
+compiled from the same statements.
 
 The input term W + g u(t) is compiled once per model into a list function.
 A constant W or g (``Constant``) and a piecewise-constant u (``Schedule``),
 the types a model file builds, carry list forms: W + g u is then a table
 with one row per schedule segment, which the step indexes inline, and their
-shapes are checked once, when the model is built. Any other callable is
+shapes are checked once, when the model is built (k2 and k3 share their
+stage time and so their row). Any other callable is
 called on ndarrays and its shapes are checked at every call. Component i
 is (0.0 + W_i) + (left-fold dot of g_i and u) on either path, so both give
 the same floats.
@@ -288,10 +295,14 @@ class _ModelCode:
     so no built-in model's step calls numpy; any other field is called once
     per evaluation through ``list_form``, which keeps its shape checks.
     Every float operation is the one a loop over lists would make, in the
-    same order: gamma is checked first; dot products are left folds from
-    0.0 over every J entry, zeros included; the update is
-    ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``. J entries,
-    coefficients and the input table are namespace names, never text.
+    same order: gamma is checked first (no check for a positive constant);
+    dot products are left folds from 0.0 over every J entry, zeros
+    included; the update is ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
+    J entries, coefficients, the input table and the folds of these alone
+    (computed when the statements are written) are namespace names, never
+    text. A stage computes gamma, the gradients and what the rhs and the
+    rates read; H, S and the powers only their values read are computed at
+    the sample alone.
 
     Every evaluation is at the point y. Other local names: x (the state), a
     b c d (k1-k4), e (the rhs a sample returns, the next k1), u (the input
@@ -330,10 +341,12 @@ class _ModelCode:
         body = [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1", "_, _, s1, p1, q1, ip, iq, ia = row"]
         if self.inputs is not None:
             body += ["th = t + half", "te = t + dt"]
-        for k, factor, time, out, tag in ((k1, "half", "th", "b", "2"), (k2, "half", "th", "c", "3"),
-                                          (k3, "dt", "te", "d", "4")):
+        # k2 and k3 share the stage time th, so k3 reuses k2's input table row
+        for k, factor, time, out, tag, lookup in ((k1, "half", "th", "b", "2", True),
+                                                  (k2, "half", "th", "c", "3", False),
+                                                  (k3, "dt", "te", "d", "4", True)):
             body += [f"{y[i]} = {x[i]} + {factor} * {k[i]}" for i in range(n)]
-            body += [*self._stage(time, out), *self._rates(tag)]
+            body += [*self._stage(time, out, lookup), *self._rates(tag)]
         body += [f"{y[i]} = {_rk4(x[i], k1[i], k2[i], k3[i], k4[i])}" for i in range(n)]
         body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return None",
                  *self._record("tn"),
@@ -374,29 +387,33 @@ class _ModelCode:
 
     @functools.cached_property
     def _drift(self) -> tuple[list, list]:
-        """Statements for gamma (checked > 0), dH, dS, j, w and m at y, and
-        the H and S value statements, which read the powers these leave."""
+        """Statements for gamma (checked > 0 unless it is a positive
+        constant), dH, dS, j, w and m at y, and the H and S value
+        statements, which read the powers these leave."""
         n = self.n
         (g_pow, g_value, _), (h_pow, h_value, h_grad), (s_pow, s_value, s_grad) = (
             self._field(prefix, field) for prefix, field in self.fields)
-        lines = [*g_pow, *g_value, "if not Gv > 0.0:", f"    raise _NonpositiveGamma({_list(self.y)}, Gv)",
-                 *h_pow, *h_grad, *s_pow, *s_grad]
+        lines = [*g_pow, *g_value]
+        if not (isinstance(self.namespace.get("Gv"), float) and self.namespace["Gv"] > 0.0):
+            lines += ["if not Gv > 0.0:", f"    raise _NonpositiveGamma({_list(self.y)}, Gv)"]
+        lines += [*h_pow, *h_grad, *s_pow, *s_grad]
         dH, dS, JdH = _names("Hg", n), _names("Sg", n), _names("j", n)
         for i in range(n):
-            lines += _fold(JdH[i], [f"J{i:d}_{j:d} * {dH[j]}" for j in range(n)])
-        lines += _fold("w", [f"{a} * {b}" for a, b in zip(dS, JdH)])
+            lines += _fold(JdH[i], [(f"J{i:d}_{j:d}", dH[j]) for j in range(n)], self.namespace)
+        lines += _fold("w", list(zip(dS, JdH)), self.namespace)
         return [*lines, "m = Gv * w"], h_value + s_value
 
-    def _stage(self, time: str, out: str) -> list:
-        """Statements setting ``out<i>`` to the full rhs at (y, time)."""
+    def _stage(self, time: str, out: str, lookup: bool = True) -> list:
+        """Statements setting ``out<i>`` to the full rhs at (y, time); an
+        input table row already read at ``time`` is reused unless ``lookup``."""
         rhs, JdH, u = _names(out, self.n), _names("j", self.n), _names("u", self.n)
         lines = list(self._drift[0])
         if self.inputs is None:
             return [*lines, *(f"{r} = m * {j}" for r, j in zip(rhs, JdH))]
-        if isinstance(self.inputs, _InputTable):
-            lines.append(f"{_unpack(u)}= _table[_bisect(_times, {time})]")
-        else:
+        if not isinstance(self.inputs, _InputTable):
             lines.append(f"{_unpack(u)}= _inputs({_list(self.y)}, {_list(_names('Hg', self.n))}, {time})")
+        elif lookup:
+            lines.append(f"{_unpack(u)}= _table[_bisect(_times, {time})]")
         return [*lines, *(f"{r} = m * {j} + {b}" for r, j, b in zip(rhs, JdH, u))]
 
     def _rates(self, tag: str) -> list:
@@ -405,8 +422,8 @@ class _ModelCode:
         lines = [f"s{tag} = m * w"]
         if self.inputs is not None:
             u = _names("u", self.n)
-            lines += _fold(f"p{tag}", [f"{h} * {b}" for h, b in zip(_names("Hg", self.n), u)])
-            lines += _fold(f"q{tag}", [f"{s} * {b}" for s, b in zip(_names("Sg", self.n), u)])
+            lines += _fold(f"p{tag}", list(zip(_names("Hg", self.n), u)), self.namespace)
+            lines += _fold(f"q{tag}", list(zip(_names("Sg", self.n), u)), self.namespace)
         return lines
 
     def _record(self, time: str) -> list:

@@ -3,12 +3,19 @@
 Three concrete kinds share one base, ``CompiledField``: each writes its
 value and gradient out as straight-line Python statements on floats
 (``emit``), and its list functions ``value_list`` and ``grad_list`` are
-compiled from them, as is the model step in ``ciph.dynamics``.
-``PolynomialField`` stores a polynomial as a list of (exponent
-multi-index, coefficient) terms and computes each coordinate power once;
-its gradient is exact up to rounding. ``ExpSumField`` (scale * sum_i
-exp(x_i)) and ``ExpNegSumField`` (scale * exp(-sum_i x_i)), the built-in
-energies of the exponential compartment models, call ``math.exp``.
+compiled from them, as is the model step in ``ciph.dynamics``. The
+statements are split by what reads them, so a caller that needs only the
+gradient (an RK4 stage) runs only the gradient's: the coordinate powers
+the gradient reads, and the gradient folds. Powers only the value reads
+are computed in the value statements. A fold of constants alone (a
+constant's value, a linear field's gradient) is computed once, when the
+statements are written, and bound as a name. ``PolynomialField`` stores a
+polynomial as a list of (exponent multi-index, coefficient) terms and
+computes each coordinate power it needs once (a first power is the
+coordinate itself); its gradient is exact up to rounding.
+``ExpSumField`` (scale * sum_i exp(x_i)) and ``ExpNegSumField``
+(scale * exp(-sum_i x_i)), the built-in energies of the exponential
+compartment models, call ``math.exp``.
 ``CallableField`` wraps user-supplied value/gradient callables.
 
 Any object with attributes ``n``, ``value(x)`` and ``grad(x)`` is accepted
@@ -19,6 +26,8 @@ unless it has ``emit`` (then it is a ``CompiledField``).
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,20 +78,39 @@ def _list(items: Sequence[str]) -> str:
     return "[" + ", ".join(items) + "]"
 
 
-def _fold(total: str, products: Sequence[str]) -> list[str]:
-    """Statements for a left fold from 0.0, one accumulator statement per
-    term: deep expressions do not compile (CPython caps nesting at 200
-    parentheses, and a 5000-term ``+`` chain exhausts its recursion)."""
-    if not products:
-        return [f"{total} = 0.0"]
-    return [f"{total} = 0.0 + {products[0]}", *(f"{total} = {total} + {p}" for p in products[1:])]
+def _fold(total: str, products: Sequence[Sequence[str]], namespace: dict) -> list[str]:
+    """Statements for a left fold from 0.0 of ``products``, each a sequence
+    of names multiplied left to right, one accumulator statement per term:
+    deep expressions do not compile (CPython caps nesting at 200
+    parentheses, and a 5000-term ``+`` chain exhausts its recursion).
+
+    When every name is a number bound in ``namespace`` (a constant fold, the
+    empty one included), the fold is computed here instead, by the same
+    float operations in the same order, and bound there as ``total``: it
+    costs no statement."""
+    numbers = [[namespace.get(name) for name in product] for product in products]
+    if all(isinstance(v, float) for factors in numbers for v in factors):
+        namespace[total] = reduce(add, (reduce(mul, factors) for factors in numbers), 0.0)
+        return []
+    terms = [" * ".join(product) for product in products]
+    return [f"{total} = 0.0 + {terms[0]}", *(f"{total} = {total} + {t}" for t in terms[1:])]
 
 
-def _overflowed(bases: list, exponents: tuple) -> list[float]:
+def _overflowed(bases: list, exponents: list) -> list[float]:
     """The powers, for when float ``**`` raised OverflowError: numpy scalars
     use the same pow and give +-inf."""
     with np.errstate(over="ignore"):
         return [float(np.float64(b) ** e) for b, e in zip(bases, exponents)]
+
+
+def _powers(targets: Sequence[str], bases: Sequence[str], exponents: Sequence[int]) -> list[str]:
+    """Statements ``target = base ** exponent`` under one ``try``; when one
+    overflows, every target is recomputed by ``_overflowed``."""
+    if not targets:
+        return []
+    return ["try:", *(f"    {t} = {b} ** {e:d}" for t, b, e in zip(targets, bases, exponents)),
+            "except OverflowError:",
+            f"    {_unpack(targets)}= _overflowed({_list(bases)}, {_list([f'{e:d}' for e in exponents])})"]
 
 
 def _exp_or_inf(a: float) -> float:
@@ -116,12 +144,15 @@ class CompiledField:
 
     A subclass sets ``n`` and defines ``emit(point, prefix, namespace)``,
     which returns (powers, value, gradient) statement lists evaluating the
-    field at the local names ``point``. They set ``{prefix}v`` (the value)
-    and ``{prefix}g<m>`` (the gradient), read only what the powers
-    statements set, and bind every number in ``namespace`` under a name
-    that starts with ``prefix``. ``value_list`` and ``grad_list`` take a
-    list of n floats; they are compiled from ``emit`` on first use, and
-    ``value`` and ``grad`` wrap them.
+    field at the local names ``point``. The powers statements compute what
+    the gradient reads; the gradient statements read only those and set
+    ``{prefix}g<m>``; the value statements, run after the powers, compute
+    what only the value reads and set ``{prefix}v``. Every number is bound
+    in ``namespace`` under a name that starts with ``prefix``, and so is a
+    total that is constant (a ``_fold`` of bound numbers), which then has no
+    statement. ``value_list`` and ``grad_list`` take a list of n floats;
+    they are compiled from ``emit`` on first use, and ``value`` and ``grad``
+    wrap them.
     """
 
     __slots__ = ("n", "value_list", "grad_list")
@@ -162,9 +193,9 @@ class PolynomialField(CompiledField):
     compiled into the distinct (coordinate, power) pairs they use, value
     terms (coef, factor positions) and derivative terms (coordinate,
     coef * exponent, factor positions). ``emit`` writes these out as
-    straight-line Python statements: each power once, by ``**`` on Python
-    floats (the scalar libm ``pow``), then one accumulator statement per
-    term, coefficient first and factors in coordinate order.
+    straight-line Python statements: each power above the first once, by
+    ``**`` on Python floats (the scalar libm ``pow``), then one accumulator
+    statement per term, coefficient first and factors in coordinate order.
     """
 
     __slots__ = ("terms", "_pairs", "_value_terms", "_grad_terms")
@@ -214,30 +245,31 @@ class PolynomialField(CompiledField):
 
     def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
         """(powers, value, gradient) statements at the local names
-        ``point``. The powers are ``{prefix}p<k>``; the coefficients are
-        bound as ``{prefix}c<k>`` (value) and ``{prefix}d<k>`` (gradient),
-        the exponents as ``{prefix}e``."""
-        powers = _names(prefix + "p", len(self._pairs))
-        power_lines = [
-            "try:", *(f"    {p} = {point[j]} ** {e:d}" for p, (j, e) in zip(powers, self._pairs)),
-            "except OverflowError:",
-            f"    {_unpack(powers)}= _overflowed({_list([point[j] for j, _ in self._pairs])}, {prefix}e)",
-        ] if powers else []
-        namespace.update({"_overflowed": _overflowed, prefix + "e": tuple(e for _, e in self._pairs)})
+        ``point``. A first power is the coordinate's own name. The higher
+        powers the gradient reads are the powers statements; those only the
+        value reads open the value statements, in a ``try`` of their own.
+        Powers are ``{prefix}p<k>``; the coefficients are bound as
+        ``{prefix}c<k>`` (value) and ``{prefix}d<k>`` (gradient)."""
+        names = [point[j] if e == 1 else f"{prefix}p{k:d}" for k, (j, e) in enumerate(self._pairs)]
+        read = {f for _, _, factors in self._grad_terms for f in factors}
+        higher = [k for k, (_, e) in enumerate(self._pairs) if e > 1]
 
-        def product(coefficient, factors):
-            return " * ".join([coefficient, *(powers[f] for f in factors)])
+        def powers(ks):
+            return _powers([names[k] for k in ks], [point[self._pairs[k][0]] for k in ks],
+                           [self._pairs[k][1] for k in ks])
 
+        namespace["_overflowed"] = _overflowed
         value = []
         for k, (c, factors) in enumerate(self._value_terms):
             namespace[f"{prefix}c{k:d}"] = c
-            value.append(product(f"{prefix}c{k:d}", factors))
+            value.append([f"{prefix}c{k:d}", *(names[f] for f in factors)])
         grad = {m: [] for m in range(self.n)}
         for k, (m, c, factors) in enumerate(self._grad_terms):
             namespace[f"{prefix}d{k:d}"] = c
-            grad[m].append(product(f"{prefix}d{k:d}", factors))
-        grad_lines = [line for m, terms in grad.items() for line in _fold(f"{prefix}g{m:d}", terms)]
-        return power_lines, _fold(prefix + "v", value), grad_lines
+            grad[m].append([f"{prefix}d{k:d}", *(names[f] for f in factors)])
+        grad_lines = [line for m, terms in grad.items() for line in _fold(f"{prefix}g{m:d}", terms, namespace)]
+        value_lines = [*powers([k for k in higher if k not in read]), *_fold(prefix + "v", value, namespace)]
+        return powers([k for k in higher if k in read]), value_lines, grad_lines
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -330,7 +362,7 @@ class ExpSumField(_ScaledExp):
     def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
         exps = _names(prefix + "p", self.n)
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf, prefix + "s": self.scale})
-        value = [*_fold(prefix + "t", exps), f"{prefix}v = {prefix}s * {prefix}t"]
+        value = [*_fold(prefix + "t", [[e] for e in exps], namespace), f"{prefix}v = {prefix}s * {prefix}t"]
         grad = [f"{prefix}g{m:d} = {prefix}s * {e}" for m, e in enumerate(exps)]
         return _exps(exps, point), value, grad
 
@@ -350,7 +382,7 @@ class ExpNegSumField(_ScaledExp):
         e = prefix + "p0"
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf,
                           prefix + "s": self.scale, prefix + "d": -self.scale})
-        powers = [*_fold(prefix + "t", point), *_exps([e], [f"-{prefix}t"])]
+        powers = [*_fold(prefix + "t", [[y] for y in point], namespace), *_exps([e], [f"-{prefix}t"])]
         grad = [f"{prefix}g{m:d} = {prefix}d * {e}" for m in range(self.n)]
         return powers, [f"{prefix}v = {prefix}s * {e}"], grad
 

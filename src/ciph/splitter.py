@@ -50,9 +50,10 @@ class SplitResult:
 
     For SPLIT, ``residual`` is the max-abs error of the verified
     reconstruction; for failures it is the defect that triggered the status
-    (rank-1 residual, skewness residual, or proportionality deviation).
-    ``split_tensor`` reports each in the tensor's units: its proportionality
-    deviation is max|A (x) (B - lam A)| of the rank-one factors.
+    (rank-1 residual, skewness residual, or proportionality deviation),
+    each in the product tensor's units: ``split_product`` reports the
+    skewness residual of A times max|B| and the proportionality deviation
+    times max|A|, i.e. max|A (x) (B - lam A)|.
     """
 
     status: str
@@ -143,8 +144,9 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     ``lam * max|A| / max|B|`` (the ratio of the unit-max-abs factors), which
     must not fall below ``-tol``. On success the
     factor pair is rewritten in the canonical gauge and the reconstruction
-    error of the gauged product against the original product is reported.
-    A zero factor splits trivially with J = 0, gamma = 0.
+    error of the gauged product against the original product is reported;
+    a failure reports its residual in the product's units too (see
+    ``SplitResult``). A zero factor splits trivially with J = 0, gamma = 0.
     """
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
@@ -157,7 +159,7 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
 
     skew = is_skew(A, tol * amax)
     if not skew:
-        return SplitResult(NOT_SKEW, residual=skew.residual)
+        return SplitResult(NOT_SKEW, residual=bmax * skew.residual)
 
     p, q = np.unravel_index(int(np.argmax(np.abs(A.array))), (n, n))
     lam = float(B.array[p, q]) / float(A.array[p, q])  # a float quotient overflows to inf silently
@@ -167,9 +169,9 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
         unit = float((B.array[p, q] / bmax) / (A.array[p, q] / amax))
         deviation = bmax * float(np.max(np.abs(B.array / bmax - unit * (A.array / amax))))
     if deviation > tol * bmax:
-        return SplitResult(NOT_PROPORTIONAL, residual=deviation)
+        return SplitResult(NOT_PROPORTIONAL, residual=amax * deviation)
     if (lam * amax < -tol * bmax) if math.isfinite(lam) else (unit < -tol):
-        return SplitResult(NEGATIVE_GAMMA, residual=deviation)
+        return SplitResult(NEGATIVE_GAMMA, residual=amax * deviation)
 
     J_arr, c = _canonical_gauge(A.array)
     # c * c is amax^2; lam * amax^2 = unit * bmax * amax
@@ -247,10 +249,6 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
                 if residual <= tol * t.max_abs():
                     return SplitResult(SPLIT, result.J, result.gamma, residual)
                 fallback = SplitResult(NOT_RANK_ONE, residual=residual)
-            elif result.status in (NOT_PROPORTIONAL, NEGATIVE_GAMMA):
-                # max|B| = 1 (its pivot entry), so t's units need max|A|:
-                # the residual is max|A (x) (B - lam A)|
-                fallback = SplitResult(result.status, residual=factor.A.max_abs() * result.residual)
             else:
                 fallback = result
         else:

@@ -189,11 +189,21 @@ class TestSplitProduct:
         assert split_product(*pair).status == NEGATIVE_GAMMA
         assert split_tensor(product_tensor(*pair)).status == NEGATIVE_GAMMA
 
+    def test_failure_residuals_are_in_the_products_units(self):
+        # scaling either factor by c scales the product tensor and its residual by c
+        not_skew = BracketMatrix(np.array([[0.0, 1.0], [-0.5, 0.0]]))
+        for c in (1.0, 4.0):
+            result = split_product(not_skew, BracketMatrix(c * not_skew.array))
+            assert result.status == NOT_SKEW and result.residual == c * 0.5
+            result = split_product(BracketMatrix(c * block_diag_skew(1.0, 1.0)),
+                                   BracketMatrix(block_diag_skew(1.0, 0.5)))
+            assert result.status == NOT_PROPORTIONAL and result.residual == c * 0.5
+
     def test_overflowing_ratio_still_detects_disproportion(self):
         A = BracketMatrix(1e-300 * block_diag_skew(1.0, 1.0))
         B = BracketMatrix(1e300 * block_diag_skew(1.0, 0.5))
         result = split_product(A, B)
-        assert result.status == NOT_PROPORTIONAL and result.residual == pytest.approx(0.5e300)
+        assert result.status == NOT_PROPORTIONAL and result.residual == pytest.approx(0.5)
 
 
 class TestSplitTensor:

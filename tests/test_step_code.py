@@ -8,6 +8,7 @@ on the fault and on the length of the valid prefix.
 
 import io
 import math
+import re
 import tokenize
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciph import BracketMatrix, IphsModel, PolynomialField, integrate
+from ciph import BracketMatrix, IphsModel, NonpositiveGamma, PolynomialField, integrate
 from ciph import dynamics, fields
-from ciph.dynamics import Constant, Schedule, drift_rhs, full_rhs, observable_rate
+from ciph.dynamics import Constant, Schedule, builtin_model, drift_rhs, full_rhs, observable_rate
 from ciph.verify import loop_polynomial, random_skew
 
 from conftest import assert_matches_reference
@@ -33,6 +34,25 @@ def capture_sources(monkeypatch) -> list:
     monkeypatch.setattr(fields, "_compile", capture)
     monkeypatch.setattr(dynamics, "_compile", capture)
     return sources
+
+
+def step_source(monkeypatch, model) -> tuple[str, str]:
+    """A new model's compiled step source, split into its stages (k2-k4 and
+    the update) and its sample (from the state's finiteness check on)."""
+    sources = capture_sources(monkeypatch)
+    model._code.step
+    stages, sample = sources[-1].split("if not (_isfinite(", 1)
+    return stages, sample
+
+
+QUADRATIC = PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)])
+LINEAR = PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0)])
+
+
+def readme_forced_model() -> IphsModel:
+    """The forced model-file example of the README."""
+    return IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), PolynomialField.constant(2, 1.0),
+                     W=Constant([0.1, -0.1]), g=Constant([[1.0], [0.0]]), u=Schedule([0.0, 5.0], [[0.5], [0.0]]))
 
 
 class TestLargeSources:
@@ -83,6 +103,9 @@ class TestNamespaceBinding:
             # ints are exponents; 0.0 starts every fold and 2.0 weighs k2, k3
             assert all(s.isdigit() for s in numbers - {"0.0", "2.0"}), numbers
             assert "inf" not in source
+        # the constant gamma and S's constant gradient are folds bound by name
+        assert (model._code.namespace["Gv"], model._code.namespace["Sg0"]) == (3.25, 1.0)
+        assert not any("Gv =" in source or "Sg0 =" in source for source in sources)
 
     @pytest.mark.parametrize("coefficient", [1e308, 5e-324, -1e308])
     def test_extreme_coefficients(self, coefficient):
@@ -96,6 +119,64 @@ class TestNamespaceBinding:
                           PolynomialField.constant(2, 1.0))
         for x0 in ([1e-200, 0.5], [0.5, -0.25]):
             assert_matches_reference(model, x0, t_end=0.05, dt=1e-2)
+
+
+class TestLiveStatements:
+    @pytest.mark.parametrize("build", [lambda: builtin_model("quadratic-linear"), readme_forced_model])
+    def test_stages_compute_gradient_powers_only(self, monkeypatch, build):
+        stages, sample = step_source(monkeypatch, build())
+        # H's squares are read by its value alone; a first power is the coordinate
+        assert "**" not in stages and "** 2" in sample and not re.search(r"\*\* 1\b", sample)
+        # gamma = 1 is a positive constant: no check
+        assert "_NonpositiveGamma" not in stages + sample
+        assert_matches_reference(build(), [1.0, 0.0], t_end=0.1, dt=2e-3)
+
+    def test_stages_two_and_three_share_the_input_row(self, monkeypatch):
+        stages, sample = step_source(monkeypatch, readme_forced_model())
+        assert stages.count("_table[_bisect(_times, th)]") == 1
+        assert stages.count("_table[_bisect(_times, te)]") == 1
+        assert sample.count("_table[_bisect(_times, tn)]") == 1
+
+    def test_a_field_gamma_keeps_its_check(self, monkeypatch):
+        stages, sample = step_source(monkeypatch, builtin_model("heat-exchanger"))
+        assert stages.count("raise _NonpositiveGamma") == 3 and sample.count("raise _NonpositiveGamma") == 1
+
+    @pytest.mark.parametrize("gamma", [PolynomialField.constant(2, -0.5), PolynomialField(2, [])])
+    def test_constant_nonpositive_gamma_faults_at_the_start(self, gamma):
+        model = IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), gamma, W=Constant([0.1, -0.1]))
+        x0 = [0.75, -0.25]
+        tr = assert_matches_reference(model, x0, t_end=0.05, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma" and tr.times.tolist() == [0.0]
+        want = (tuple(x0), repr(loop_polynomial(gamma, x0)[0]))
+        for call in (lambda x: model._code.start(x, 0.0), lambda x: drift_rhs(model, x),
+                     lambda x: full_rhs(model, x, 0.0), model.gamma_at):
+            with pytest.raises(NonpositiveGamma) as err:
+                call(x0)
+            assert (err.value.x, repr(err.value.value)) == want
+
+    def test_value_only_power_overflows_at_the_sample(self, monkeypatch):
+        # x1^400 overflows float ** past 5.8971, x1^399 (the gradient's) past
+        # 5.9234; x1 climbs from 5.89 at rate 1, as dS = 0 leaves only W
+        H = PolynomialField(2, [((400, 0), 1e-300), ((0, 2), 0.5)])
+        model = IphsModel(2, H, PolynomialField(2, []), BracketMatrix.standard_skew(),
+                          PolynomialField.constant(2, 1.0), W=Constant([1.0, 0.0]))
+        stages, sample = step_source(monkeypatch, model)
+        assert "** 399" in stages and "** 400" not in stages and "** 400" in sample
+        tr = assert_matches_reference(model, [5.89, 0.0], t_end=0.1, dt=1e-3)
+        # the last sample, x1 = 5.897, is the last whose x1^400 is finite
+        assert tr.fault == "NonFiniteState" and len(tr) == 8 and 5.8969 < tr.states[-1, 0] < 5.8971
+
+    def test_linear_energy_folds_j_dh(self, monkeypatch):
+        # dH is constant, so each J dH component is a constant fold of 3 products
+        rng = np.random.default_rng(3)
+        H = PolynomialField(4, [((1, 0, 0, 0), 0.3), ((0, 1, 0, 0), -2.7), ((0, 0, 1, 0), 0.1),
+                                ((0, 0, 0, 1), 1.9)])
+        S = PolynomialField(4, [((2, 0, 0, 0), 0.5), ((0, 1, 1, 0), 1.5), ((0, 0, 0, 3), 0.125)])
+        model = IphsModel(4, H, S, random_skew(rng, 4), PolynomialField.constant(4, 0.75),
+                          W=Constant([0.5, -0.25, 0.125, 0.0]))
+        stages, sample = step_source(monkeypatch, model)
+        assert "j0 =" not in stages + sample and "Hg0 =" not in stages + sample
+        assert_matches_reference(model, [0.5, -1.0, 0.25, 0.75], t_end=0.2, dt=1e-2)
 
 
 class TestSmallestModel:
