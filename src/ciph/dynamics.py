@@ -313,7 +313,8 @@ class _ModelCode:
 
     def __init__(self, model: IphsModel):
         self.n, self.inputs = model.n, model._inputs
-        self.fields = (("G", model.gamma), ("H", model.H), ("S", model.S))
+        # gamma in the value form: no stage reads its gradient
+        self.fields = (("G", model.gamma, "value"), ("H", model.H, "grad"), ("S", model.S, "grad"))
         self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right}
         for i, row in enumerate(model.J.array.tolist()):
             for j, entry in enumerate(row):
@@ -377,10 +378,11 @@ class _ModelCode:
         return _compile([f"def {signature}:", *("    " + line for line in body)], self.namespace,
                         signature.split("(")[0])
 
-    def _field(self, prefix: str, field) -> tuple[list, list, list]:
-        """(powers, value, gradient) statements for one field at y."""
+    def _field(self, prefix: str, field, form: str) -> tuple[list, list, list]:
+        """(powers, value, gradient) statements for one field at y, the
+        powers those of ``form`` (see ``CompiledField``)."""
         if hasattr(field, "emit"):
-            return field.emit(self.y, prefix, self.namespace)
+            return field.emit(self.y, prefix, self.namespace, form)
         self.namespace[prefix + "value"], self.namespace[prefix + "grad"] = list_form(field)
         return ([], [f"{prefix}v = {prefix}value({_list(self.y)})"],
                 [f"{_unpack(_names(prefix + 'g', self.n))}= {prefix}grad({_list(self.y)})"])
@@ -392,7 +394,7 @@ class _ModelCode:
         statements, which read the powers these leave."""
         n = self.n
         (g_pow, g_value, _), (h_pow, h_value, h_grad), (s_pow, s_value, s_grad) = (
-            self._field(prefix, field) for prefix, field in self.fields)
+            self._field(*spec) for spec in self.fields)
         lines = [*g_pow, *g_value]
         if not (isinstance(self.namespace.get("Gv"), float) and self.namespace["Gv"] > 0.0):
             lines += ["if not Gv > 0.0:", f"    raise _NonpositiveGamma({_list(self.y)}, Gv)"]

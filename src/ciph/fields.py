@@ -7,7 +7,10 @@ compiled from them, as is the model step in ``ciph.dynamics``. The
 statements are split by what reads them, so a caller that needs only the
 gradient (an RK4 stage) runs only the gradient's: the coordinate powers
 the gradient reads, and the gradient folds. Powers only the value reads
-are computed in the value statements. A fold of constants alone (a
+are computed in the value statements. A caller that needs only the value
+(gamma in a stage, ``value_list``) asks for the value form, the mirror
+image: the powers the value reads come first, and those only the gradient
+reads open the gradient statements. A fold of constants alone (a
 constant's value, a linear field's gradient) is computed once, when the
 statements are written, and bound as a name. ``PolynomialField`` stores a
 polynomial as a list of (exponent multi-index, coefficient) terms and
@@ -142,22 +145,25 @@ def _compile(lines: Sequence[str], namespace: dict, name: str) -> Callable:
 class CompiledField:
     """Base of the fields that write themselves out as statements.
 
-    A subclass sets ``n`` and defines ``emit(point, prefix, namespace)``,
-    which returns (powers, value, gradient) statement lists evaluating the
-    field at the local names ``point``. The powers statements compute what
-    the gradient reads; the gradient statements read only those and set
-    ``{prefix}g<m>``; the value statements, run after the powers, compute
-    what only the value reads and set ``{prefix}v``. Every number is bound
-    in ``namespace`` under a name that starts with ``prefix``, and so is a
-    total that is constant (a ``_fold`` of bound numbers), which then has no
-    statement. ``value_list`` and ``grad_list`` take a list of n floats;
-    they are compiled from ``emit`` on first use, and ``value`` and ``grad``
-    wrap them.
+    A subclass sets ``n`` and defines ``emit(point, prefix, namespace,
+    form)``, which returns (powers, value, gradient) statement lists
+    evaluating the field at the local names ``point``. In the "grad" form
+    the powers statements compute what the gradient reads; the gradient
+    statements read only those and set ``{prefix}g<m>``; the value
+    statements, run after the powers, compute what only the value reads and
+    set ``{prefix}v``. The "value" form swaps the roles of value and
+    gradient. Every number is bound in ``namespace`` under a name that
+    starts with ``prefix``, and so is a total that is constant (a ``_fold``
+    of bound numbers), which then has no statement. ``value_list`` (value
+    form) and ``grad_list`` (grad form) take a list of n floats; they are
+    compiled from ``emit`` on first use, and ``value`` and ``grad`` wrap
+    them.
     """
 
     __slots__ = ("n", "value_list", "grad_list")
 
-    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict,
+             form: str = "grad") -> tuple[list, list, list]:
         raise NotImplementedError
 
     def __getattr__(self, name):
@@ -165,11 +171,12 @@ class CompiledField:
         if name not in ("value_list", "grad_list"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         point, namespace = _names("x", self.n), {}
-        powers, value, grad = self.emit(point, "", namespace)
         head = f"    {_unpack(point)}= xs"
+        powers, value, _ = self.emit(point, "", namespace, "value")
         self.value_list = _compile(
             ["def value_list(xs):", head, *("    " + s for s in powers + value), "    return v"],
             namespace, "value_list")
+        powers, _, grad = self.emit(point, "", namespace)
         self.grad_list = _compile(
             ["def grad_list(xs):", head, *("    " + s for s in powers + grad),
              f"    return {_list(_names('g', self.n))}"],
@@ -243,15 +250,18 @@ class PolynomialField(CompiledField):
         exps[i - 1] = 1
         return cls(n, [(exps, 1.0)])
 
-    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict,
+             form: str = "grad") -> tuple[list, list, list]:
         """(powers, value, gradient) statements at the local names
         ``point``. A first power is the coordinate's own name. The higher
-        powers the gradient reads are the powers statements; those only the
-        value reads open the value statements, in a ``try`` of their own.
-        Powers are ``{prefix}p<k>``; the coefficients are bound as
-        ``{prefix}c<k>`` (value) and ``{prefix}d<k>`` (gradient)."""
+        powers that the ``form`` ("grad" or "value") reads are the powers
+        statements; those only the other part reads open that part's
+        statements, in a ``try`` of their own. Powers are ``{prefix}p<k>``;
+        the coefficients are bound as ``{prefix}c<k>`` (value) and
+        ``{prefix}d<k>`` (gradient)."""
         names = [point[j] if e == 1 else f"{prefix}p{k:d}" for k, (j, e) in enumerate(self._pairs)]
-        read = {f for _, _, factors in self._grad_terms for f in factors}
+        terms = self._grad_terms if form == "grad" else self._value_terms
+        read = {f for *_, factors in terms for f in factors}
         higher = [k for k, (_, e) in enumerate(self._pairs) if e > 1]
 
         def powers(ks):
@@ -268,8 +278,11 @@ class PolynomialField(CompiledField):
             namespace[f"{prefix}d{k:d}"] = c
             grad[m].append([f"{prefix}d{k:d}", *(names[f] for f in factors)])
         grad_lines = [line for m, terms in grad.items() for line in _fold(f"{prefix}g{m:d}", terms, namespace)]
-        value_lines = [*powers([k for k in higher if k not in read]), *_fold(prefix + "v", value, namespace)]
-        return powers([k for k in higher if k in read]), value_lines, grad_lines
+        value_lines = _fold(prefix + "v", value, namespace)
+        first, other = powers([k for k in higher if k in read]), powers([k for k in higher if k not in read])
+        if form == "grad":
+            return first, [*other, *value_lines], grad_lines
+        return first, value_lines, [*other, *grad_lines]
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -354,12 +367,14 @@ class ExpSumField(_ScaledExp):
 
     ``emit`` takes the n exps by ``math.exp`` (inf where one overflows);
     the value is scale times their left fold from 0.0, and gradient
-    component i is scale * exp(x_i), the same exp.
+    component i is scale * exp(x_i), the same exp. Both read every exp, so
+    the two forms are one.
     """
 
     __slots__ = ()
 
-    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict,
+             form: str = "grad") -> tuple[list, list, list]:
         exps = _names(prefix + "p", self.n)
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf, prefix + "s": self.scale})
         value = [*_fold(prefix + "t", [[e] for e in exps], namespace), f"{prefix}v = {prefix}s * {prefix}t"]
@@ -373,12 +388,14 @@ class ExpNegSumField(_ScaledExp):
 
     ``emit`` folds the point from 0.0 and takes one ``math.exp`` (inf where
     it overflows); the value is scale times it and every gradient
-    component is -scale times it.
+    component is -scale times it. Both read the exp, so the two forms are
+    one.
     """
 
     __slots__ = ()
 
-    def emit(self, point: Sequence[str], prefix: str, namespace: dict) -> tuple[list, list, list]:
+    def emit(self, point: Sequence[str], prefix: str, namespace: dict,
+             form: str = "grad") -> tuple[list, list, list]:
         e = prefix + "p0"
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf,
                           prefix + "s": self.scale, prefix + "d": -self.scale})

@@ -21,13 +21,20 @@ by c > 0 leaves every verdict unchanged; the zero tensor passes them all.
 
 All external index tuples are 1-based; storage is row-major with the first
 index slowest. Checkers are pure functions over immutable tensors.
+
+The four index identities permute only slots 1, 3 and 4, so their residuals
+can be nonzero only on the orbit of the tensor's nonzero positions under
+those six permutations. A sparse tensor's checks read operands gathered on
+that orbit; a tensor whose orbit is not much smaller than n^4 reads strided
+views of the whole array. Either layout gives the same bits
+(``_slot_operands``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +58,15 @@ RANDOM_DIRECTIONS = 64
 #: Directions contracted and eigen-solved together by the PSD scan. Blocks
 #: bound peak memory and keep the early exit at the first failing direction.
 PSD_BLOCK = 64
+#: The six permutations of slots (1, 3, 4) as ``_rearranged`` patterns. Every
+#: term of an index identity is one of them; none moves slot 2.
+SLOT_PERMUTATIONS = ("ijkl", "ijlk", "kjil", "kjli", "ljik", "ljki")
+#: Largest share of the n^4 positions an orbit may cover and still be
+#: gathered; a larger orbit keeps strided views (see ``_slot_operands``).
+#: Measured for the four index checks at n = 8-32 (``BENCH_orbit_checks.json``):
+#: gathered operands win up to about 0.2 for bracket products and 0.35 for
+#: random positions, and 0.15 leaves them ahead by at least 1.15x.
+ORBIT_CROSSOVER = 0.15
 
 
 def _integer(value) -> int | None:
@@ -86,9 +102,16 @@ class Tensor4:
 
     ``get``/``set`` use 1-based indices to match the file formats; ``set``
     returns a new tensor, leaving the original untouched.
+
+    The index checks read the tensor under the six permutations of slots
+    (1, 3, 4); the tensor builds those operands on first use and keeps them
+    (``_slot_operands``). A sparse tensor's operands cover only the orbit of
+    its nonzero positions, which ``from_entries`` seeds with the positions it
+    has already sorted. The cache is not part of the value: ``==`` and
+    ``hash`` read only n and the entries, and ``set`` starts a new tensor.
     """
 
-    __slots__ = ("n", "_values", "_max_abs")
+    __slots__ = ("n", "_values", "_max_abs", "_support", "_operands")
 
     def __init__(self, n: int, values=None):
         n = _checked_dimension(n)
@@ -96,13 +119,15 @@ class Tensor4:
         self._hold(n, arr)
 
     @classmethod
-    def _owning(cls, n: int, arr: np.ndarray) -> "Tensor4":
-        """Wrap a fresh float array that no caller keeps, without copying it."""
+    def _owning(cls, n: int, arr: np.ndarray, support: np.ndarray | None = None) -> "Tensor4":
+        """Wrap a fresh float array that no caller keeps, without copying it.
+        ``support``, when given, holds sorted flat positions that include
+        every nonzero entry."""
         t = cls.__new__(cls)
-        t._hold(_checked_dimension(n), arr)
+        t._hold(_checked_dimension(n), arr, support)
         return t
 
-    def _hold(self, n: int, arr: np.ndarray) -> None:
+    def _hold(self, n: int, arr: np.ndarray, support: np.ndarray | None = None) -> None:
         if arr.shape != (n, n, n, n):
             raise DimensionMismatch(f"values have shape {arr.shape}, expected {(n, n, n, n)}")
         # min and max propagate NaN and reach +-inf, with no n^4 mask, and
@@ -114,6 +139,15 @@ class Tensor4:
         self.n = n
         self._values = arr
         self._max_abs = abs(max(hi, -lo))
+        self._support = support
+        self._operands = None
+
+    def _slot_operands(self) -> "_SlotOperands":
+        """The operands of the index checks, built on first use and kept."""
+        if self._operands is None:
+            self._operands = _slot_operands(self._values, self._support)
+            self._support = None
+        return self._operands
 
     @classmethod
     def zeros(cls, n: int) -> "Tensor4":
@@ -146,7 +180,7 @@ class Tensor4:
             key = tuple(int(v) for v in index[pos])
             raise FormatError(f"entry #{pos + 1} index {key} out of range 1..{n}")
         flat = np.ravel_multi_index(tuple(index.astype(np.intp).T - 1), (n, n, n, n))
-        _, first = np.unique(flat, return_index=True)
+        positions, first = np.unique(flat, return_index=True)
         if len(first) < len(flat):
             repeated = np.ones(len(flat), dtype=bool)
             repeated[first] = False
@@ -154,7 +188,8 @@ class Tensor4:
             raise FormatError(f"duplicate entry for index {key}")
         arr = np.zeros((n, n, n, n))
         arr.reshape(-1)[flat] = table[:, 4]
-        return cls._owning(n, arr)
+        # the sorted positions seed the index checks' orbit, if few enough to be gathered
+        return cls._owning(n, arr, positions if len(positions) <= ORBIT_CROSSOVER * arr.size else None)
 
     @property
     def values(self) -> np.ndarray:
@@ -254,9 +289,7 @@ def _require_tol(tol: float) -> float:
     return tol
 
 
-def _violation_witness(
-    residuals: np.ndarray, entries: np.ndarray, bound: float
-) -> Witness | None:
+def _violation_witness(residuals: np.ndarray, operands: "_SlotOperands", bound: float) -> Witness | None:
     """Pick the most informative violating position, or None if all pass.
 
     Among every position whose residual exceeds ``bound``, the witness is the
@@ -264,20 +297,24 @@ def _violation_witness(
     would look up first); remaining ties resolve in row-major order. The
     witness carries the residual measured at that position.
 
-    ``residuals`` is the caller's own buffer, and the search reuses it for
-    the keys. Residuals are never NaN (a sum of finite terms overflows to
-    inf), so a pass needs only their maximum.
+    ``residuals`` lie on the layout of ``operands`` and are the caller's own
+    buffer, which the search reuses for the keys. Residuals are never NaN (a
+    sum of finite terms overflows to inf), so a pass needs only their
+    maximum; they are >= 0, so ``initial=0.0`` changes no verdict and lets an
+    empty orbit (the zero tensor) pass.
     """
-    if not residuals.max() > bound:
+    if not residuals.max(initial=0.0) > bound:
         return None
     over = residuals > bound
     found = residuals[over]  # the violating residuals, in row-major order
     keyed = residuals
     keyed.fill(-1.0)
-    np.abs(entries, out=keyed, where=over)
+    np.abs(operands.terms["ijkl"], out=keyed, where=over)
     flat = int(np.argmax(keyed))
     residual = found[np.count_nonzero(over.reshape(-1)[:flat])]
-    idx = np.unravel_index(flat, residuals.shape)
+    if operands.positions is not None:
+        flat = int(operands.positions[flat])
+    idx = np.unravel_index(flat, operands.shape)
     return Witness(float(residual), index=tuple(int(v) + 1 for v in idx))
 
 
@@ -305,39 +342,106 @@ def _rearranged(v: np.ndarray, pattern: str) -> np.ndarray:
     return np.einsum(f"{pattern}->ijkl", v)
 
 
-def _slot_sum(v: np.ndarray, terms: str) -> np.ndarray:
-    """|signed sum of slot permutations of v|, built in one buffer.
+class _SlotOperands(NamedTuple):
+    """A tensor under each permutation of slots (1, 3, 4): the operands of
+    the index checks, on one of two layouts.
 
-    ``terms`` lists the permuted views (see ``_rearranged``), the first
-    unsigned and each later one with ``+`` or ``-``, e.g. ``"ijkl -ijlk"``.
-    They are combined left to right in the order written, so a sum whose
-    terms cancel in adjacent pairs stays exactly zero. An overflowed sum is
-    inf, which fails any tolerance.
+    ``terms`` maps each pattern of ``SLOT_PERMUTATIONS`` to its operand and
+    ``repeated`` marks where two of i, k, l coincide. ``positions`` holds the
+    flat row-major position of each operand element, ascending, or is None
+    when the operands are (n, n, n, n) strided views of the whole tensor.
+    ``shape`` is the tensor's.
     """
-    first, *rest = terms.split()
-    out = np.empty(v.shape)
-    acc = _rearranged(v, first)
+
+    terms: dict[str, np.ndarray]
+    repeated: np.ndarray
+    positions: np.ndarray | None
+    shape: tuple[int, int, int, int]
+
+
+def _permuted(positions: np.ndarray, n: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """For each pattern of ``SLOT_PERMUTATIONS``, the flat position it reads
+    at each of the flat ``positions`` (at (i, j, k, l), 'kjli' reads
+    (k, j, l, i)); and where two of i, k, l coincide."""
+    rest, l = np.divmod(positions, n)
+    rest, k = np.divmod(rest, n)
+    i, j = np.divmod(rest, n)
+    jn = j * (n * n)
+    scaled = {c: (x * n**3, x * n, x) for c, x in zip("ikl", (i, k, l))}
+    read = {}
+    for pattern in SLOT_PERMUTATIONS:
+        a, _, c, d = pattern
+        read[pattern] = flat = scaled[a][0] + jn
+        flat += scaled[c][1]
+        flat += scaled[d][2]
+    return read, (i == k) | (i == l) | (k == l)
+
+
+def _slot_operands(v: np.ndarray, support: np.ndarray | None) -> _SlotOperands:
+    """The operands of the index checks on v (see ``_SlotOperands``).
+
+    No index identity moves slot 2, so a residual is nonzero only on the
+    orbit of v's nonzero positions under the permutations of slots (1, 3, 4).
+    When that orbit covers at most ``ORBIT_CROSSOVER`` of the n^4 positions,
+    each operand is gathered on it, in row-major order; otherwise the
+    operands are strided views. ``support`` (sorted flat positions including
+    every nonzero entry) seeds the orbit; without it the nonzeros are found.
+    """
+    n, cap = v.shape[0], ORBIT_CROSSOVER * v.size
+    if support is None and np.count_nonzero(v) <= cap:
+        support = np.flatnonzero(v)
+    if support is not None and len(support) <= cap:
+        on_orbit = np.zeros(v.size, dtype=bool)
+        for moved in _permuted(support, n)[0].values():
+            on_orbit[moved] = True
+        orbit = np.flatnonzero(on_orbit)
+        if len(orbit) <= cap:
+            read, repeated = _permuted(orbit, n)
+            flat = v.reshape(-1)
+            terms = {pattern: flat[at] for pattern, at in read.items()}
+            return _SlotOperands(terms, repeated, orbit, v.shape)
+    i, k, l = np.ogrid[:n, :n, :n]
+    terms = {pattern: _rearranged(v, pattern) for pattern in SLOT_PERMUTATIONS}
+    return _SlotOperands(terms, ((i == k) | (i == l) | (k == l))[:, None], None, v.shape)
+
+
+def _slot_sum(terms: Mapping[str, np.ndarray], signed: str) -> np.ndarray:
+    """|signed sum of slot permutations|, built in one buffer.
+
+    ``signed`` lists patterns of ``terms`` (the operands of one layout, see
+    ``_SlotOperands``), the first unsigned and each later one with ``+`` or
+    ``-``, e.g. ``"ijkl -ijlk"``. They are combined left to right in the
+    order written, so a sum whose terms cancel in adjacent pairs stays
+    exactly zero. An overflowed sum is inf, which fails any tolerance.
+
+    Each element is the same float sequence on either layout, and off the
+    orbit every term is 0, so the orbit's residuals are the dense ones at
+    its positions and the rest are exactly 0.
+    """
+    first, *rest = signed.split()
+    acc = terms[first]
+    out = np.empty(acc.shape)
     with np.errstate(over="ignore"):
         for term in rest:
             op = np.subtract if term[0] == "-" else np.add
-            op(acc, _rearranged(v, term[1:]), out=out)
+            op(acc, terms[term[1:]], out=out)
             acc = out
     return np.abs(out, out=out)
 
 
 def _index_check(
-    condition_id: str, t: Tensor4, tol: float, terms: str, halve_repeated: bool = False
+    condition_id: str, t: Tensor4, tol: float, signed: str, halve_repeated: bool = False
 ) -> ConditionReport:
-    """Pass iff the signed slot sum ``terms`` of t (see ``_slot_sum``) is at
+    """Pass iff the signed slot sum ``signed`` of t (see ``_slot_sum``) is at
     most ``tol * max|t|`` in magnitude everywhere; ``halve_repeated`` halves
-    it first where two of i, k, l coincide."""
+    it first where two of i, k, l coincide. A residual off the operands'
+    orbit is exactly 0, which never exceeds a bound >= 0."""
     tol = _require_tol(tol)
-    residuals = _slot_sum(t.values, terms)
+    operands = t._slot_operands()
+    residuals = _slot_sum(operands.terms, signed)
     if halve_repeated:
-        i, k, l = np.ogrid[: t.n, : t.n, : t.n]
-        repeated = ((i == k) | (i == l) | (k == l))[:, None]
-        np.multiply(residuals, 0.5, out=residuals, where=repeated)
-    witness = _violation_witness(residuals, t.values, tol * t.max_abs())
+        np.multiply(residuals, 0.5, out=residuals, where=operands.repeated)
+    witness = _violation_witness(residuals, operands, tol * t.max_abs())
     return ConditionReport(condition_id, witness is None, witness, tol)
 
 
@@ -513,16 +617,14 @@ def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
     pair[r, :, i] = 1.0
     pair[r, 0, j] = 1.0
     pair[r, 1, j] = -1.0
-    dirs: list[np.ndarray] = list(np.concatenate([np.eye(n), pair.reshape(-1, n)]))
-    rng = np.random.default_rng(seed)
-    for _ in range(RANDOM_DIRECTIONS):
-        v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            v = np.eye(n)[0]
-            norm = 1.0
-        dirs.append(v / norm)
-    return dirs
+    # One draw gives the stream of RANDOM_DIRECTIONS draws of n, row by row.
+    # Each row's norm is the root of its own ``row @ row``, the dot that
+    # np.linalg.norm takes; a (1, n) @ (n, 1) matmul per row takes it too.
+    g = np.random.default_rng(seed).standard_normal((RANDOM_DIRECTIONS, n))
+    norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).reshape(-1))
+    zero = norms == 0.0
+    g[zero], norms[zero] = np.eye(n)[0], 1.0
+    return list(np.concatenate([np.eye(n), pair.reshape(-1, n), g / norms[:, None]]))
 
 
 def _grad_at(field, x, n: int) -> np.ndarray:

@@ -3,21 +3,30 @@
 * The PSD scan builds M(y) from a direction's support when it has at most
   two nonzero coordinates; a per-direction ``contract_directions`` scan (and,
   at n <= 5, the loop oracle) must give the same report.
-* The index checkers sum slot permutations in one buffer; verdict, witness
-  index and residual must equal those of the plain numpy expressions kept
-  below.
-* ``default_directions`` builds its basis and pair rows at once; its bytes
-  must equal those of the loop that defines the set.
+* The index checkers sum slot permutations in one buffer, on strided views
+  or on operands gathered on the orbit of the nonzero positions; on either
+  layout verdict, witness index and residual must equal those of the plain
+  numpy expressions kept below, and the orbit must hold every nonzero
+  residual.
+* ``default_directions`` builds its basis and pair rows at once and draws
+  its random rows in one call; its bytes must equal those of the loop that
+  defines the set.
 * ``Tensor4`` copies a caller's array, and its own builders do not alias
   one another's results.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciph import tensor as tensor_module
 from ciph import (
+    BracketMatrix,
     NonFiniteValue,
     Tensor4,
     check_cyclic_b,
@@ -30,6 +39,7 @@ from ciph import (
     product_tensor,
     symmetrize_34,
 )
+from ciph.fileio import load_tensor, save_tensor
 from ciph.tensor import (
     DEFAULT_TOL,
     DIRECTION_SEED,
@@ -179,8 +189,11 @@ def test_psd_scan_on_single_coordinate_directions(n):
 # ----------------------------------------------------- index checkers
 #
 # The checkers' rule written as plain numpy: each residual as a chain of
-# numpy sums (RAW_III halved where two of i, k, l coincide, with np.where),
-# bounded by tol * max|t|, the witness from np.where masks.
+# numpy sums over all n^4 positions (RAW_III halved where two of i, k, l
+# coincide, with np.where), bounded by tol * max|t|, the witness from
+# np.where masks. The checkers read either strided views of the whole tensor
+# or operands gathered on the orbit of its nonzero positions; both layouts
+# must give these reports.
 
 
 def _perm(v, pattern):
@@ -196,19 +209,19 @@ def _ref_witness(residuals, entries, tol):
     return Witness(float(residuals[idx]), index=tuple(int(v) + 1 for v in idx))
 
 
-def ref_sym_a(v, tol):
-    return _ref_witness(np.abs(v - _perm(v, "ijlk")), v, tol)
+def res_sym_a(v):
+    return np.abs(v - _perm(v, "ijlk"))
 
 
-def ref_cyclic_b(v, tol):
-    return _ref_witness(np.abs(v + _perm(v, "kjli") + _perm(v, "ljik")), v, tol)
+def res_cyclic_b(v):
+    return np.abs(v + _perm(v, "kjli") + _perm(v, "ljik"))
 
 
-def ref_quasi_poisson(v, tol):
-    return _ref_witness(np.abs(v + _perm(v, "ljki")), v, tol)
+def res_quasi_poisson(v):
+    return np.abs(v + _perm(v, "ljki"))
 
 
-def ref_raw_iii(v, tol):
+def res_raw_iii(v):
     n = v.shape[0]
     six = np.abs(
         v + _perm(v, "kjil") + _perm(v, "kjli") + _perm(v, "ljki") + _perm(v, "ijlk")
@@ -216,15 +229,70 @@ def ref_raw_iii(v, tol):
     )
     ii, kk, ll = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     distinct = (ii != kk) & (ii != ll) & (kk != ll)
-    return _ref_witness(np.where(distinct[:, None, :, :], six, 0.5 * six), v, tol)
+    return np.where(distinct[:, None, :, :], six, 0.5 * six)
 
 
 INDEX_CHECKS = [
-    (check_sym_a, ref_sym_a),
-    (check_cyclic_b, ref_cyclic_b),
-    (check_raw_iii, ref_raw_iii),
-    (check_quasi_poisson, ref_quasi_poisson),
+    (check_sym_a, res_sym_a),
+    (check_cyclic_b, res_cyclic_b),
+    (check_raw_iii, res_raw_iii),
+    (check_quasi_poisson, res_quasi_poisson),
 ]
+
+
+def sparse_skew(rng, n: int, couplings: int) -> np.ndarray:
+    """Block-diagonal standard symplectic J (weighted blocks) plus
+    ``couplings`` off-block entries: the J of a few canonical pairs."""
+    J = np.zeros((n, n))
+    for b in range(0, n - 1, 2):
+        J[b, b + 1] = rng.uniform(0.5, 1.5)
+    for c in range(couplings):
+        p = 2 * (c * (n // 2) // couplings)
+        J[p, (p + 3) % n] += rng.uniform(0.2, 0.6) * rng.choice((-1.0, 1.0))
+    return J - J.T
+
+
+def few_entries(rng, n: int, count: int, values) -> Tensor4:
+    """``count`` entries at distinct random positions, values drawn from ``values``."""
+    flat = rng.choice(n**4, size=min(count, n**4), replace=False)
+    index = np.array(np.unravel_index(flat, (n,) * 4)).T + 1
+    return Tensor4.from_entries(n, [(*map(int, ijkl), float(rng.choice(values))) for ijkl in index])
+
+
+def sparse_tensors(n: int, rng) -> list[Tensor4]:
+    """Sparse members: a check-sparse-style tensor gamma sym34(J (x) J) at
+    an even size up to 24 (raw, and with SYM_A broken), random few-entry
+    tensors, a single entry, the zero tensor, sparse +-1.5e308 entries,
+    -0.0 entries, and a file with explicit zero entries."""
+    m = 2 * ((3 * n + 1) // 2)  # 4, 6, 10, ..., 24 for n = 1..8
+    J = sparse_skew(rng, m, m // 8 + 1)
+    raw = np.einsum("ik,jl->ijkl", J, J)
+    sym = 0.5 * rng.uniform(0.5, 2.0) * (raw + raw.transpose(0, 1, 3, 2))
+    w = np.zeros(m)
+    w[[1, m - 2]] = rng.uniform(0.5, 1.0, size=2)
+    A = np.zeros((m, m))
+    A[0, m - 1], A[m - 1, 0] = 1.0, -1.0
+    broken = sym + 0.3 * np.einsum("i,j,kl->ijkl", w, w, A)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "zeros.json"
+        listed = {(1, 1, 1, 1): 0, (n, 1, 1, n): 2.5, (1, n, n, 1): 0.0, (n, n, 1, 1): -0.0}
+        entries = [dict(zip("ijklv", (*key, v))) for key, v in listed.items()]
+        path.write_text(json.dumps({"n": n, "entries": entries}))
+        from_file = load_tensor(path)
+    return [
+        Tensor4.from_entries(m, [(*(idx + 1), sym[tuple(idx)]) for idx in np.argwhere(sym)]),
+        Tensor4(m, raw),
+        Tensor4(m, broken),
+        few_entries(rng, n, int(rng.integers(2, 6)), [-2.0, -1.0, 0.5, 1.0, 3.0]),
+        few_entries(rng, n, 3, [1.0]),
+        few_entries(rng, n, 1, [-0.75]),
+        Tensor4.zeros(n),
+        Tensor4.from_entries(n, []),
+        few_entries(rng, n, 6, [-1.5e308, 1.5e308]),
+        few_entries(rng, n, 4, [-0.0]),
+        Tensor4.from_entries(n, {(1, 1, 1, 1): -0.0, (n, 1, 1, n): 1.0}),
+        from_file,
+    ]
 
 
 def index_tensors(n: int, rng) -> list[Tensor4]:
@@ -241,22 +309,96 @@ def index_tensors(n: int, rng) -> list[Tensor4]:
         Tensor4(n, big),
         symmetrize_34(Tensor4(n, big)),
         Tensor4(n, np.where(rng.random(shape) < 0.3, 1.5e308, raw.values)),
+        *sparse_tensors(n, rng),
     ]
 
 
+# ORBIT_CROSSOVER settings: the layout the tensor calls for, then gathered
+# operands and strided views forced
+LAYOUTS = [(None, None), (1.0, True), (-1.0, False)]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_index_checkers_bit_identical_to_reference(n):
-    rng = np.random.default_rng(1000 + n)
-    for t in index_tensors(n, rng):
-        for tol in (DEFAULT_TOL, 0.0, 1e-3):
-            for check, reference in INDEX_CHECKS:
-                report = check(t, tol)
-                with np.errstate(over="ignore"):
-                    want = reference(t.values, tol)
-                assert report.passed == (want is None), check.__name__
-                assert report.witness == want, check.__name__
-                if want is not None:  # Witness equality compares residuals with ==
-                    assert report.witness.residual == want.residual
+def test_index_checkers_bit_identical_to_reference(n, monkeypatch):
+    for crossover, gathered in LAYOUTS:
+        if crossover is not None:
+            monkeypatch.setattr(tensor_module, "ORBIT_CROSSOVER", crossover)
+        for t in index_tensors(n, np.random.default_rng(1000 + n)):
+            for tol in (DEFAULT_TOL, 0.0, 1e-3):
+                for check, residuals in INDEX_CHECKS:
+                    report = check(t, tol)
+                    with np.errstate(over="ignore"):
+                        want = _ref_witness(residuals(t.values), t.values, tol)
+                    assert report.passed == (want is None), check.__name__
+                    assert report.witness == want, check.__name__
+                    if want is not None:  # Witness equality compares residuals with ==
+                        assert report.witness.residual == want.residual
+            if gathered is not None:
+                assert (t._slot_operands().positions is not None) == gathered
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_orbit_covers_every_nonzero_residual(n):
+    for t in index_tensors(n, np.random.default_rng(2000 + n)):
+        positions = t._slot_operands().positions
+        if positions is None:  # strided views: the whole tensor
+            continue
+        for _, residuals in INDEX_CHECKS:
+            with np.errstate(over="ignore"):
+                nonzero = np.flatnonzero(residuals(t.values))
+            assert np.isin(nonzero, positions).all()
+        # the orbit is the nonzero positions' images under slots (1, 3, 4)
+        moved = {tuple(v[[a, 1, b, c]]) for v in np.argwhere(t.values) for a, b, c in
+                 ((0, 2, 3), (0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 0, 2), (3, 2, 0))}
+        orbit = set(map(tuple, np.array(np.unravel_index(positions, t.values.shape)).T))
+        assert moved <= orbit
+
+
+def test_check_sparse_tensor_never_takes_strided_views(monkeypatch, tmp_path):
+    rng = np.random.default_rng(24)
+    J = sparse_skew(rng, 24, 4)
+    raw = np.einsum("ik,jl->ijkl", J, J)
+    t = 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+    t[1, 2, 0, 23] += 0.25  # SYM_A broken at (2, 3, 1, 24)
+    path = tmp_path / "t.json"
+    save_tensor(Tensor4(24, t), path)
+
+    def views(*args):
+        raise AssertionError("strided views taken")
+
+    monkeypatch.setattr(tensor_module, "_rearranged", views)
+    for loaded in (load_tensor(path), Tensor4(24, t)):
+        for check, residuals in INDEX_CHECKS:
+            report, want = check(loaded), _ref_witness(residuals(t), t, DEFAULT_TOL)
+            assert (report.passed, report.witness) == (want is None, want)
+    assert check_sym_a(load_tensor(path)).witness.index == (2, 3, 1, 24)
+
+
+def test_set_starts_a_tensor_without_the_cached_orbit():
+    J = sparse_skew(np.random.default_rng(8), 8, 2)
+    t = symmetrize_34(product_tensor(BracketMatrix(J), BracketMatrix(J)))
+    assert check_sym_a(t).passed
+    orbit = t._slot_operands().positions
+    # the first position off the orbit whose last two slots differ
+    off = np.setdiff1d(np.arange(8**4), orbit)
+    index = next(idx for idx in zip(*np.unravel_index(off, (8,) * 4)) if idx[2] != idx[3])
+    index = tuple(int(v) + 1 for v in index)
+    report = check_sym_a(t.set(*index, 10.0))
+    assert not report.passed and report.witness == Witness(10.0, index=index)
+    assert check_sym_a(t).passed
+
+
+def test_equality_and_hash_ignore_the_cache():
+    rng = np.random.default_rng(4)
+    seeded = few_entries(rng, 5, 7, [1.0, -2.0])
+    plain = Tensor4(5, seeded.values)
+    assert seeded == plain and hash(seeded) == hash(plain)
+    check_raw_iii(seeded)
+    assert seeded._operands is not None and plain._operands is None
+    assert seeded == plain and hash(seeded) == hash(plain)
+    check_raw_iii(plain)
+    assert seeded == plain and hash(seeded) == hash(plain)
+    assert seeded != seeded.set(1, 1, 1, 1, 5.0)
 
 
 # ------------------------------------------------- standard directions
@@ -286,6 +428,22 @@ def test_default_directions_bytes_match_the_loop_definition(seed):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def test_default_directions_replace_a_zero_draw_by_the_first_basis_vector(monkeypatch):
+    draws = np.random.default_rng(7).standard_normal((RANDOM_DIRECTIONS, 4))
+    draws[5] = 0.0
+
+    class Fixed:
+        def standard_normal(self, size):
+            assert size == draws.shape
+            return draws.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Fixed())
+    got = default_directions(4)[16:]
+    for row, draw, a in zip(got, draws, range(RANDOM_DIRECTIONS)):
+        want = np.eye(4)[0] if a == 5 else draw / np.linalg.norm(draw)
+        assert row.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------- Tensor4 copies

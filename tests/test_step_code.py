@@ -166,6 +166,29 @@ class TestLiveStatements:
         # the last sample, x1 = 5.897, is the last whose x1^400 is finite
         assert tr.fault == "NonFiniteState" and len(tr) == 8 and 5.8969 < tr.states[-1, 0] < 5.8971
 
+    def test_polynomial_gamma_computes_the_powers_its_value_reads(self, monkeypatch):
+        # gamma = 1 + 0.5 x1^3: its gradient reads x1^2, which nothing runs
+        cubic = PolynomialField(2, [((0, 0), 1.0), ((3, 0), 0.5)])
+        model = IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), cubic)
+        stages, sample = step_source(monkeypatch, model)
+        assert stages.count("Gp0 = y0 ** 3") == 3 and sample.count("Gp0 = y0 ** 3") == 1
+        assert "Gp1" not in stages + sample
+        assert_matches_reference(model, [1.0, 0.5], t_end=0.1, dt=1e-2)
+        # value_list takes the value form too, grad_list the grad form
+        sources = capture_sources(monkeypatch)
+        fresh = PolynomialField(2, cubic.terms)
+        assert (fresh.value([1.5, 0.0]), fresh.grad([1.5, 0.0]).tolist()) == loop_polynomial(fresh, [1.5, 0.0])
+        value_source, grad_source = sources
+        assert "** 3" in value_source and "** 2" not in value_source
+        assert "** 2" in grad_source and "** 3" not in grad_source
+        # gamma = x1^2 + x1^3 reads both powers for its value
+        both = PolynomialField(2, [((2, 0), 1.0), ((3, 0), 1.0)])
+        model = IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), both)
+        stages, sample = step_source(monkeypatch, model)
+        for text, count in ((stages, 3), (sample, 1)):
+            assert text.count("Gp0 = y0 ** 2") == count and text.count("Gp1 = y0 ** 3") == count
+        assert_matches_reference(model, [1.0, 0.5], t_end=0.1, dt=1e-2)
+
     def test_linear_energy_folds_j_dh(self, monkeypatch):
         # dH is constant, so each J dH component is a constant fold of 3 products
         rng = np.random.default_rng(3)
