@@ -108,4 +108,4 @@ def product_tensor(A: BracketMatrix, B: BracketMatrix) -> Tensor4:
     """
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
-    return Tensor4(A.n, np.einsum("ik,jl->ijkl", A.array, B.array))
+    return Tensor4._owning(A.n, np.einsum("ik,jl->ijkl", A.array, B.array))

@@ -2,9 +2,10 @@
 
 All on-disk indices are 1-based. Tensor files are written in one fixed
 layout (that of ``json.dumps(..., indent=1)``) with shortest round-trip
-floats. Numbers in the trajectory CSV are written with 17 significant
-digits ("%.17g"). Both are byte-deterministic and round-trip through
-doubles exactly.
+floats; the writer formats each distinct value and each (i, j, k) entry
+head once and gathers every entry's text from those strings. Numbers in the
+trajectory CSV are written with 17 significant digits ("%.17g"). Both are
+byte-deterministic and round-trip through doubles exactly.
 
 Every reader and writer runs inside one error boundary, ``_naming``: an
 OSError, KeyError (a missing field) or CiphError raised inside leaves as one
@@ -162,8 +163,11 @@ def load_tensor(path) -> Tensor4:
 
 # One tensor entry as ``json.dumps(..., indent=1)`` lays it out inside the
 # "entries" list; "%r" of a finite float is the shortest round-trip repr,
-# which is what json writes.
+# which is what json writes. The writer formats it in three parts: the head
+# (i, j, k), the "l" part (l up to the value) and, after the value, the close.
 _ENTRY_TEMPLATE = '  {\n   "i": %d,\n   "j": %d,\n   "k": %d,\n   "l": %d,\n   "v": %r\n  }'
+_HEAD = _ENTRY_TEMPLATE[: _ENTRY_TEMPLATE.rindex("%d")]  # up to l's "%d"
+_L_PART, _CLOSE = _ENTRY_TEMPLATE[len(_HEAD) :].split("%r")
 
 
 def save_tensor(t: Tensor4, path) -> None:
@@ -171,19 +175,31 @@ def save_tensor(t: Tensor4, path) -> None:
     ``json.dumps({"n": n, "entries": [{i, j, k, l, v}, ...]}, indent=1)``
     plus a newline, with 1-based indices, row-major entry order, zero
     entries (also -0.0) omitted and values as shortest round-trip floats.
+
+    Entries repeat their text: a bracket product's values are products of a
+    few matrix entries, and the n entries of one (i, j, k) share their head.
+    So each distinct value is formatted once (``np.unique``), each distinct
+    (i, j, k) head once and each "l" part once, and the entries are gathered
+    from those strings into an (m, 4) table that one join writes out.
     """
-    v = t.values
-    nonzero = np.argwhere(v)
-    if len(nonzero):
-        # object rows, so .tolist() gives int indices, which "%d" formats faster than floats
-        table = np.empty((len(nonzero), 5), dtype=object)
-        table[:, :4] = nonzero + 1
-        table[:, 4] = v[tuple(nonzero.T)]
-        body = ",\n".join([_ENTRY_TEMPLATE] * len(table)) % tuple(table.ravel().tolist())
-        entries = f"[\n{body}\n ]"
+    n, flat = t.n, t.values.reshape(-1)
+    pos = np.flatnonzero(flat)  # row-major; -0.0 is zero
+    if len(pos):
+        values, which_value = np.unique(flat[pos], return_inverse=True)
+        ijk = pos // n  # ascending, so each head's entries are consecutive
+        first = np.diff(ijk, prepend=-1) != 0
+        i, j, k = (axis + 1 for axis in np.unravel_index(ijk[first], (n, n, n)))
+        heads = [_HEAD % head for head in zip(i.tolist(), j.tolist(), k.tolist())]
+        table = np.empty((len(pos), 4), dtype=object)
+        table[:, 0] = np.array(heads, dtype=object)[np.cumsum(first) - 1]
+        table[:, 1] = np.array([_L_PART % l for l in range(1, n + 1)], dtype=object)[pos % n]
+        table[:, 2] = np.array(list(map(repr, values.tolist())), dtype=object)[which_value]
+        table[:, 3] = _CLOSE + ",\n"
+        table[-1, 3] = _CLOSE
+        entries = "[\n" + "".join(table.ravel().tolist()) + "\n ]"
     else:
         entries = "[]"
-    _write(path, f'{{\n "n": {t.n},\n "entries": {entries}\n}}\n')
+    _write(path, f'{{\n "n": {n},\n "entries": {entries}\n}}\n')
 
 
 def load_matrix(path) -> BracketMatrix:

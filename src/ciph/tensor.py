@@ -506,7 +506,7 @@ def _support_rows(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def check_psd_c(
-    t: Tensor4, directions: Sequence, tol: float = DEFAULT_TOL
+    t: Tensor4, directions: Sequence | np.ndarray, tol: float = DEFAULT_TOL
 ) -> ConditionReport:
     """Sampled symmetry + positive semidefiniteness of M(y).
 
@@ -517,7 +517,9 @@ def check_psd_c(
     noise (y near the kernel of a cone member's J). In list order, the first
     direction that fails, or whose M(y), M + M^T or bound is not finite
     (NonFiniteValue), decides. A pass means "no violation found among the
-    supplied directions", not a proof.
+    supplied directions", not a proof. ``directions`` is a 2-D float array
+    with one direction per row (``default_directions``), taken as it is, or
+    any other sequence of vectors, read and shape-checked one by one.
 
     The scan runs in blocks of ``PSD_BLOCK`` directions, with ``t`` seen as
     an (n^2, n^2) pair matrix P whose row ``k n + l`` holds t[:, :, k, l].
@@ -532,13 +534,16 @@ def check_psd_c(
     """
     tol = _require_tol(tol)
     n = t.n
-    dirs = [np.asarray(y, dtype=float) for y in directions]
-    if not dirs:
+    if isinstance(directions, np.ndarray) and directions.ndim == 2 and directions.dtype == float:
+        rows = directions[:1]  # the rows of one array share their shape
+    else:
+        directions = rows = [np.asarray(y, dtype=float) for y in directions]
+    if not len(directions):
         raise EmptyDirectionSet("the PSD check needs at least one direction")
-    for y in dirs:
+    for y in rows:
         if y.shape != (n,):
             raise DimensionMismatch(f"direction has shape {y.shape}, expected ({n},)")
-    Y = np.array(dirs)
+    Y = np.asarray(directions)
     if not np.all(np.isfinite(Y)):
         raise NonFiniteValue("directions must be finite (no NaN/Inf)")
     pairs = t.values.reshape(n * n, n * n).T
@@ -604,9 +609,10 @@ def _weighted_rows(P, rows, weights, out: np.ndarray, term: np.ndarray) -> None:
         out += term
 
 
-def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
-    """Standard direction set: basis vectors, pairwise sums/differences, and
-    64 seeded pseudorandom unit vectors.
+def default_directions(n: int, seed: int = DIRECTION_SEED) -> np.ndarray:
+    """Standard direction set, one direction per row of an (n^2 + 64, n)
+    array: basis vectors, pairwise sums/differences, and 64 seeded
+    pseudorandom unit vectors.
 
     Deterministic for a fixed seed, so reports are reproducible; the seed can
     be overridden (the CLI honors the CIPH_SEED environment variable).
@@ -624,7 +630,7 @@ def default_directions(n: int, seed: int = DIRECTION_SEED) -> list[np.ndarray]:
     norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None]).reshape(-1))
     zero = norms == 0.0
     g[zero], norms[zero] = np.eye(n)[0], 1.0
-    return list(np.concatenate([np.eye(n), pair.reshape(-1, n), g / norms[:, None]]))
+    return np.concatenate([np.eye(n), pair.reshape(-1, n), g / norms[:, None]])
 
 
 def _grad_at(field, x, n: int) -> np.ndarray:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ciph import BracketMatrix, DimensionMismatch, DimensionTooLarge, FormatError, Tensor4, integrate
+from ciph import (
+    BracketMatrix,
+    DimensionMismatch,
+    DimensionTooLarge,
+    FormatError,
+    Tensor4,
+    integrate,
+    product_tensor,
+    symmetrize_34,
+)
 from ciph.dynamics import Trajectory, balance_ledger, quadratic_linear_model
 from ciph.fileio import (
     load_directions,
@@ -17,6 +26,7 @@ from ciph.fileio import (
     write_trajectory_csv,
 )
 from ciph.tensor import MAX_DIMENSION
+from ciph.verify import random_skew
 
 from conftest import EPS_ENTRIES
 
@@ -143,6 +153,22 @@ def _writer_cases() -> dict:
     flat = rng.choice(81, size=2 * len(EXTREMES), replace=False)
     extremes.reshape(-1)[flat] = EXTREMES + [-x for x in EXTREMES]
     cases["extremes"] = Tensor4(3, extremes)
+    # Values that repeat, as in bracket products: the roundtrip-dense shapes
+    # (A (x) lam A with A skew or not, A (x) B with both skew) and their
+    # symmetrization, one value everywhere, and +-x of one magnitude.
+    for n, kind in ((8, "not-skew"), (10, "skew"), (12, "not-proportional"), (14, "skew")):
+        A = rng.uniform(-1.0, 1.0, (n, n)) if kind == "not-skew" else random_skew(rng, n).array
+        B = random_skew(rng, n).array if kind == "not-proportional" else -0.75 * A
+        product = product_tensor(BracketMatrix(A), BracketMatrix(B))
+        cases[f"product-n{n}-{kind}"] = product
+        cases[f"symmetrized-n{n}-{kind}"] = symmetrize_34(product)
+    cases["one-value"] = Tensor4(4, np.full((4, 4, 4, 4), -2.5))
+    cases["plus-minus"] = Tensor4(4, rng.choice([-0.1, 0.1], (4, 4, 4, 4)))
+    # n = 32: heads and "l" parts with one- and two-digit indices
+    sparse32 = np.zeros((32, 32, 32, 32))
+    at = np.ix_(*[[0, 8, 9, 31]] * 4)
+    sparse32[at] = rng.choice([1.0, -1.0, 0.5, 3e-7], sparse32[at].shape)
+    cases["sparse-n32"] = Tensor4(32, sparse32)
     return cases
 
 
@@ -157,11 +183,16 @@ ROUND_TRIP = settings(
 
 
 @st.composite
-def sparse_tensors(draw) -> Tensor4:
+def sparse_tensors(draw, pool=None) -> Tensor4:
+    """Up to 30 nonzero entries: any finite values or, with ``pool``, values
+    drawn from at most three of its members, so they repeat."""
     n = draw(st.integers(1, 4))
     index = st.tuples(*[st.integers(0, n - 1)] * 4)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    values = draw(st.dictionaries(index, finite, max_size=30))
+    if pool is None:
+        value = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        value = st.sampled_from(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
+    values = draw(st.dictionaries(index, value, max_size=30))
     arr = np.zeros((n, n, n, n))
     for key, value in values.items():
         arr[key] = value
@@ -183,6 +214,14 @@ class TestTensorWriterBytes:
         text = p.read_text()
         for x in EXTREMES:
             assert f'"v": {x!r}\n' in text and f'"v": {-x!r}\n' in text
+
+    @ROUND_TRIP
+    @given(t=sparse_tensors(pool=EXTREMES + [-x for x in EXTREMES]))
+    def test_repeated_values_match_reference_encoder(self, tmp_path, t):
+        p = tmp_path / "t.json"
+        save_tensor(t, p)
+        assert p.read_bytes() == reference_tensor_text(t).encode("utf-8")
+        assert load_tensor(p) == t
 
     def test_negative_zero_omitted(self, tmp_path):
         arr = np.zeros((2, 2, 2, 2))

@@ -270,6 +270,28 @@ class TestPsdC:
         assert not report.passed
         assert report.witness.residual > 0.0  # asymmetry defect, not eigenvalue
 
+    def test_array_and_equal_list_give_the_same_report(self, golden_eps):
+        rng = np.random.default_rng(5)
+        late = Tensor4.from_entries(3, {(3, 3, 3, 3): -1.0, (1, 2, 1, 2): 0.5})
+        dense = Tensor4(3, rng.standard_normal((3, 3, 3, 3)))
+        cases = [golden_eps, Tensor4(2, -golden_eps.values), late, dense]
+        for t in cases:
+            dirs = default_directions(t.n)
+            assert isinstance(dirs, np.ndarray) and dirs.shape == (t.n * t.n + 64, t.n)
+            report = check_psd_c(t, dirs)
+            assert report == check_psd_c(t, list(dirs))
+            assert report == check_psd_c(t, dirs.tolist())
+        assert check_psd_c(late, default_directions(3)).witness.direction == (0.0, 0.0, 1.0)
+
+    def test_array_inputs_keep_the_list_errors(self, golden_eps):
+        with pytest.raises(EmptyDirectionSet):
+            check_psd_c(golden_eps, np.empty((0, 2)))
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), expected \(2,\)"):
+            check_psd_c(golden_eps, np.ones((4, 3)))
+        for value in (np.nan, np.inf):
+            with pytest.raises(NonFiniteValue):
+                check_psd_c(golden_eps, np.array([[1.0, 0.0], [1.0, value]]))
+
 
 class TestPsdBlockedScan:
     """The scan works in blocks of PSD_BLOCK directions; the witness must
