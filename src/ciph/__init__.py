@@ -22,7 +22,6 @@ from .errors import (
     EmptyDirectionSet,
     FormatError,
     NegativeCoefficient,
-    NonFiniteState,
     NonFiniteValue,
     NonpositiveGamma,
     TrajectoryTooShort,

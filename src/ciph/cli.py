@@ -26,7 +26,7 @@ import os
 import sys
 
 from .dynamics import audit_balances, integrate
-from .errors import CiphError, TrajectoryTooShort
+from .errors import CiphError
 from .fileio import (
     load_directions,
     load_matrix,
@@ -173,12 +173,7 @@ def cmd_simulate(args) -> int:
         _emit(summary)
         _note(f"model fault {trajectory.fault} at t = {float(trajectory.times[-1])!r}")
         return EXIT_MODEL_FAULT
-    try:
-        report = audit_balances(model, trajectory)
-    except TrajectoryTooShort as exc:
-        summary["error"] = str(exc)
-        _emit(summary)
-        return EXIT_CONDITION_FAIL
+    report = audit_balances(model, trajectory)
     summary.update(report.to_json())
     _emit(summary)
     _note(f"wrote trajectory to {args.output}")

@@ -6,8 +6,8 @@ The state equation is
 
 for a Hamiltonian H (conserved by the drift), an entropy S (produced by the
 drift at rate sigma_int = gamma * (dS^T J dH)^2 >= 0), a constant skew J,
-and a strictly positive coefficient gamma. W, g and u are optional input
-terms with no structural constraints.
+and a strictly positive coefficient gamma. W and the pair g, u are optional
+input terms with no structural constraints.
 
 Integration is fixed-step classical Runge-Kutta (RK4): deterministic
 trajectories matter more here than adaptive efficiency. At the small n of
@@ -25,8 +25,8 @@ k2-k4, 2 at the sample) and 2 field values. A constant gamma, a linear
 field's gradient, and any other fold of model numbers alone (J dH for a
 linear H) are computed once, when the step is written, and gamma's
 ``> 0`` check is left out when gamma is a positive constant. ``drift_rhs``,
-``full_rhs``, ``observable_rate`` and ``gamma_at`` call functions
-compiled from the same statements.
+``full_rhs`` (the sample's rhs), ``observable_rate`` and ``gamma_at``
+call functions compiled from the same statements.
 
 The input term W + g u(t) is compiled once per model into a list function.
 A constant W or g (``Constant``) and a piecewise-constant u (``Schedule``),
@@ -71,6 +71,8 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .fields import (
+    ExpNegSumField,
+    ExpSumField,
     PolynomialField,
     _as_vector,
     _compile,
@@ -78,8 +80,6 @@ from .fields import (
     _list,
     _names,
     _unpack,
-    exp_neg_sum_field,
-    exp_sum_field,
     list_form,
 )
 
@@ -100,7 +100,10 @@ class IphsModel:
     is a scalar field that must stay strictly positive along trajectories
     (checked at every right-hand-side evaluation, not proven symbolically).
     ``W`` maps (x, dH) to an n-vector, ``g`` maps (x, dH) to an n x m matrix,
-    ``u`` maps t to an m-vector; each may be None.
+    ``u`` maps t to an m-vector; each may be None, but g and u only act
+    together, so one without the other is an error. J must be skew to
+    within ``SKEW_TOL * max|J|``, the rule ``split_product`` uses, so the
+    verdict does not depend on J's units.
     """
 
     n: int
@@ -119,8 +122,10 @@ class IphsModel:
                 raise DimensionMismatch(f"{label} has dimension {f.n}, expected {self.n}")
         if self.J.n != self.n:
             raise DimensionMismatch(f"J has dimension {self.J.n}, expected {self.n}")
-        if not is_skew(self.J, SKEW_TOL):
-            raise DimensionMismatch("J must be skew-symmetric to within 1e-12")
+        if not is_skew(self.J, SKEW_TOL * self.J.max_abs()):
+            raise DimensionMismatch(f"J must be skew-symmetric to within {SKEW_TOL} of max|J|")
+        if (self.g is None) != (self.u is None):
+            raise FormatError("'u' has no effect without 'g'" if self.g is None else "'g' has no effect without 'u'")
         object.__setattr__(self, "_inputs", _compile_inputs(self.n, self.W, self.g, self.u))
         object.__setattr__(self, "_code", _ModelCode(self))
 
@@ -228,10 +233,7 @@ class Schedule:
 
 def _compile_inputs(n: int, W, g, u) -> Callable | None:
     """``inputs(xs, dH, t)``, the input term W + g u as a list (not to be
-    mutated), or None when nothing is forced. A u without a g, or a g
-    without a u, contributes nothing."""
-    if g is None or u is None:
-        g = u = None
+    mutated), or None when nothing is forced. g and u come together."""
     if W is None and g is None:
         return None
     if isinstance(W, Constant) and W.array.shape != (n,):
@@ -288,8 +290,8 @@ def _adapted_inputs(n: int, W, g, u) -> Callable:
 class _ModelCode:
     """One model's right-hand side written out as straight-line Python and
     compiled, each function on first use: the RK4 ``step``, the first
-    sample ``start``, and the ``rhs`` and drift ``parts`` behind the public
-    functions.
+    sample ``start`` (whose rhs ``full_rhs`` returns), and the drift
+    ``parts`` behind the other public functions.
 
     A field with ``emit`` (every built-in field) contributes its statements,
     so no built-in model's step calls numpy; any other field is called once
@@ -361,12 +363,6 @@ class _ModelCode:
         """start(xs, t) = (row, rhs) at (xs, t), its integrals zero."""
         return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"), "ip = iq = ia = 0.0",
                                               f"return {self.row}, {_list(_names('e', self.n))}"])
-
-    @functools.cached_property
-    def rhs(self) -> Callable:
-        """rhs(xs, t): the full right-hand side as a list."""
-        return self._function("rhs(x, t)", [f"{_unpack(self.y)}= x", *self._stage("t", "e"),
-                                            f"return {_list(_names('e', self.n))}"])
 
     @functools.cached_property
     def parts(self) -> Callable:
@@ -445,8 +441,8 @@ def drift_rhs(model: IphsModel, x) -> np.ndarray:
 
 
 def full_rhs(model: IphsModel, x, t: float) -> np.ndarray:
-    """Drift plus input terms W + g u."""
-    return np.array(model._code.rhs(_as_vector(x, model.n).tolist(), t))
+    """Drift plus input terms W + g u: the rhs a sample at (x, t) computes."""
+    return np.array(model._code.start(_as_vector(x, model.n).tolist(), t)[1])
 
 
 def observable_rate(model: IphsModel, f, x) -> float:
@@ -536,10 +532,12 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     variant reported as ``max_entropy_defect_alt``. Each scale is
     max(1, max|change|, max|supplied integral|) of its gated balance. A run
     passes when sigma_int >= -AUDIT_SIGMA_SLACK and each gated defect is at
-    most AUDIT_DEFECT_REL times its scale.
+    most AUDIT_DEFECT_REL times its scale. The integrals are RK4 stage
+    quadratures, so one step (2 samples) is enough; a 1-sample prefix (a
+    fault at the start) has no balance to audit.
     """
-    if len(trajectory) < 3:
-        raise TrajectoryTooShort(f"need >= 3 samples, got {len(trajectory)}")
+    if len(trajectory) < 2:
+        raise TrajectoryTooShort(f"need >= 2 samples, got {len(trajectory)}")
     columns = balance_ledger(trajectory)
     energy, entropy, entropy_alt = (float(np.max(np.abs(c))) for c in columns)
 
@@ -573,9 +571,9 @@ def heat_exchanger_model(conductance: float = 1.0) -> IphsModel:
     """
     if conductance <= 0.0:
         raise NegativeCoefficient(f"conductance must be > 0, got {conductance}")
-    H = exp_sum_field(2)
+    H = ExpSumField(2)
     S = PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0)])
-    gamma = exp_neg_sum_field(2, scale=conductance)
+    gamma = ExpNegSumField(2, scale=conductance)
     return IphsModel(2, H, S, BracketMatrix.standard_skew(), gamma, name="heat-exchanger")
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_SWEEPS = 50  # cyclic sweeps at most; the stop test usually ends far sooner
 
-def jacobi_eigenvalues(matrix, max_sweeps: int = 50) -> np.ndarray:
+
+def jacobi_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
     The input is symmetrized as (M + M^T)/2 before sweeping; callers that
@@ -27,7 +29,7 @@ def jacobi_eigenvalues(matrix, max_sweeps: int = 50) -> np.ndarray:
         return np.array([M[0, 0]])
     A = 0.5 * (M + M.T)
     stop = 1e-16 * float(np.max(np.abs(A)))  # relative, so the sweep is scale-free
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):

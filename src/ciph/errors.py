@@ -34,10 +34,6 @@ class NonpositiveGamma(CiphError):
         super().__init__(f"gamma(x) = {value!r} is not strictly positive at x = {self.x}")
 
 
-class NonFiniteState(CiphError):
-    """Integration produced a NaN or infinite state."""
-
-
 class TrajectoryTooShort(CiphError):
     """A trajectory has too few samples for the requested analysis."""
 

@@ -404,12 +404,9 @@ class ExpNegSumField(_ScaledExp):
         return powers, [f"{prefix}v = {prefix}s * {e}"], grad
 
 
-# The factory names that model files and the library have always used.
-exp_sum_field, exp_neg_sum_field = ExpSumField, ExpNegSumField
-
 BUILTIN_FIELDS: dict[str, Callable[..., CompiledField]] = {
-    "exp_sum": exp_sum_field,
-    "exp_neg_sum": exp_neg_sum_field,
+    "exp_sum": ExpSumField,
+    "exp_neg_sum": ExpNegSumField,
 }
 
 

@@ -282,12 +282,10 @@ def _input_vector_from_spec(spec, n: int):
     raise FormatError(f"'W' must be a 'constant' or 'poly' (list) spec, got {spec!r}")
 
 
-def _input_matrix_from_spec(spec, n: int):
+def _input_matrix_from_spec(spec):
+    """g: a constant matrix (its shape is checked when the model is built)."""
     if isinstance(spec, dict) and "rows" in spec:
-        gmat = _numbers(spec["rows"], "'g' rows")
-        if gmat.ndim != 2 or gmat.shape[0] != n:
-            raise FormatError(f"'g' rows have shape {gmat.shape}, expected ({n}, m)")
-        return Constant(gmat)
+        return Constant(_numbers(spec["rows"], "'g' rows"))
     raise FormatError(f"'g' must be a constant 'rows' spec, got {spec!r}")
 
 
@@ -314,8 +312,8 @@ def _bracket_from_spec(spec, n: int) -> BracketMatrix:
 
 def load_model(path) -> IphsModel:
     """Read a model file; a top-level "builtin" selects a named model and
-    optional W/g/u sections are attached on top. A "u" needs a "g" to act
-    through, so a "u" without one is an error rather than silently unused."""
+    optional W/g/u sections are attached on top (``IphsModel`` refuses a
+    "g" or a "u" alone)."""
     with _naming(path):
         data = _load_json(path)
         if "builtin" in data:
@@ -328,10 +326,8 @@ def load_model(path) -> IphsModel:
             gamma = _field_from_spec(data["gamma"], n, "gamma")
             base = IphsModel(n, H, S, _bracket_from_spec(data["J"], n), gamma)
         W = _input_vector_from_spec(data["W"], base.n) if "W" in data else base.W
-        g = _input_matrix_from_spec(data["g"], base.n) if "g" in data else base.g
+        g = _input_matrix_from_spec(data["g"]) if "g" in data else base.g
         u = _schedule_from_spec(data["u"]) if "u" in data else base.u
-        if u is not None and g is None:
-            raise FormatError("'u' has no effect without 'g'")
         if W is base.W and g is base.g and u is base.u:
             return base
         return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)

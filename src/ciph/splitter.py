@@ -124,10 +124,9 @@ def rank_one_factor(F, tol: float = DEFAULT_TOL) -> RankOneFactor:
 
 
 def _canonical_gauge(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (J, c) with K = c * J, max|J| = 1 and J's first nonzero positive."""
+    """Return (J, c) with K = c * J, max|J| = 1 and J's first nonzero
+    positive, for a nonzero K (both callers return earlier for a zero one)."""
     c0 = float(np.max(np.abs(K)))
-    if c0 == 0.0:
-        return K.copy(), 0.0
     flat = K.ravel()
     first = flat[np.flatnonzero(flat)[0]]
     c = c0 if first > 0 else -c0

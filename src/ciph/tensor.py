@@ -517,9 +517,9 @@ def check_psd_c(
     noise (y near the kernel of a cone member's J). In list order, the first
     direction that fails, or whose M(y), M + M^T or bound is not finite
     (NonFiniteValue), decides. A pass means "no violation found among the
-    supplied directions", not a proof. ``directions`` is a 2-D float array
-    with one direction per row (``default_directions``), taken as it is, or
-    any other sequence of vectors, read and shape-checked one by one.
+    supplied directions", not a proof. ``directions`` holds one direction
+    per row: a 2-D float array (``default_directions``) is taken as it is,
+    any other sequence of vectors is converted to one array.
 
     The scan runs in blocks of ``PSD_BLOCK`` directions, with ``t`` seen as
     an (n^2, n^2) pair matrix P whose row ``k n + l`` holds t[:, :, k, l].
@@ -534,16 +534,17 @@ def check_psd_c(
     """
     tol = _require_tol(tol)
     n = t.n
-    if isinstance(directions, np.ndarray) and directions.ndim == 2 and directions.dtype == float:
-        rows = directions[:1]  # the rows of one array share their shape
-    else:
-        directions = rows = [np.asarray(y, dtype=float) for y in directions]
     if not len(directions):
         raise EmptyDirectionSet("the PSD check needs at least one direction")
-    for y in rows:
-        if y.shape != (n,):
-            raise DimensionMismatch(f"direction has shape {y.shape}, expected ({n},)")
-    Y = np.asarray(directions)
+    try:
+        Y = np.asarray(directions, dtype=float)
+    except ValueError:  # ragged: name the first direction of another shape
+        shapes = [s for s in map(np.shape, directions) if s != (n,)]
+        if not shapes:
+            raise
+        raise DimensionMismatch(f"direction has shape {shapes[0]}, expected ({n},)") from None
+    if Y.shape[1:] != (n,):
+        raise DimensionMismatch(f"direction has shape {Y.shape[1:]}, expected ({n},)")
     if not np.all(np.isfinite(Y)):
         raise NonFiniteValue("directions must be finite (no NaN/Inf)")
     pairs = t.values.reshape(n * n, n * n).T

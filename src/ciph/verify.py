@@ -172,8 +172,6 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     """
     n, J = model.n, model.J.array.tolist()
     W, g, u = model.W, model.g, model.u
-    if g is None or u is None:
-        g = None
 
     def value(f, x):
         if isinstance(f, PolynomialField):

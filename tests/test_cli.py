@@ -541,6 +541,7 @@ class TestSimulate:
         [
             ({"builtin": "quadratic-linear", "params": {"bogus": 1}}, "unexpected keyword argument"),
             ({"builtin": "quadratic-linear", "u": {"times": [0.0], "values": [[1.0]]}}, "without 'g'"),
+            ({"builtin": "quadratic-linear", "g": {"rows": [[1.0], [0.0]]}}, "'g' has no effect without 'u'"),
         ],
     )
     def test_model_spec_errors_exit_one(self, tmp_path, capsys, payload, message):
@@ -549,6 +550,15 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_one_step_run_is_audited(self, tmp_path, capsys):
+        # stage quadrature needs one step, so two samples are a full audit
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        argv = ["simulate", m, "--t-end", "1e-3", "--dt", "1e-3", "--x0", "1,0", "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        summary = stdout_reports(capsys)[0]
+        assert summary["samples"] == 2 and summary["passed"] is True and "error" not in summary
+        assert summary["max_energy_defect"] <= 1e-16
 
     def test_csv_byte_determinism(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
@@ -601,6 +611,16 @@ class TestSimulateBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --x0 must be finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0", ["1,zero", "1;0", ""])
+    def test_non_numeric_x0_exits_one(self, tmp_path, capsys, x0):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", m, "--t-end", "1", "--x0", x0, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --x0 must be a comma-separated list of reals, got {x0!r}\n"
         assert not out.exists()
 
     def test_non_finite_x0_no_warning(self, tmp_path):
@@ -810,6 +830,9 @@ class TestModelChecks:
             ({"g": None}, "'g' must be a constant 'rows' spec, got None"),
             ({"u": None}, "'u' must have 'times' and 'values', got None"),
             ({"W": {"constant": [0.1, -0.1, 0.0]}}, "W has shape (3,), expected (2,)"),
+            ({"W": {"poly": [[[[1, 0], 1.0]]]}}, "'W' needs 2 components, got 1"),
+            ({"g": {"rows": [[1.0, 0.0]]}}, "g has shape (1, 2), u has shape (1,)"),
+            ({"g": {"rows": [1.0, 0.0]}}, "g has shape (2,), u has shape (1,)"),
         ],
     )
     def test_model_fault_exits_one(self, tmp_path, capsys, change, message):
@@ -820,6 +843,21 @@ class TestModelChecks:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {m}: ") and message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_skew_test_does_not_depend_on_j_units(self, tmp_path, capsys, scale):
+        # J carries a 1-ulp asymmetry in either unit; gamma = 1 / scale^2
+        # keeps the dynamics the same
+        J = {"rows": [[0.0, float(np.nextafter(3.0 * scale, np.inf))], [-3.0 * scale, 0.0]]}
+        gamma = {"poly": [[[0, 0], 1.0 / scale**2]]}
+        m = write_json(tmp_path / "m.json", _model(J=J, gamma=gamma))
+        argv = ["simulate", m, "--t-end", "0.01", "--x0", "1,0", "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        assert stdout_reports(capsys)[0]["passed"] is True
+        J["rows"][0][1] = 3.0 * scale * (1.0 + 1e-11)
+        m = write_json(tmp_path / "m.json", _model(J=J, gamma=gamma))
+        assert main(argv) == 1
+        assert "J must be skew-symmetric" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [2, 2.0, None])
     def test_matching_j_n_accepted(self, tmp_path, capsys, n):

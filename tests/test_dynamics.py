@@ -36,7 +36,7 @@ from ciph.dynamics import (
     input_power,
 )
 from ciph.fileio import load_model
-from ciph.fields import exp_neg_sum_field, exp_sum_field
+from ciph.fields import ExpNegSumField, ExpSumField
 from ciph.verify import random_polynomial, random_skew
 
 from conftest import TRAJECTORY_COLUMNS, assert_matches_reference
@@ -140,17 +140,14 @@ class TestFullRhs:
         value = full_rhs(model, [0.0, np.log(2.0)], 0.0)
         assert np.all(np.isfinite(value))
 
-    def test_u_without_g_is_ignored(self):
-        model = IphsModel(
-            2,
-            PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)]),
-            PolynomialField(2, [((1, 0), 1.0)]),
-            BracketMatrix.standard_skew(),
-            constant_gamma(2),
-            u=lambda t: np.array([1.0]),
-        )
-        x = np.array([0.4, -0.2])
-        assert np.array_equal(full_rhs(model, x, 0.0), drift_rhs(model, x))
+    def test_u_without_g_is_refused(self):
+        # g and u act only together, so either one alone is an error, not a
+        # silently dropped input term
+        base = quadratic_linear_model()
+        with pytest.raises(FormatError, match="'u' has no effect without 'g'"):
+            dataclasses.replace(base, u=lambda t: np.array([1.0]))
+        with pytest.raises(FormatError, match="'g' has no effect without 'u'"):
+            dataclasses.replace(base, g=lambda x, dH: np.array([[1.0], [0.0]]))
 
     def test_gu_dimension_mismatch(self):
         model = IphsModel(
@@ -325,10 +322,18 @@ class TestAuditBalances:
         assert report.max_entropy_defect_alt > report.max_entropy_defect
 
     def test_too_short_trajectory(self):
+        # the integrals are stage quadratures, so one step is audited; only
+        # a fault at the first sample leaves nothing to audit
         model = quadratic_linear_model()
         tr = integrate(model, [1.0, 0.0], t_end=1e-3, dt=1e-3)
-        with pytest.raises(TrajectoryTooShort):
-            audit_balances(model, tr)
+        report = audit_balances(model, tr)
+        assert len(tr) == report.samples == 2 and report.passed
+        assert report.max_energy_defect <= 1e-16
+        faulted = dataclasses.replace(model, gamma=PolynomialField.constant(2, -1.0))
+        prefix = integrate(faulted, [1.0, 0.0], t_end=1e-3, dt=1e-3)
+        assert prefix.fault == "NonpositiveGamma" and len(prefix) == 1
+        with pytest.raises(TrajectoryTooShort, match="need >= 2 samples, got 1"):
+            audit_balances(faulted, prefix)
 
 
 class TestBuiltins:
@@ -388,7 +393,7 @@ class TestBuiltins:
         # "<prefix>value" or "<prefix>grad" callable) and no numpy function
         # is bound where the compiled step looks its names up
         code = builtin_model(name)._code
-        code.step, code.start, code.rhs, code.parts
+        code.step, code.start, code.parts
         adapters = [k for k in code.namespace if k.endswith(("value", "grad"))]
         assert adapters == []
         numpy_bound = [k for k, v in code.namespace.items()
@@ -400,7 +405,7 @@ class TestBuiltins:
         # (708.4, 745.1) and underflows to 0 past them
         quadratic = PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)])
         linear = PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0)])
-        model = IphsModel(2, quadratic, linear, BracketMatrix.standard_skew(), exp_neg_sum_field(2),
+        model = IphsModel(2, quadratic, linear, BracketMatrix.standard_skew(), ExpNegSumField(2),
                           W=Constant([1e3, 0.0]))
         tr = assert_matches_reference(model, [700.0, 0.0], t_end=1.0, dt=1e-2)
         assert tr.fault == "NonpositiveGamma"
@@ -426,6 +431,26 @@ class TestBuiltins:
                 BracketMatrix(np.eye(2)),
                 constant_gamma(2),
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6, 1e300])
+    def test_skew_test_is_relative_to_j(self, scale):
+        # a 1-ulp asymmetry of max|J| passes in any units, as in split_product;
+        # one of 1e-11 of it does not
+        H, S = PolynomialField(2, [((2, 0), 0.5)]), PolynomialField(2, [((1, 0), 1.0)])
+        low = 3.0 * scale
+        for top in (low, np.nextafter(low, np.inf)):
+            IphsModel(2, H, S, BracketMatrix([[0.0, top], [-low, 0.0]]), constant_gamma(2))
+        with pytest.raises(DimensionMismatch, match="skew-symmetric to within 1e-12 of max"):
+            IphsModel(2, H, S, BracketMatrix([[0.0, low * (1.0 + 1e-11)], [-low, 0.0]]), constant_gamma(2))
+        IphsModel(2, H, S, BracketMatrix.zeros(2), constant_gamma(2))
+
+    def test_fields_and_j_must_have_the_model_dimension(self):
+        H, S = PolynomialField(2, [((2, 0), 0.5)]), PolynomialField(2, [((1, 0), 1.0)])
+        with pytest.raises(DimensionMismatch, match="H has dimension 3, expected 2"):
+            IphsModel(2, PolynomialField(3, [((2, 0, 0), 0.5)]), S, BracketMatrix.standard_skew(),
+                      constant_gamma(2))
+        with pytest.raises(DimensionMismatch, match="J has dimension 3, expected 2"):
+            IphsModel(2, H, S, BracketMatrix.zeros(3), constant_gamma(2))
 
 
 def test_input_power_zero_without_inputs():
@@ -963,7 +988,7 @@ class TestKernelFaults:
                               W=lambda x, dH: 1e3 * x)
             x0, dt = [1.0, 1.0], 1e-2
         else:  # H = exp(x1) + exp(x2) by math.exp, x1 fed until it overflows
-            model = IphsModel(2, exp_sum_field(2), linear, BracketMatrix.zeros(2), constant_gamma(2),
+            model = IphsModel(2, ExpSumField(2), linear, BracketMatrix.zeros(2), constant_gamma(2),
                               W=lambda x, dH: np.array([1e3, 0.0]))
             x0, dt = [0.0, 0.0], 1e-2
         with warnings.catch_warnings():
@@ -1125,10 +1150,12 @@ class TestCompiledInputs:
         with pytest.raises(DimensionMismatch, match=r"g has shape \(2, 1\), u has shape \(2,\)"):
             dataclasses.replace(base, W=lambda x, dH: np.zeros(2), g=Constant([[1.0], [0.0]]),
                                 u=Schedule([0.0], [[1.0, 2.0]]))
-        # a g without a u (or a u without a g) contributes nothing and is not checked
-        unforced = dataclasses.replace(base, g=Constant([[1.0, 2.0, 3.0]]))
-        assert not unforced.forced
-        assert unforced.input_term([1.0, 0.0], [1.0, 0.0], 0.0).tolist() == [0.0, 0.0]
+        # a g without a u is refused before its shape is looked at
+        with pytest.raises(FormatError, match="'g' has no effect without 'u'"):
+            dataclasses.replace(base, g=Constant([[1.0, 2.0, 3.0]]))
+        # a g whose rows do not match n is caught by the same (n, width) check
+        with pytest.raises(DimensionMismatch, match=r"g has shape \(1, 3\), u has shape \(3,\)"):
+            dataclasses.replace(base, g=Constant([[1.0, 2.0, 3.0]]), u=Schedule([0.0], [[1.0, 2.0, 3.0]]))
 
     def test_mixed_typed_and_plain_pieces_keep_per_call_checks(self):
         base = quadratic_linear_model()

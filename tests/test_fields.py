@@ -7,9 +7,9 @@ from ciph import DimensionMismatch, FormatError, NonFiniteValue, PolynomialField
 from ciph.fields import (
     CallableField,
     CompiledField,
+    ExpNegSumField,
+    ExpSumField,
     builtin_field,
-    exp_neg_sum_field,
-    exp_sum_field,
     list_form,
 )
 from ciph.verify import fd_gradient, loop_exponential, loop_polynomial, random_polynomial
@@ -117,7 +117,7 @@ def test_analytic_gradient_matches_central_differences(n):
 
 
 def test_exp_sum_field_gradient():
-    H = exp_sum_field(2)
+    H = ExpSumField(2)
     x = np.array([0.1, -0.4])
     assert H.value(x) == pytest.approx(np.exp(0.1) + np.exp(-0.4))
     assert np.allclose(H.grad(x), np.exp(x))
@@ -126,7 +126,7 @@ def test_exp_sum_field_gradient():
 
 
 def test_exp_neg_sum_field_gradient():
-    g = exp_neg_sum_field(2, scale=3.0)
+    g = ExpNegSumField(2, scale=3.0)
     x = np.array([0.2, 0.5])
     assert g.value(x) == pytest.approx(3.0 * np.exp(-0.7))
     fd = np.array(fd_gradient(g, x, step=1e-6))
@@ -244,7 +244,7 @@ class TestListForm:
             list_form(bad)[1]([1.0, 2.0])
 
 
-EXP_FIELDS = {"exp_sum": exp_sum_field, "exp_neg_sum": exp_neg_sum_field}
+EXP_FIELDS = {"exp_sum": ExpSumField, "exp_neg_sum": ExpNegSumField}
 
 
 def numpy_exp_field(kind, scale, x):
@@ -313,6 +313,6 @@ class TestCompiledExponentials:
 
     def test_wrong_shape_point_rejected(self):
         with pytest.raises(DimensionMismatch):
-            exp_sum_field(2).value([1.0, 2.0, 3.0])
+            ExpSumField(2).value([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
-            exp_neg_sum_field(2).grad([1.0])
+            ExpNegSumField(2).grad([1.0])

@@ -224,6 +224,19 @@ class TestSplitTensor:
         recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
         assert np.max(np.abs(recon.values - t.values)) <= 1e-12
 
+    def test_raw_split_whose_reconstruction_misses_t(self):
+        # B deviates from A by d and t from A (x) B by r, each under
+        # tol * max|t| = 1e-10, but both land on t[2,1,1,1] with one sign
+        d = 0.9e-10
+        t = product_tensor(BracketMatrix.standard_skew(), BracketMatrix([[d, 1.0], [-1.0, 0.0]]))
+        t = t.set(2, 1, 1, 1, t.get(2, 1, 1, 1) - d)
+        factor = rank_one_factor(flatten_pairs(t))
+        assert factor.ok and factor.residual == d
+        assert split_product(factor.A, factor.B).status == SPLIT
+        result = split_tensor(t)
+        assert result.status == NOT_RANK_ONE and result.J is None
+        assert result.residual == pytest.approx(2.0 * d, rel=1e-12)
+
     def test_delta_product_is_not_splittable(self):
         t = Tensor4(2, np.einsum("ij,kl->ijkl", np.eye(2), np.eye(2)))
         assert split_tensor(t).status == NOT_RANK_ONE

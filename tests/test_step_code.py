@@ -96,7 +96,7 @@ class TestNamespaceBinding:
         full_rhs(model, [1.0, 2.0], 0.0)
         H.value([1.0, 2.0])
         H.grad([1.0, 2.0])
-        assert len(sources) == 6  # step, start, parts, rhs, value_list, grad_list
+        assert len(sources) == 5  # step, start (full_rhs reads it), parts, value_list, grad_list
         for source in sources:
             numbers = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                        if tok.type == tokenize.NUMBER}

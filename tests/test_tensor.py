@@ -347,6 +347,14 @@ class TestPsdBlockedScan:
         with pytest.raises(DimensionMismatch):
             check_psd_c(golden_eps, [np.array([1.0, 0.0]), bad])
 
+    def test_ragged_directions_name_the_first_wrong_shape(self, golden_eps):
+        with pytest.raises(DimensionMismatch, match=r"shape \(1,\), expected \(2,\)"):
+            check_psd_c(golden_eps, [[1.0], [1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DimensionMismatch, match=r"shape \(1, 2\), expected \(2,\)"):
+            check_psd_c(golden_eps, [[1.0, 0.0], [[1.0, 0.0]]])
+        with pytest.raises(ValueError, match="could not convert"):  # not a shape fault
+            check_psd_c(golden_eps, [[1.0, 0.0], ["a", 0.0]])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_direction(self, golden_eps, value):
         with pytest.raises(NonFiniteValue):

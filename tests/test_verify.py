@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from ciph import (
+    BracketMatrix,
+    CallableField,
     DimensionMismatch,
     DimensionTooLarge,
     EmptyDirectionSet,
+    IphsModel,
     NegativeCoefficient,
     NonFiniteValue,
     PolynomialField,
@@ -18,10 +21,11 @@ from ciph import (
     fd_gradient,
     random_cons_irrev,
 )
-from ciph.fields import exp_sum_field
+from ciph.dynamics import Constant
+from ciph.fields import ExpSumField
 from ciph.verify import exhaustive_condition_check, exhaustive_psd_check
 
-from conftest import EPS_ENTRIES
+from conftest import EPS_ENTRIES, assert_matches_reference
 
 
 def primary_verdicts(t: Tensor4) -> dict:
@@ -45,7 +49,7 @@ class TestFdGradient:
         assert fd_gradient(f, [1.0, 2.0, 3.0]) == [0.0, 0.0, 0.0]
 
     def test_heat_exchanger_energy(self):
-        H = exp_sum_field(2)
+        H = ExpSumField(2)
         rng = np.random.default_rng(90)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, size=2)
@@ -176,6 +180,26 @@ class TestExhaustivePsdCheck:
             exhaustive_psd_check(golden_eps, [[1.0, 0.0]], float("nan"))
         with pytest.raises(DimensionTooLarge):
             exhaustive_psd_check(Tensor4.zeros(6), default_directions(6))
+
+    def test_overflow_raises_like_the_primary_scan(self, golden_eps):
+        # the first direction passes; M(y) overflows at the second
+        dirs = [[1.0, 0.0], [1e160, 0.0]]
+        with pytest.raises(NonFiniteValue, match="direction #2"):
+            check_psd_c(golden_eps, dirs)
+        with pytest.raises(NonFiniteValue, match="direction #2"):
+            exhaustive_psd_check(golden_eps, dirs)
+
+
+class TestLoopTrajectory:
+    def test_callable_fields_match_integrate(self):
+        # neither polynomial nor exponential: the reference calls the fields'
+        # own ndarray methods, integrate their list forms
+        H = CallableField(2, lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        S = CallableField(2, lambda x: float(np.sin(x[0]) + x[1]), lambda x: np.array([np.cos(x[0]), 1.0]))
+        model = IphsModel(2, H, S, BracketMatrix.standard_skew(), PolynomialField.constant(2, 0.5),
+                          W=Constant([0.1, -0.2]))
+        tr = assert_matches_reference(model, [1.0, 0.5], t_end=0.05, dt=1e-2)
+        assert tr.fault is None and len(tr) == 6
 
 
 class TestRandomConsIrrev:
