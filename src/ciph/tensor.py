@@ -526,9 +526,13 @@ def check_psd_c(
     A direction with at most two nonzero coordinates a <= b (a basis vector,
     a pair direction e_a +- e_b, or multiples) builds M(y) from its support:
     the rows aa, ab, ba, bb of P weighted by y_a y_a, y_a y_b, y_b y_a and
-    y_b y_b, added in that order. Every other direction takes one matmul of
-    the block's stacked ``y (x) y`` rows against P. One batched LAPACK
-    ``eigvalsh`` then gives the block's smallest eigenvalues.
+    y_b y_b, added in that order, on its live rows only (row i is live when
+    row or column i of a P row read with a nonzero weight holds a nonzero),
+    padded with dead rows to the block's widest live set K: entries keep their
+    bits, and for K < n lambda_min = min(lambda_live, 0) is below -bound <= 0
+    just when lambda_live is. Such a failure stands only if one n x n solve,
+    whose eigenvalue is the residual, confirms it. Other directions take one
+    matmul of the stacked ``y (x) y`` rows against P; ``eigvalsh`` solves.
     ``ciph.verify.exhaustive_psd_check`` re-derives the same report with
     loops and the Jacobi solver.
     """
@@ -553,61 +557,75 @@ def check_psd_c(
         sparse, rows, weights = _support_rows(Y)
         bounds = tol * t.max_abs() * np.einsum("ij,ij->i", Y, Y)
     row_start = np.concatenate([[0], np.cumsum(sparse)])  # direction -> its support row
-    P = np.ascontiguousarray(pairs) if sparse.any() else None
-    # Buffers reused by every block: M, one term of M, and M + M^T.
-    bufs = np.empty((3, min(len(Y), PSD_BLOCK), n * n))
+    if sparse.any():
+        # Live rows per P row, then per direction (a zero weight reads the dead row n^2)
+        nz = t.values != 0.0
+        live = np.vstack([(nz.any(axis=1) | nz.any(axis=0)).reshape(n, n * n).T, np.zeros(n, bool)])
+        live = live[np.where(weights != 0.0, rows, n * n).T].any(axis=0)
+        widths, P = np.count_nonzero(live, axis=1), None
+    # Scratch reused by every block: M, one term of M (then M + M^T), and M - M^T.
+    bufs = np.empty((3, min(len(Y), PSD_BLOCK) * n * n))
     for start in range(0, len(Y), PSD_BLOCK):
         block = Y[start : start + PSD_BLOCK]
         on_support = sparse[start : start + PSD_BLOCK]
-        M, term, twice = bufs[:, : len(block)]
         lo, hi = row_start[start], row_start[start + len(block)]
         bound = bounds[start : start + PSD_BLOCK]
-        # M + M^T is not finite where M is not, and it can overflow where M
-        # does not; eigvalsh may fail to converge on inf, so such a direction
-        # is zeroed before the solve, its verdict already decided.
+        finite, asym, lam = judged = np.empty((3, len(block)))  # finite as 1.0 or 0.0
+        K = int(widths[lo:hi].max(initial=1)) if hi > lo else n
         with np.errstate(over="ignore", invalid="ignore"):
-            if on_support.all():
-                _weighted_rows(P, rows[lo:hi], weights[lo:hi], M, term)
-            else:
-                if on_support.any():
-                    built = term[: hi - lo]
-                    _weighted_rows(P, rows[lo:hi], weights[lo:hi], built, twice[: hi - lo])
-                    M[on_support] = built
-                dense = block[~on_support]
-                yy = (dense[:, :, None] * dense[:, None, :]).reshape(len(dense), n * n)
-                M[~on_support] = yy @ pairs
-            M = M.reshape(len(block), n, n)
-            Mt = M.transpose(0, 2, 1)
-            twice = np.add(M, Mt, out=twice.reshape(M.shape))
-            finite = np.isfinite(twice).all(axis=(1, 2)) & np.isfinite(bound)
-            twice[~finite] = 0.0
-            diff = np.subtract(M, Mt, out=term.reshape(M.shape))
-            asym = np.abs(diff, out=diff).max(axis=(1, 2))
-            lam_min = np.linalg.eigvalsh(np.multiply(twice, 0.5, out=twice))[:, 0]
+            if hi > lo:
+                if K < n:  # live rows first, then dead ones; t[i, j, k, l] sits at (i n + j) n^2 + k n + l
+                    idx = np.sort(np.where(live[lo:hi], 0, n) + np.arange(n), axis=1)[:, :K] % n
+                    cols = (idx[:, :, None] * n + idx[:, None, :]).reshape(hi - lo, 1, K * K)
+                    source, read = t.values.reshape(-1), cols * (n * n) + rows[lo:hi, :, None]
+                else:  # whole rows of the pair matrix, copied once
+                    P = np.ascontiguousarray(pairs) if P is None else P
+                    source, read = P, rows[lo:hi]
+                M, term = (b[: (hi - lo) * K * K].reshape(hi - lo, K * K) for b in bufs[:2])
+                _weighted_rows(source, read, weights[lo:hi], M, term)
+                judged[:, on_support] = _judge(M.reshape(-1, K, K), bound[on_support], bufs[1:])
+            if not on_support.all():
+                yy = np.einsum("si,sj->sij", block[~on_support], block[~on_support]).reshape(-1, n * n)
+                judged[:, ~on_support] = _judge((yy @ pairs).reshape(-1, n, n), bound[~on_support], bufs[1:])
         asym_fail = asym > bound
-        failed = ~finite | asym_fail | (lam_min < -bound)
-        if failed.any():
-            k = int(np.argmax(failed))
+        for k in np.flatnonzero((finite == 0.0) | asym_fail | (lam < -bound)):
             if not finite[k]:
                 raise NonFiniteValue(
                     f"M(y) or its bound overflowed at direction #{start + k + 1}; "
                     "rescale the directions"
                 )
-            residual = asym[k] if asym_fail[k] else lam_min[k]
+            residual = asym[k] if asym_fail[k] else lam[k]
+            if on_support[k] and K < n and not asym_fail[k]:  # confirm on the n x n M(y)
+                s = row_start[start + k]  # the rows summed in the order of _weighted_rows
+                M = np.add.reduce(weights[s, :, None] * pairs[rows[s]]).reshape(n, n)
+                if not (residual := np.linalg.eigvalsh(0.5 * (M + M.T))[0]) < -bound[k]:
+                    continue
             witness = Witness(float(residual), direction=tuple(map(float, block[k])))
             return ConditionReport("PSD_C", False, witness, tol)
     return ConditionReport("PSD_C", True, None, tol)
 
 
-def _weighted_rows(P, rows, weights, out: np.ndarray, term: np.ndarray) -> None:
-    """Fill out[s] with sum_c weights[s, c] * P[rows[s, c]], the terms added
-    in column order; ``term`` is scratch of out's shape."""
-    np.take(P, rows[:, 0], axis=0, out=out)
-    out *= weights[:, :1]
-    for c in range(1, rows.shape[1]):
-        np.take(P, rows[:, c], axis=0, out=term)
-        term *= weights[:, c : c + 1]
-        out += term
+def _judge(M: np.ndarray, bound: np.ndarray, scratch: np.ndarray) -> tuple:
+    """Per matrix of M: whether M + M^T and ``bound`` are finite, max|M - M^T|,
+    and the smallest eigenvalue of (M + M^T) / 2, a non-finite M + M^T zeroed
+    first (eigvalsh may not converge on inf). ``scratch``: two flat buffers."""
+    Mt = M.transpose(0, 2, 1)
+    twice, diff = (b[: M.size].reshape(M.shape) for b in scratch)
+    finite = np.isfinite(np.add(M, Mt, out=twice)).all(axis=(1, 2)) & np.isfinite(bound)
+    twice[~finite] = 0.0
+    asym = np.abs(np.subtract(M, Mt, out=diff), out=diff).max(axis=(1, 2))
+    return finite, asym, np.linalg.eigvalsh(np.multiply(twice, 0.5, out=twice))[:, 0]
+
+
+def _weighted_rows(source, read, weights, out: np.ndarray, term: np.ndarray) -> None:
+    """Fill out[s] with sum_c weights[s, c] * source.take(read[s, c], axis=0),
+    the terms added in column order; ``term`` is scratch of out's shape."""
+    for c in range(read.shape[1]):
+        into = term if c else out
+        np.take(source, read[:, c], axis=0, out=into)
+        into *= weights[:, c : c + 1]
+        if c:
+            out += term
 
 
 def default_directions(n: int, seed: int = DIRECTION_SEED) -> np.ndarray:

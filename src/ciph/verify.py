@@ -416,3 +416,24 @@ def random_cons_irrev(seed: int, n: int, count: int, gamma_max: float = 5.0) -> 
         base = symmetrize_34(product_tensor(J, J))
         out.append(Tensor4(n, gamma * base.values))
     return out
+
+
+def kulkarni_nomizu(sigma, mu) -> np.ndarray:
+    """The Kulkarni-Nomizu product of two symmetric matrices, R[i,j,k,l] =
+    s[i,k] m[j,l] + s[j,l] m[i,k] - s[i,l] m[j,k] - s[j,k] m[i,l]."""
+    R = np.einsum("ik,jl->ijkl", sigma, mu) - np.einsum("il,jk->ijkl", sigma, mu)
+    return R + R.transpose(1, 0, 3, 2)
+
+
+def kulkarni_nomizu_member(seed: int, n: int, ranks=(2, 2), indefinite=False, sparse=False):
+    """(t, terms): t = sym34(R[i,k,j,l]), R = kulkarni_nomizu(sum_p a_p a_p^T, sum_q w_q b_q b_q^T),
+    and its terms (w_q, K = a_p ^ b_q): R[i,k,j,l] = sum w K (x) K. Every w_q is 1 but, if ``indefinite``, one
+    unit b_q orthogonal to the rest (ranks[1] < n) has w_q = -1e-3 lambda_max(mu). ``sparse``: 2 nonzeros each."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((r, n)) * ((rng.random((r, n)).argsort(1) < 2) | (not sparse)) for r in ranks)
+    w = np.ones(len(b))
+    if indefinite:
+        _, s, v = np.linalg.svd(b)
+        b, w = np.vstack([b, v[-1]]), np.append(w, -1e-3 * s[0] ** 2)
+    terms = [(wq, np.outer(ap, bq) - np.outer(bq, ap)) for ap in a for wq, bq in zip(w, b)]
+    return symmetrize_34(Tensor4(n, kulkarni_nomizu(a.T @ a, (b.T * w) @ b).transpose(0, 2, 1, 3))), terms

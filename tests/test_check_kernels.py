@@ -15,6 +15,7 @@
   one another's results.
 """
 
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -48,21 +49,41 @@ from ciph.tensor import (
     Witness,
     contract_directions,
 )
-from ciph.verify import exhaustive_psd_check, random_skew
+from ciph.verify import exhaustive_psd_check, kulkarni_nomizu_member, random_skew
 
 
 # ----------------------------------------------------------- PSD scan
 
 
 def reference_psd(t: Tensor4, dirs, tol: float = DEFAULT_TOL):
-    """(passed, direction, residual) from one ``contract_directions`` per
-    direction, judged in list order: a direction whose M(y), M + M^T or
+    """(passed, direction, residual) from one full n x n M(y) and ``eigvalsh``
+    per direction, judged in list order: a direction whose M(y), M + M^T or
     bound ``tol * max|t| * |y|^2`` is not finite raises, and the first
-    failing direction before it wins."""
+    failing direction before it wins.
+
+    M(y) of a direction with at most two nonzero coordinates, the first a and
+    the last b (0 and n - 1 for y = 0), is the pair-matrix row sum
+    ``y_a y_a P[aa] + y_a y_b P[ab] + y_b y_a P[ba] + y_b y_b P[bb]`` taken
+    left to right, only the first weight kept when a == b: the scan's own
+    arithmetic, so residuals compare bit for bit. Any other M(y) is
+    ``contract_directions``."""
+    n = t.n
+    P = t.values.reshape(n * n, n * n).T
     top = float(np.abs(t.values).max())
-    for y in dirs:
+    for y in map(np.asarray, dirs):
         with np.errstate(over="ignore", invalid="ignore"):
-            M = contract_directions(t, y)
+            support = np.flatnonzero(y)
+            if len(support) > 2:
+                M = contract_directions(t, y)
+            else:
+                a, b = (support[0], support[-1]) if len(support) else (0, n - 1)
+                weights = [y[a] * y[a], y[a] * y[b], y[b] * y[a], y[b] * y[b]]
+                if a == b:
+                    weights[1:] = [0.0] * 3
+                M = weights[0] * P[a * n + a]
+                for w, row in zip(weights[1:], (a * n + b, b * n + a, b * n + b)):
+                    M = M + w * P[row]
+                M = M.reshape(n, n)
             bound = tol * top * float(y @ y)
             if not (np.isfinite(M + M.T).all() and np.isfinite(bound)):
                 raise NonFiniteValue("M(y) or its bound overflowed")
@@ -156,13 +177,8 @@ def test_psd_scan_matches_per_direction_contraction(case):
         report = exhaustive_psd_check(t, dirs)
         return report.passed, report.direction, report.residual
 
-    got, want = outcome(primary, t, dirs), outcome(reference_psd, t, dirs)
-    if "NonFiniteValue" in (got, want):
-        assert got == want
-    else:
-        assert got[:2] == want[:2]
-        if not got[0]:
-            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+    got = outcome(primary, t, dirs)
+    assert got == outcome(reference_psd, t, dirs)
     if t.n <= 5:
         loops = outcome(oracle, t, dirs)
         if "NonFiniteValue" in (got, loops):
@@ -184,6 +200,196 @@ def test_psd_scan_on_single_coordinate_directions(n):
     assert report.passed == passed
     if not passed:
         assert report.witness == Witness(residual, direction=direction)
+
+
+def sparse_skew(rng, n: int, couplings: int) -> np.ndarray:
+    """Block-diagonal standard symplectic J (weighted blocks) plus
+    ``couplings`` off-block entries: the J of a few canonical pairs."""
+    J = np.zeros((n, n))
+    for b in range(0, n - 1, 2):
+        J[b, b + 1] = rng.uniform(0.5, 1.5)
+    for c in range(couplings):
+        p = 2 * (c * (n // 2) // couplings)
+        J[p, (p + 3) % n] += rng.uniform(0.2, 0.6) * rng.choice((-1.0, 1.0))
+    return J - J.T
+
+
+def ray(J: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """gamma sym34(J (x) J) as an array."""
+    raw = np.einsum("ik,jl->ijkl", J, J)
+    return 0.5 * gamma * (raw + raw.transpose(0, 1, 3, 2))
+
+
+def first_failure_at(values, dirs, affected, target, position):
+    """``values`` and ``dirs`` reordered so that ``target`` comes at
+    ``position``, after only directions ``affected`` rejects, and every other
+    direction ``affected`` accepts comes after it (when ``position`` is None,
+    only as many as keep ``target`` in the last block)."""
+    clear = [y for y in dirs if not affected(y)]
+    hit = [y for y in dirs if affected(y) and not np.array_equal(y, target)]
+    if position is None:
+        return values, clear + [target] + hit[: -(len(clear) + 1) % PSD_BLOCK]
+    return values, clear[:position] + [target] + clear[position:] + hit
+
+
+@functools.cache
+def live_row_cases() -> dict:
+    """id -> (tensor, directions, tol) of the live-row scan pin."""
+    cases = []
+    for n in (8, 16, 24, 32):
+        rng = np.random.default_rng(3000 + n)
+        J = sparse_skew(rng, n, n // 8 + 1)
+        cases.append((f"ray-{n}", Tensor4(n, ray(J, rng.uniform(0.5, 2.0))), default_directions(n), DEFAULT_TOL))
+    n = 24
+    rng = np.random.default_rng(24)
+    base, dirs, e = ray(sparse_skew(rng, n, 4)), list(default_directions(n)), np.eye(n)
+    v = e[5] + 0.5 * e[9]  # sparse, so the perturbed M(y) stay narrow
+    c, a, b = 7, 3, 17
+    basis = base.copy()  # M(y) gains -y_c^2 v v^T
+    basis[:, :, c, c] -= np.outer(v, v)
+    pair = base.copy()  # M(y) gains -2 y_a y_b v v^T: e_a + e_b fails, e_a - e_b does not
+    pair[:, :, a, b] -= np.outer(v, v)
+    pair[:, :, b, a] -= np.outer(v, v)
+    for where, position in (("first", 10), ("middle", 4 * PSD_BLOCK + 20), ("last", None)):
+        for kind, values, affected, target in (
+            ("basis", basis, lambda y: y[c] != 0.0, e[c]),
+            ("pair", pair, lambda y: y[a] * y[b] != 0.0, e[a] + e[b]),
+        ):
+            values, reordered = first_failure_at(values, dirs, affected, target, position)
+            cases.append((f"{kind}-{where}", Tensor4(n, values), reordered, DEFAULT_TOL))
+    J = sparse_skew(rng, 16, 2)
+    J[10:], J[:, 10:] = 0.0, 0.0  # rows 11-16 of every M(y) are zero
+    cases.append(("zero-rows", Tensor4(16, ray(J)), default_directions(16), DEFAULT_TOL))
+    cases.append(("zero-rows-tol-0", Tensor4(16, ray(J)), default_directions(16), 0.0))
+    cases.append(("zero-tensor", Tensor4.zeros(8), default_directions(8), DEFAULT_TOL))
+    for draw, (n, ranks, indefinite, sparse) in enumerate([
+        (8, (2, 2), False, True), (16, (3, 2), False, True), (16, (2, 3), True, True),
+        (8, (3, 3), True, False), (16, (2, 2), False, False),
+    ]):
+        t, _ = kulkarni_nomizu_member(4000 + draw, n, ranks, indefinite, sparse)
+        name = f"kn-{n}-{'indefinite' if indefinite else 'positive'}-{'sparse' if sparse else 'dense'}"
+        cases.append((name, t, default_directions(n), DEFAULT_TOL))
+    huge = default_directions(8)
+    huge[40, 2] = 1e200
+    cases.append(("overflow", Tensor4(8, ray(sparse_skew(rng, 8, 1))), huge, DEFAULT_TOL))
+    return {name: case for name, *case in cases}
+
+
+LIVE_ROW_CASES = [
+    *(f"ray-{n}" for n in (8, 16, 24, 32)),
+    *(f"{kind}-{where}" for where in ("first", "middle", "last") for kind in ("basis", "pair")),
+    "zero-rows", "zero-rows-tol-0", "zero-tensor",
+    "kn-8-positive-sparse", "kn-16-positive-sparse", "kn-16-indefinite-sparse",
+    "kn-8-indefinite-dense", "kn-16-positive-dense", "overflow",
+]
+
+
+@pytest.mark.parametrize("name", LIVE_ROW_CASES)
+def test_live_row_scan_matches_full_solves_bit_for_bit(name):
+    t, dirs, tol = live_row_cases()[name]
+
+    def scan(t, dirs, tol):
+        report = check_psd_c(t, dirs, tol)
+        witness = report.witness
+        return (True, None, None) if report.passed else (False, witness.direction, witness.residual)
+
+    got = outcome(scan, t, dirs, tol)
+    assert got == outcome(reference_psd, t, dirs, tol)
+    assert (got == "NonFiniteValue") == (name == "overflow")
+    if name.startswith(("basis", "pair")):
+        assert not got[0]
+
+
+def recording_judge(monkeypatch) -> list:
+    """Record (width, smallest eigenvalues) of every stack the scan judges."""
+    seen, judge = [], tensor_module._judge
+
+    def recorded(M, bound, scratch):
+        out = judge(M, bound, scratch)
+        seen.append((M.shape[-1], out[2].copy()))
+        return out
+
+    monkeypatch.setattr(tensor_module, "_judge", recorded)
+    return seen
+
+
+def test_rows_read_with_zero_weight_are_not_live(monkeypatch):
+    # Uncoupled canonical pairs: M(e_a) = J[:, a] J[:, a]^T has one live row.
+    n = 16
+    J = sparse_skew(np.random.default_rng(16), n, 0)
+    t = Tensor4(n, ray(J))
+    e = np.eye(n)
+    single = [c * e[a] for a in range(n) for c in (1.0, -2.0, 0.5)]
+    # y = 0 reads rows 0, n - 1, ... with zero weights; so do coordinates
+    # whose products underflow to 0.
+    vanishing = [np.zeros(n), 5e-324 * (e[0] + e[n - 1]), 1e-200 * e[3], 1e-170 * (e[1] - e[2])]
+    seen = recording_judge(monkeypatch)
+    for dirs, width in ((single, 1), (vanishing, 1), (single + vanishing, 1)):
+        seen.clear()
+        report = check_psd_c(t, dirs)
+        assert [w for w, _ in seen] == [width] * len(seen)
+        assert (report.passed, None) == reference_psd(t, dirs)[:2] == (True, None)
+
+
+@pytest.mark.parametrize("first", ["dense", "sparse"])
+def test_mixed_block_reports_the_first_failure_in_list_order(first):
+    # Integer data: every M(y) is exact, so dense directions compare bit for bit too.
+    n, c = 6, 2
+    rng = np.random.default_rng(6)
+    J = rng.integers(-2, 3, size=(n, n)).astype(float)
+    values = 2 * ray(J - J.T)
+    values[:, :, c, c] -= np.outer([1.0, 0, 0, 2.0, 0, 1.0], [1.0, 0, 0, 2.0, 0, 1.0])
+    e = np.eye(n)
+    clear = [e[0], e[1] - e[4], rng.integers(-3, 4, size=n).astype(float), 2 * e[5], e[3] + e[5]]
+    for y in clear:
+        y[c] = 0.0
+    dense_fail = np.array([1.0, -1.0, 2.0, 0.0, 1.0, 3.0])
+    sparse_fail = e[c] - 3 * e[4]
+    failing = [dense_fail, sparse_fail] if first == "dense" else [sparse_fail, dense_fail]
+    dirs = clear[:3] + [failing[0]] + clear[3:] + [failing[1]] + [e[c]] * 20
+    t = Tensor4(n, values)
+    report = check_psd_c(t, dirs)
+    assert report.witness.direction == tuple(failing[0])
+    assert (False, report.witness.direction, report.witness.residual) == reference_psd(t, dirs)
+
+
+def test_a_narrow_failure_stands_only_if_the_full_solve_confirms_it(monkeypatch):
+    # Search sparse family members for a direction whose live block puts its
+    # smallest eigenvalue below the n x n one (rounding noise of a singular
+    # M(y)), then put -bound between the two: the verdict follows the n x n
+    # solve, and the scan goes on to a later failure.
+    seen = recording_judge(monkeypatch)
+    for seed in range(20):
+        t, _ = kulkarni_nomizu_member(seed, 8, (2, 2), sparse=True)
+        for y in default_directions(8)[:64]:
+            seen.clear()
+            check_psd_c(t, [y], 0.0)
+            (width, (lam,)), = seen
+            narrow, full = min(lam, 0.0), reference_psd(t, [y], 0.0)[2]
+            if width < 8 and full is not None and narrow < full:
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no direction with a live eigenvalue below the n x n one")
+    tol = -0.5 * (narrow + min(full, 0.0)) / (t.max_abs() * float(y @ y))
+    bound = tol * t.max_abs() * float(y @ y)
+    assert narrow < -bound <= full
+    assert check_psd_c(t, [y], tol).passed and reference_psd(t, [y], tol)[0]
+    # e_m, m off y's support, fails once t[m, m, m, m] drops by max|t|; M(y),
+    # max|t| and the block's widest live set stay as they were.
+    m = int(np.flatnonzero(y == 0.0)[-1])
+    values = t.values.copy()
+    values[m, m, m, m] -= t.max_abs()
+    bad, e_m = Tensor4(8, values), np.eye(8)[m]
+    assert bad.max_abs() == t.max_abs()
+    dirs = [y] + [np.zeros(8)] * (PSD_BLOCK - 1) + [e_m]
+    seen.clear()
+    report = check_psd_c(bad, dirs, tol)
+    assert seen[0][1][0] == lam and min(lam, 0.0) < -bound  # flagged by the live block
+    assert report.witness.direction == tuple(e_m)
+    assert (False, tuple(e_m), report.witness.residual) == reference_psd(bad, dirs, tol)
 
 
 # ----------------------------------------------------- index checkers
@@ -238,18 +444,6 @@ INDEX_CHECKS = [
     (check_raw_iii, res_raw_iii),
     (check_quasi_poisson, res_quasi_poisson),
 ]
-
-
-def sparse_skew(rng, n: int, couplings: int) -> np.ndarray:
-    """Block-diagonal standard symplectic J (weighted blocks) plus
-    ``couplings`` off-block entries: the J of a few canonical pairs."""
-    J = np.zeros((n, n))
-    for b in range(0, n - 1, 2):
-        J[b, b + 1] = rng.uniform(0.5, 1.5)
-    for c in range(couplings):
-        p = 2 * (c * (n // 2) // couplings)
-        J[p, (p + 3) % n] += rng.uniform(0.2, 0.6) * rng.choice((-1.0, 1.0))
-    return J - J.T
 
 
 def few_entries(rng, n: int, count: int, values) -> Tensor4:
@@ -310,6 +504,9 @@ def index_tensors(n: int, rng) -> list[Tensor4]:
         symmetrize_34(Tensor4(n, big)),
         Tensor4(n, np.where(rng.random(shape) < 0.3, 1.5e308, raw.values)),
         *sparse_tensors(n, rng),
+        # Kulkarni-Nomizu family members: a dense cone member and, from n = 3
+        # (mu needs a direction to spare), a sparse indefinite one
+        *(kulkarni_nomizu_member(int(rng.integers(2**32)), n, (2, n - 1), odd, odd)[0] for odd in (False, n > 2)),
     ]
 
 

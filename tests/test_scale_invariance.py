@@ -32,16 +32,21 @@ from ciph import (
     symmetrize_34,
 )
 from ciph.tensor import DEFAULT_TOL
-from ciph.verify import random_skew
+from ciph.verify import kulkarni_nomizu_member, random_skew
 
 INDEX_CHECKS = (check_sym_a, check_cyclic_b, check_raw_iii, check_quasi_poisson)
-KINDS = ("cone", "negated", "raw", "mixed", "random", "symmetrized", "edge")
+KINDS = ("cone", "negated", "raw", "mixed", "random", "symmetrized", "edge", "kn", "kn-indefinite")
 
 
 def draw_tensor(kind: str, n: int, rng) -> Tensor4:
     """A tensor of the named kind. "edge" is a cone member with one entry
     moved by about the default tolerance, so its SYM_A verdict sits at the
-    edge of the bound."""
+    edge of the bound. "kn" and "kn-indefinite" are Kulkarni-Nomizu family
+    members of ranks below n, their factors sparse in half the draws."""
+    if kind.startswith("kn"):
+        ranks, sparse = rng.integers(1, n, size=2), bool(rng.random() < 0.5)
+        seed = int(rng.integers(2**32))
+        return kulkarni_nomizu_member(seed, n, tuple(map(int, ranks)), kind == "kn-indefinite", sparse)[0]
     J, K = random_skew(rng, n), random_skew(rng, n)
     shape = (n,) * 4
     if kind in ("cone", "negated", "edge"):
@@ -109,10 +114,10 @@ def rotate(t: Tensor4, Q: np.ndarray) -> Tensor4:
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(t=tensors(kinds=("cone", "negated", "raw", "random"), n_max=5),
+@given(t=tensors(kinds=("cone", "negated", "raw", "random", "kn"), n_max=5),
        seed=st.integers(0, 2**32 - 1))
 def test_orthogonal_basis_keeps_clear_index_verdicts(t, seed):
-    # Cone members pass SYM_A, CYCLIC_B and RAW_III with rounding-level
+    # Cone members (rays and family members) pass SYM_A, CYCLIC_B and RAW_III with rounding-level
     # residuals in any basis; raw products J (x) J pass RAW_III; the other
     # verdicts are failures far above the tolerance.
     Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((t.n, t.n)))

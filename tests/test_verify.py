@@ -23,7 +23,12 @@ from ciph import (
 )
 from ciph.dynamics import Constant
 from ciph.fields import ExpSumField
-from ciph.verify import exhaustive_condition_check, exhaustive_psd_check
+from ciph.verify import (
+    exhaustive_condition_check,
+    exhaustive_psd_check,
+    kulkarni_nomizu,
+    kulkarni_nomizu_member,
+)
 
 from conftest import EPS_ENTRIES, assert_matches_reference
 
@@ -81,6 +86,14 @@ class TestExhaustiveCheck:
         for n in (2, 3, 4, 5):
             for t in random_cons_irrev(500 + n, n, 20):
                 assert exhaustive_condition_check(t).as_dict() == primary_verdicts(t)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_agreement_on_kulkarni_nomizu_members(self, n):
+        for seed, (indefinite, sparse) in enumerate([(False, False), (False, True), (True, False), (True, True)]):
+            t, _ = kulkarni_nomizu_member(520 + 4 * n + seed, n, (2, n - 1), indefinite, sparse)
+            verdicts = exhaustive_condition_check(t).as_dict()
+            assert verdicts == primary_verdicts(t)
+            assert verdicts["SYM_A"] and verdicts["CYCLIC_B"] and verdicts["RAW_III"]
 
     def test_dimension_limit(self):
         with pytest.raises(DimensionTooLarge):
@@ -171,6 +184,13 @@ class TestExhaustivePsdCheck:
                 report = exhaustive_psd_check(Tensor4(3, bumped), dirs)
                 assert report.direction == tuple(dirs[100])
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_agreement_on_kulkarni_nomizu_members(self, n):
+        dirs = default_directions(n)
+        for seed, (indefinite, sparse) in enumerate([(False, False), (False, True), (True, False), (True, True)]):
+            t, _ = kulkarni_nomizu_member(540 + 4 * n + seed, n, (2, n - 1), indefinite, sparse)
+            assert assert_psd_agreement(t, dirs) or indefinite
+
     def test_input_validation(self, golden_eps):
         with pytest.raises(EmptyDirectionSet):
             exhaustive_psd_check(golden_eps, [])
@@ -230,3 +250,43 @@ class TestRandomConsIrrev:
 
         base = symmetrize_34(product_tensor(j_std, j_std))
         assert Tensor4(2, 0.0 * base.values) == Tensor4.zeros(2)
+
+
+class TestKulkarniNomizu:
+    def test_product_of_sums_of_squares_is_the_sum_of_wedge_terms(self):
+        # sigma = sum_p a_p a_p^T, mu = sum_q b_q b_q^T: R[i,k,j,l] = sum K (x) K, K = a_p ^ b_q.
+        rng = np.random.default_rng(10)
+        for n, r1, r2 in ((2, 1, 1), (4, 2, 3), (6, 3, 2), (8, 4, 4)):
+            a, b = rng.standard_normal((r1, n)), rng.standard_normal((r2, n))
+            R = kulkarni_nomizu(a.T @ a, b.T @ b)
+            terms = [np.outer(p, q) - np.outer(q, p) for p in a for q in b]
+            want = sum(np.einsum("ik,jl->ijkl", K, K) for K in terms)
+            assert np.abs(R.transpose(0, 2, 1, 3) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_member_is_its_known_terms_symmetrized(self, indefinite, sparse):
+        for n, ranks in ((3, (1, 2)), (5, (2, 3)), (8, (3, 2))):
+            t, terms = kulkarni_nomizu_member(60 + n, n, ranks, indefinite, sparse)
+            assert len(terms) == ranks[0] * (ranks[1] + indefinite)
+            weights = sorted(w for w, _ in terms)
+            assert (weights[0] < 0.0) == indefinite and weights[-1] == 1.0
+            raw = sum(w * np.einsum("ik,jl->ijkl", K, K) for w, K in terms)
+            want = 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+            assert np.abs(t.values - want).max() <= 1e-14 * t.max_abs()
+            if sparse:  # a_p ^ b_q with two nonzero coordinates each
+                assert all(np.count_nonzero(K) <= 8 for w, K in terms if w == 1.0)
+            assert check_sym_a(t).passed and check_cyclic_b(t).passed and check_raw_iii(t).passed
+
+    def test_positive_members_pass_and_the_scan_refutes_indefinite_ones(self):
+        # Both n = 4, seed 2 members pass: the dense one is a hidden violation
+        # (lambda_min(M(y)) reaches about -1.9e-3 off the standard directions),
+        # while the sparse one reaches only -3e-15 over 20000 random directions.
+        for n in (4, 8, 16):
+            for seed in range(3):
+                for sparse in (False, True):
+                    t, _ = kulkarni_nomizu_member(seed, n, (2, 2), sparse=sparse)
+                    assert check_psd_c(t, default_directions(n)).passed
+                    t, _ = kulkarni_nomizu_member(seed, n, (2, 2), indefinite=True, sparse=sparse)
+                    report = check_psd_c(t, default_directions(n))
+                    assert report.passed if (n, seed) == (4, 2) else report.witness.residual < 0.0
