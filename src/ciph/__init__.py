@@ -24,6 +24,7 @@ from .errors import (
     NegativeCoefficient,
     NonFiniteValue,
     NonpositiveGamma,
+    ToleranceTooLarge,
     TrajectoryTooShort,
 )
 from .fields import CallableField, PolynomialField

@@ -21,6 +21,10 @@ class NonFiniteValue(CiphError):
     """A tolerance, sampled input or polynomial coefficient is NaN or infinite."""
 
 
+class ToleranceTooLarge(CiphError):
+    """A relative tolerance is 1 or more, which would let a check pass vacuously."""
+
+
 class EmptyDirectionSet(CiphError):
     """A direction-sampled check received no directions."""
 

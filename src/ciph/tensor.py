@@ -45,6 +45,7 @@ from .errors import (
     FormatError,
     NegativeCoefficient,
     NonFiniteValue,
+    ToleranceTooLarge,
 )
 # Not called here: the PSD check uses batched LAPACK. The name stays bound in
 # this module because the benchmark tracer wraps ``ciph.tensor.jacobi_eigenvalues``.
@@ -286,6 +287,8 @@ def _require_tol(tol: float) -> float:
         raise NonFiniteValue(f"tolerance must be finite, got {tol}")
     if tol < 0.0:
         raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    if tol >= 1.0:
+        raise ToleranceTooLarge(f"tolerance is relative and must be < 1, got {tol}")
     return tol
 
 
@@ -532,7 +535,15 @@ def check_psd_c(
     bits, and for K < n lambda_min = min(lambda_live, 0) is below -bound <= 0
     just when lambda_live is. Such a failure stands only if one n x n solve,
     whose eigenvalue is the residual, confirms it. Other directions take one
-    matmul of the stacked ``y (x) y`` rows against P; ``eigvalsh`` solves.
+    matmul of the stacked ``y (x) y`` rows against P.
+
+    Each stack of M(y) goes to ``_judge``. A stack whose M + M^T and bounds
+    are finite is first factored once by Cholesky, shifted by each bound
+    less a rounding margin; a success proves that no direction of the stack
+    fails its eigenvalue test, and no ``eigvalsh`` runs. ``eigvalsh`` solves only a stack that the factorization refuses
+    (any stack holding a failure), a stack holding a non-finite M + M^T or
+    bound, and the n x n confirmation, so a witness is always an
+    ``eigvalsh`` eigenvalue. A pass reports no margin.
     ``ciph.verify.exhaustive_psd_check`` re-derives the same report with
     loops and the Jacobi solver.
     """
@@ -606,15 +617,57 @@ def check_psd_c(
 
 
 def _judge(M: np.ndarray, bound: np.ndarray, scratch: np.ndarray) -> tuple:
-    """Per matrix of M: whether M + M^T and ``bound`` are finite, max|M - M^T|,
-    and the smallest eigenvalue of (M + M^T) / 2, a non-finite M + M^T zeroed
-    first (eigvalsh may not converge on inf). ``scratch``: two flat buffers."""
+    """Per matrix of the (B, K, K) stack M: whether M + M^T and ``bound`` are
+    finite, max|M - M^T|, and the smallest eigenvalue of S = (M + M^T) / 2,
+    or ``-bound`` for every matrix when the screen passes the stack. A stack
+    that holds a non-finite M + M^T or bound is not screened, and its
+    non-finite S are zeroed (eigvalsh may not converge on inf). ``scratch``:
+    two flat buffers.
+
+    The screen is one Cholesky factorization of the stack
+    ``S + (bound - delta) I``; it passes when that succeeds with a finite
+    factor (a NaN reaches the factor's diagonal, and a pivot test of
+    x <= 0 lets it through). Per matrix,
+
+        delta = (K + 1) K u ((8 K + 2) max|S| + 2 bound) + (K + 1) K tiny,
+
+    u the unit roundoff and tiny the smallest normal double.
+
+    * Cholesky: a factorization of the computed shifted matrix A that runs to
+      completion gives R^T R = A + E with |E| <= gamma_(K+1) |R^T| |R|
+      (Higham 2002, ch. 10; Demmel 1989), so lambda_min(A) >= -||E||_2 >=
+      -gamma_(K+1) trace(A) / (1 - gamma_(K+1)). With the rounding of A's
+      diagonal and of ``bound - delta``, lambda_min(S) >= -bound + delta
+      - 2 (K + 1) K u (max|S| + bound).
+    * eigvalsh is backward stable; its smallest eigenvalue is taken to err by
+      at most 8 (K + 1) K u ||S||_F <= 8 (K + 1) K^2 u max|S|, the order of
+      the worst-case backward error of Householder tridiagonalization
+      (Higham 2002, ch. 19).
+    * The tiny term covers gradual underflow inside the factorization.
+
+    So a passed stack holds no S whose eigvalsh eigenvalue is below -bound:
+    ``-bound`` stands for the scan's test ``lambda >= -bound``, not for a
+    margin. max|S| is not squared, so delta cannot overflow or underflow
+    where S does not. Any other stack is solved by ``eigvalsh``, so a failing
+    direction's residual is its eigenvalue, bit for bit."""
     Mt = M.transpose(0, 2, 1)
     twice, diff = (b[: M.size].reshape(M.shape) for b in scratch)
     finite = np.isfinite(np.add(M, Mt, out=twice)).all(axis=(1, 2)) & np.isfinite(bound)
     twice[~finite] = 0.0
     asym = np.abs(np.subtract(M, Mt, out=diff), out=diff).max(axis=(1, 2))
-    return finite, asym, np.linalg.eigvalsh(np.multiply(twice, 0.5, out=twice))[:, 0]
+    S = np.multiply(twice, 0.5, out=twice)
+    if finite.all():
+        B, K = M.shape[:2]
+        coef, tiny = (K + 1) * K * np.finfo(float).eps / 2, (K + 1) * K * np.finfo(float).tiny
+        delta = coef * (8 * K + 2) * np.abs(S, out=diff).max(axis=(1, 2)) + coef * 2 * bound + tiny
+        np.copyto(diff, S)
+        diff.reshape(B, K * K)[:, :: K + 1] += (bound - delta)[:, None]
+        try:
+            if np.isfinite(np.linalg.cholesky(diff).reshape(B, K * K)[:, :: K + 1]).all():
+                return finite, asym, -bound
+        except np.linalg.LinAlgError:
+            pass
+    return finite, asym, np.linalg.eigvalsh(S)[:, 0]
 
 
 def _weighted_rows(source, read, weights, out: np.ndarray, term: np.ndarray) -> None:

@@ -31,6 +31,7 @@ from .errors import (
     NegativeCoefficient,
     NonFiniteValue,
     NonpositiveGamma,
+    ToleranceTooLarge,
 )
 from .fields import ExpNegSumField, ExpSumField, PolynomialField
 from .tensor import DEFAULT_TOL, Tensor4, symmetrize_34
@@ -271,6 +272,8 @@ def _oracle_inputs(t: Tensor4, tol) -> tuple[float, list, float]:
         raise NonFiniteValue(f"tolerance must be finite, got {tol}")
     if tol < 0.0:
         raise NegativeCoefficient(f"tolerance must be >= 0, got {tol}")
+    if tol >= 1.0:
+        raise ToleranceTooLarge(f"tolerance is relative and must be < 1, got {tol}")
     e = t.values.tolist()
     top = 0.0
     for block in e:

@@ -3,6 +3,10 @@
 * The PSD scan builds M(y) from a direction's support when it has at most
   two nonzero coordinates; a per-direction ``contract_directions`` scan (and,
   at n <= 5, the loop oracle) must give the same report.
+* The PSD judge passes a stack of M(y) by one Cholesky factorization when
+  it can; an ``eigvalsh``-only judge must give the same verdicts and
+  failing residuals at the edge of the bound, and a passing scan must call
+  no ``eigvalsh``.
 * The index checkers sum slot permutations in one buffer, on strided views
   or on operands gathered on the orbit of the nonzero positions; on either
   layout verdict, witness index and residual must equal those of the plain
@@ -390,6 +394,251 @@ def test_a_narrow_failure_stands_only_if_the_full_solve_confirms_it(monkeypatch)
     assert seen[0][1][0] == lam and min(lam, 0.0) < -bound  # flagged by the live block
     assert report.witness.direction == tuple(e_m)
     assert (False, tuple(e_m), report.witness.residual) == reference_psd(bad, dirs, tol)
+
+
+# ---------------------------------------------------- Cholesky screen
+#
+# ``_judge`` passes a whole stack without ``eigvalsh`` when one Cholesky
+# factorization of S + (bound - delta) I succeeds. ``reference_judge`` is the
+# judge with ``eigvalsh`` alone. Where lambda_min(S) sits within 4 delta of
+# -bound, and for y = 0, tol = 0, the zero tensor, a non-finite M + M^T and
+# tensors scaled by 2^+-500, both must give the same verdicts, and the same
+# residuals, bit for bit, wherever a direction fails.
+
+ROUNDOFF = np.finfo(float).eps / 2
+
+
+def reference_judge(M, bound, scratch=None):
+    """Whether M + M^T and ``bound`` are finite, max|M - M^T|, and the
+    smallest ``eigvalsh`` eigenvalue of (M + M^T) / 2, a non-finite one zeroed."""
+    Mt = M.transpose(0, 2, 1)
+    twice = M + Mt
+    finite = np.isfinite(twice).all(axis=(1, 2)) & np.isfinite(bound)
+    twice[~finite] = 0.0
+    return finite, np.abs(M - Mt).max(axis=(1, 2)), np.linalg.eigvalsh(0.5 * twice)[:, 0]
+
+
+def screen_margin(S, bound):
+    """The screen's delta, per matrix, as ``_judge`` states it."""
+    K = S.shape[-1]
+    top = np.abs(S).max(axis=(1, 2))
+    return (K + 1) * K * ROUNDOFF * ((8 * K + 2) * top + 2 * bound) + (K + 1) * K * np.finfo(float).tiny
+
+
+def stack_verdicts(judge, M, bound):
+    """(failing, residual) per matrix: the scan's tests on a judge's output."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite, asym, lam = judge(M, bound, np.empty((2, M.size)))
+    asym_fail = asym > bound
+    return ~finite | asym_fail | (lam < -bound), np.where(asym_fail, asym, lam)
+
+
+def assert_judged_alike(M, bound) -> bool:
+    """``_judge`` and the reference agree on every verdict and on every
+    failing residual; returns whether the stack holds a failure."""
+    failing, residual = stack_verdicts(tensor_module._judge, M, bound)
+    expected, reference = stack_verdicts(reference_judge, M, bound)
+    np.testing.assert_array_equal(failing, expected)
+    np.testing.assert_array_equal(residual[failing], reference[failing])
+    return bool(expected.any())
+
+
+def edge_stacks(K: int, seed: int):
+    """Stacks of 8 symmetric K x K matrices, each with a bound: the matrix at
+    a seeded position has lambda_min(S) at -bound + f, f over +-4 delta in
+    steps of delta / 4 and over +-j u max|S| (j = 2^-4 ... 2^6), where rounding
+    decides; the others are PSD with min(2, K - 1) zero eigenvalues and
+    pass by a wide margin. Yields (f / delta, M, bound); the edge matrix fails just when
+    f < 0, up to rounding."""
+    rng = np.random.default_rng(seed)
+    edge, M = int(rng.integers(8)), np.empty((8, K, K))
+    for b in range(8):
+        Q = np.linalg.qr(rng.standard_normal((K, K)))[0]
+        lam = np.concatenate([[0.0] * min(2, K - 1), rng.uniform(0.5, 2.0, K - min(2, K - 1))])
+        lam[0] = -1e-6 if b == edge else lam[0]
+        M[b] = (Q * lam) @ Q.T
+    M = 0.5 * (M + M.transpose(0, 2, 1))
+    lam = np.linalg.eigvalsh(M)[:, 0]
+    bound = np.maximum(-lam, 0.0) + 1e-3
+    delta = screen_margin(M, bound)[edge]
+    top = np.abs(M[edge]).max()
+    steps = [k * delta / 4 for k in range(-16, 17)]
+    steps += [s * j * ROUNDOFF * top for j in 2.0 ** np.arange(-4, 7) for s in (-1.0, 1.0)]
+    for f in steps:
+        b = bound.copy()
+        b[edge] = -lam[edge] + f
+        yield f / delta, M, b
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 6, 24])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_screen_agrees_with_eigvalsh_at_the_edge(K, seed):
+    held = {}
+    for offset, M, bound in edge_stacks(K, seed):
+        held[offset] = assert_judged_alike(M, bound)
+        if offset >= 2.0:  # clear of the margin, one factorization passes the stack
+            assert np.array_equal(tensor_module._judge(M, bound, np.empty((2, M.size)))[2], -bound)
+    # Well inside the band the verdicts are those of the offset's sign.
+    assert all(held[k] for k in held if k < -1.0) and not any(held[k] for k in held if k > 1.0)
+
+
+def test_screen_agrees_with_eigvalsh_on_zero_and_non_finite_stacks():
+    rng = np.random.default_rng(7)
+    psd = np.stack([np.outer(v, v) for v in rng.standard_normal((6, 4))])
+    zero = np.zeros((6, 4, 4))
+    overflow = psd.copy()
+    overflow[2, 0, 0] = 1.5e308  # finite, but M + M^T is not
+    infinite = psd.copy()
+    infinite[4, 1, 2] = np.inf
+    for M, bound in [
+        (psd, np.full(6, 1e-9)), (psd, np.zeros(6)), (zero, np.zeros(6)), (zero, np.full(6, 1e-9)),
+        (overflow, np.full(6, 1e-9)), (infinite, np.full(6, 1e-9)), (psd, np.array([1e-9] * 5 + [np.inf])),
+    ]:
+        assert_judged_alike(M, bound)
+
+
+def check_both(t, dirs, tol, monkeypatch):
+    """(scan outcome, eigvalsh-only scan outcome) of one check."""
+
+    def scan():
+        report = check_psd_c(t, dirs, tol)
+        witness = report.witness
+        return (True, None, None) if report.passed else (False, witness.direction, witness.residual)
+
+    got = outcome(scan)
+    with monkeypatch.context() as m:
+        m.setattr(tensor_module, "_judge", reference_judge)
+        return got, outcome(scan)
+
+
+def smallest_eigenvalue(t, y, monkeypatch) -> tuple:
+    """(width, lambda_min, delta) of the S the scan judges for y alone."""
+    seen = []
+
+    def recorded(M, bound, scratch):
+        out = reference_judge(M, bound)
+        seen.append((M.shape[-1], out[2][0], screen_margin(0.5 * (M + M.transpose(0, 2, 1)), bound)[0]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(tensor_module, "_judge", recorded)
+        check_psd_c(t, [y], 0.0)
+    return seen[0]
+
+
+@functools.cache
+def scan_edge_cases() -> dict:
+    """id -> (t, dirs, edge direction): ``ray`` minus 1e-6 y_c^2 v v^T, and
+    the standard directions with y_c = 0, e_c put 20th. Only e_c can fail.
+    "narrow": sparse J and v, so M(e_c) has a few live rows; "full": a dense
+    J, so every row is live."""
+    cases = {}
+    for width, n in (("narrow", 16), ("full", 8)):
+        rng = np.random.default_rng(n)
+        c, v = 4, np.zeros(n)
+        if width == "narrow":
+            J = sparse_skew(rng, n, 2)
+            v[[c ^ 1, (c + 5) % n]] = (1.0, 0.5)
+        else:
+            J, v = random_skew(rng, n).array, rng.standard_normal(n)
+        values = ray(J)
+        values[:, :, c, c] -= 1e-6 * np.outer(v, v)
+        clear = [y for y in default_directions(n) if y[c] == 0.0]
+        cases[width] = (Tensor4(n, values), clear[:20] + [np.eye(n)[c]] + clear[20:], np.eye(n)[c])
+    return cases
+
+
+@pytest.mark.parametrize("width", ["narrow", "full"])
+@pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
+def test_scan_with_screen_matches_eigvalsh_only_scan_at_the_edge(width, scale, monkeypatch):
+    t, dirs, y = scan_edge_cases()[width]
+    K, lam, delta = smallest_eigenvalue(t, y, monkeypatch)
+    assert (K < t.n) == (width == "narrow") and lam < 0.0
+    t = Tensor4(t.n, scale * t.values)
+    for k in range(-16, 17, 2):
+        # -bound = lam - k delta / 4, up to the rounding of tol * max|t|
+        tol = (-lam + k * delta / 4) * scale / t.max_abs()
+        got, expected = check_both(t, dirs, tol, monkeypatch)
+        assert got == expected
+        if k:
+            assert got[:2] == ((True, None) if k > 0 else (False, tuple(y)))
+
+
+@pytest.mark.parametrize("name", ["ray-16", "zero-tensor", "zero-rows-tol-0", "kn-16-indefinite-sparse"])
+def test_scan_with_screen_matches_eigvalsh_only_scan_on_degenerate_input(name, monkeypatch):
+    t, dirs, tol = live_row_cases()[name]
+    dirs = np.concatenate([np.zeros((3, t.n)), dirs])  # y = 0 first: a zero M(y) with a zero bound
+    for tol in (tol, 0.0):
+        got, expected = check_both(t, dirs, tol, monkeypatch)
+        assert got == expected
+    huge = dirs.copy()
+    huge[70, 1] = 1e200  # M(y) overflows in the second block
+    got, expected = check_both(t, huge, DEFAULT_TOL, monkeypatch)
+    assert got == expected
+
+
+def counting(monkeypatch, name) -> list:
+    """Record the shape of every ``np.linalg.<name>`` argument, as
+    ``ciph.tensor`` calls it."""
+    shapes, original = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module.np.linalg, name, counted)
+    return shapes
+
+
+@functools.cache
+def passing_scans() -> dict:
+    rng = np.random.default_rng(5)
+    return {
+        "sparse-ray-24": live_row_cases()["ray-24"][0],
+        "dense-ray-16": Tensor4(16, ray(random_skew(rng, 16).array, 1.5)),
+        "dense-ray-24-scaled-up": Tensor4(24, 2.0**500 * ray(random_skew(rng, 24).array)),
+        "dense-ray-8-scaled-down": Tensor4(8, 2.0**-500 * ray(random_skew(rng, 8).array)),
+        "kn-16-dense": kulkarni_nomizu_member(16, 16, (3, 3))[0],
+        "kn-24-sparse": kulkarni_nomizu_member(24, 24, (3, 2), sparse=True)[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["sparse-ray-24", "dense-ray-16", "dense-ray-24-scaled-up",
+                                  "dense-ray-8-scaled-down", "kn-16-dense", "kn-24-sparse"])
+def test_a_passing_scan_calls_no_eigvalsh(name, monkeypatch):
+    t = passing_scans()[name]
+    solved, factored = counting(monkeypatch, "eigvalsh"), counting(monkeypatch, "cholesky")
+    assert check_psd_c(t, default_directions(t.n)).passed
+    assert solved == [] and len(factored) >= -(-(t.n**2 + RANDOM_DIRECTIONS) // PSD_BLOCK)
+
+
+@pytest.mark.parametrize("name, confirmed", [
+    ("basis-middle", True), ("pair-last", True), ("kn-16-indefinite-sparse", True), ("dense-first", False),
+])
+def test_a_failing_scan_solves_only_the_stack_of_its_first_failure(name, confirmed, monkeypatch):
+    if name == "dense-first":
+        t = symmetrize_34(Tensor4(16, np.random.default_rng(3).standard_normal((16,) * 4)))
+        dirs, tol = default_directions(16)[::-1], DEFAULT_TOL  # the 64 random directions first
+    else:
+        t, dirs, tol = live_row_cases()[name]
+    judged = []
+    judge = tensor_module._judge
+    monkeypatch.setattr(tensor_module, "_judge", lambda M, b, s: judged.append(M.shape) or judge(M, b, s))
+    solved = counting(monkeypatch, "eigvalsh")
+    report = check_psd_c(t, dirs, tol)
+    assert not report.passed
+    assert solved[:1] == judged[-1:]  # the last stack judged holds the first failure
+    assert solved[1:] == ([(t.n, t.n)] if confirmed else [])
+
+
+def test_a_non_finite_stack_is_not_factored(monkeypatch):
+    M = np.stack([np.eye(3)] * 4)
+    factored, solved = counting(monkeypatch, "cholesky"), counting(monkeypatch, "eigvalsh")
+    assert not stack_verdicts(tensor_module._judge, M, np.full(4, 1e-9))[0].any()
+    assert (len(factored), solved) == (1, [])
+    M[2, 0, 0] = 1.5e308  # finite, but M + M^T is not
+    assert stack_verdicts(tensor_module._judge, M, np.full(4, 1e-9))[0].tolist() == [False, False, True, False]
+    assert (len(factored), solved) == (1, [(4, 3, 3)])
 
 
 # ----------------------------------------------------- index checkers

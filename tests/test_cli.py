@@ -131,6 +131,31 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("error: tolerance must be finite")
 
+    @pytest.fixture
+    def random_file(self, tmp_path):
+        # All 81 entries nonzero: every condition fails by O(max|t|).
+        p = tmp_path / "random.json"
+        save_tensor(Tensor4(3, np.random.default_rng(0).standard_normal((3, 3, 3, 3))), p)
+        return str(p)
+
+    @pytest.mark.parametrize("tol", ["1", "2", "1e300"])
+    @pytest.mark.parametrize("command", ["check", "split", "oracle"])
+    def test_tolerance_of_one_or_more_exits_one(self, random_file, capsys, command, tol):
+        # Relative to max|t|, a tolerance of 1 or more passes residuals as
+        # large as the tensor: `check --tol 10` and `split --tol 2` (gamma 0,
+        # a J that is not skew) used to exit 0 on this tensor.
+        assert main(["check", random_file]) == 2
+        capsys.readouterr()
+        assert main([command, random_file, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance is relative and must be < 1, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("command, code", [("check", 2), ("split", 3), ("oracle", 0)])
+    def test_tolerance_below_one_is_accepted(self, random_file, capsys, command, code):
+        assert main([command, random_file, "--tol=0.5"]) == code
+        assert "error" not in capsys.readouterr().err
+
     def test_nan_tolerance_no_traceback(self, eps_file):
         proc = subprocess.run(
             [sys.executable, "-m", "ciph.cli", "check", eps_file, "--tol", "nan"],

@@ -12,6 +12,7 @@ from ciph import (
     NonFiniteValue,
     PolynomialField,
     Tensor4,
+    ToleranceTooLarge,
     check_cyclic_b,
     check_psd_c,
     check_quasi_poisson,
@@ -22,6 +23,7 @@ from ciph import (
     evaluate_e,
     linear_combine,
     product_tensor,
+    split_tensor,
     symmetrize_34,
 )
 from ciph.tensor import PSD_BLOCK, Witness
@@ -394,6 +396,17 @@ class TestNonFiniteTolerance:
     def test_negative_tolerance_still_negative_coefficient(self, golden_eps):
         with pytest.raises(NegativeCoefficient):
             check_sym_a(golden_eps, -1.0)
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, 1e300])
+    @pytest.mark.parametrize("check", CHECKS + [check_psd_c, split_tensor], ids=lambda c: c.__name__)
+    def test_tolerance_of_one_or_more_rejected(self, check, tol):
+        # Relative to max|t|, such a tolerance would pass residuals as large
+        # as the tensor itself.
+        t = Tensor4(2, np.random.default_rng(0).standard_normal((2, 2, 2, 2)))
+        args = (t, default_directions(2), tol) if check is check_psd_c else (t, tol)
+        with pytest.raises(ToleranceTooLarge):
+            check(*args)
+        assert check(*args[:-1], 0.5) is not None
 
 
 class TestQuasiPoisson:

@@ -12,6 +12,7 @@ from ciph import (
     NonFiniteValue,
     PolynomialField,
     Tensor4,
+    ToleranceTooLarge,
     check_cyclic_b,
     check_psd_c,
     check_quasi_poisson,
@@ -103,20 +104,31 @@ class TestExhaustiveCheck:
         (float("inf"), NonFiniteValue),
         (float("nan"), NonFiniteValue),
         (-1.0, NegativeCoefficient),
+        (1.0, ToleranceTooLarge),
+        (1e300, ToleranceTooLarge),
     ])
     def test_tolerance_is_checked(self, tol, error):
-        # An infinite tolerance would pass every verdict vacuously.
+        # An infinite tolerance, or a relative one of 1 or more, would pass
+        # every verdict vacuously.
         t = Tensor4(2, np.random.default_rng(0).standard_normal((2, 2, 2, 2)))
         with pytest.raises(error):
             exhaustive_condition_check(t, tol)
+        with pytest.raises(error):
+            exhaustive_psd_check(t, default_directions(2), tol)
 
     def test_tolerance_is_relative(self):
         t = Tensor4(3, np.random.default_rng(1).standard_normal((3, 3, 3, 3)))
+        # A cone member plus 1e-3 of t: each identity of the cone holds to
+        # far below 0.5 times max|t| at every scale, and to no better than
+        # 1e-10; a cone member is not quasi-Poisson.
+        near = random_cons_irrev(1, 3, 1)[0].values + 1e-3 * t.values
         for c in (1e-200, 1.0, 1e200):
             scaled = Tensor4(3, c * t.values)
             assert exhaustive_condition_check(scaled).as_dict() == primary_verdicts(scaled)
             assert not any(exhaustive_condition_check(scaled).as_dict().values())
-            assert all(exhaustive_condition_check(scaled, 10.0).as_dict().values())
+            assert not any(exhaustive_condition_check(Tensor4(3, c * near)).as_dict().values())
+            assert exhaustive_condition_check(Tensor4(3, c * near), 0.5).as_dict() == {
+                "SYM_A": True, "CYCLIC_B": True, "RAW_III": True, "QUASI_POISSON": False}
 
 
 def assert_psd_agreement(t: Tensor4, dirs) -> bool:
