@@ -3,6 +3,10 @@
 * The PSD scan builds M(y) from a direction's support when it has at most
   two nonzero coordinates; a per-direction ``contract_directions`` scan (and,
   at n <= 5, the loop oracle) must give the same report.
+* The PSD scan cuts the list into blocks of PSD_BLOCK directions and grows
+  a block of sparse directions while B K^2 <= PSD_BLOCK n^2; the stacks it
+  factors must have the shapes that rule gives from the tensor's entries
+  alone.
 * The PSD judge passes a stack of M(y) by one Cholesky factorization when
   it can; an ``eigvalsh``-only judge must give the same verdicts and
   failing residuals at the edge of the bound, and a passing scan must call
@@ -603,13 +607,98 @@ def passing_scans() -> dict:
     }
 
 
+def live_width(values: np.ndarray, y: np.ndarray) -> int:
+    """How many rows of M(y) a direction with at most two nonzero
+    coordinates reaches, from the tensor's entries alone: row i is live when
+    t[i, :, k, l] or t[:, i, k, l] holds a nonzero for a term (k, l) of y's
+    support whose weight y_k y_l is nonzero (a == b keeps only the first)."""
+    n = len(y)
+    support = np.flatnonzero(y)
+    a, b = (support[0], support[-1]) if len(support) else (0, n - 1)
+    live = np.zeros(n, bool)
+    with np.errstate(over="ignore"):
+        for k, l in [(a, a)] if a == b else [(a, a), (a, b), (b, a), (b, b)]:
+            if y[k] * y[l] != 0.0:
+                slab = values[:, :, k, l] != 0.0
+                live |= slab.any(axis=1) | slab.any(axis=0)
+    return int(np.count_nonzero(live))
+
+
+def block_stacks(t: Tensor4, dirs, grow: bool = True) -> list:
+    """Shapes of the stacks a scan of ``dirs`` that runs to the end judges,
+    in order: blocks of PSD_BLOCK directions, except that (with ``grow``) a
+    block of directions that all have at most two nonzero coordinates takes
+    the next such direction while (B + 1) K^2 <= PSD_BLOCK n^2, K its widest
+    live set with that direction (at least 1). A block's sparse directions
+    make one (count, K, K) stack, then its others one (count, n, n) stack."""
+    n, dirs = t.n, np.asarray(dirs, dtype=float)
+    sparse = [np.count_nonzero(y) <= 2 for y in dirs]
+    width = [max(live_width(t.values, y), 1) if s else 0 for y, s in zip(dirs, sparse)]
+    stacks, start = [], 0
+    while start < len(dirs):
+        stop = min(start + PSD_BLOCK, len(dirs))
+        K = max(width[start:stop])
+        while grow and all(sparse[start : stop + 1]) and stop < len(dirs):
+            if (stop + 1 - start) * max(K, width[stop]) ** 2 > PSD_BLOCK * n * n:
+                break
+            K = max(K, width[stop])
+            stop += 1
+        on_support = int(sum(sparse[start:stop]))
+        stacks += [(on_support, K, K)] if on_support else []
+        stacks += [(stop - start - on_support, n, n)] if stop - start > on_support else []
+        start = stop
+    return stacks
+
+
 @pytest.mark.parametrize("name", ["sparse-ray-24", "dense-ray-16", "dense-ray-24-scaled-up",
                                   "dense-ray-8-scaled-down", "kn-16-dense", "kn-24-sparse"])
 def test_a_passing_scan_calls_no_eigvalsh(name, monkeypatch):
     t = passing_scans()[name]
     solved, factored = counting(monkeypatch, "eigvalsh"), counting(monkeypatch, "cholesky")
     assert check_psd_c(t, default_directions(t.n)).passed
-    assert solved == [] and len(factored) >= -(-(t.n**2 + RANDOM_DIRECTIONS) // PSD_BLOCK)
+    expected = block_stacks(t, default_directions(t.n))
+    assert solved == [] and len(factored) == len(expected) and factored == expected
+
+
+def growth_cases() -> dict:
+    """id -> (tensor, directions) of passing scans that pin the block rule:
+    ``ray-24``'s sparse directions (live widths 1 to 4, the widest not first)
+    five times over, so the first block stops at its cap; with a random
+    direction after 100 of them; alternating with the random directions;
+    and a dense ray, whose sparse directions are all full width."""
+    t = live_row_cases()["ray-24"][0]
+    dirs = default_directions(24)
+    sparse, dense = dirs[: 24 * 24], dirs[24 * 24 :]
+    alternating = np.stack([sparse[:128], np.resize(dense, (128, 24))], axis=1).reshape(-1, 24)
+    return {
+        "capped": (t, np.concatenate([np.tile(sparse, (5, 1)), dense])),
+        "cut-by-dense": (t, np.concatenate([sparse[:100], dense[:1], sparse[100:], sparse, dense[1:]])),
+        "alternating": (t, alternating),
+        "dense-ray": (passing_scans()["dense-ray-16"], np.tile(default_directions(16), (2, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", ["capped", "cut-by-dense", "alternating", "dense-ray"])
+def test_blocks_follow_the_growth_rule(name, monkeypatch):
+    t, dirs = growth_cases()[name]
+    n = t.n
+    solved, factored = counting(monkeypatch, "eigvalsh"), counting(monkeypatch, "cholesky")
+    assert check_psd_c(t, dirs).passed
+    assert solved == [] and factored == block_stacks(t, dirs)
+    widths = [live_width(t.values, y) for y in dirs]  # read only where y is sparse
+    if name == "capped":  # the largest first block the scratch allows, K its widest live set
+        (B, K, _), cap = factored[0], PSD_BLOCK * n * n
+        assert K == max(widths[:B]) > widths[0]
+        assert B > PSD_BLOCK and B * K**2 <= cap < (B + 1) * max(K, widths[B]) ** 2
+    if name == "cut-by-dense":  # the first block stops at the dense direction, which starts a block of 64
+        K = max(widths[:100])
+        assert factored[:3] == [(100, K, K), (PSD_BLOCK - 1, max(widths[101:164]), max(widths[101:164])), (1, n, n)]
+    if name == "alternating":  # no block is all sparse, so none grows
+        assert factored == block_stacks(t, dirs, grow=False)
+        K = max(widths[:PSD_BLOCK:2])
+        assert factored[:2] == [(PSD_BLOCK // 2, K, K), (PSD_BLOCK // 2, n, n)]
+    if name == "dense-ray":  # every live set is full, so no block grows
+        assert factored == [(PSD_BLOCK, n, n)] * (len(dirs) // PSD_BLOCK)
 
 
 @pytest.mark.parametrize("name, confirmed", [

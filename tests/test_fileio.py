@@ -25,7 +25,9 @@ from ciph.fileio import (
     save_tensor,
     write_trajectory_csv,
 )
-from ciph.tensor import MAX_DIMENSION
+from ciph import tensor as tensor_module
+from ciph.errors import NonFiniteValue
+from ciph.tensor import MAX_DIMENSION, check_psd_c, default_directions
 from ciph.verify import random_skew
 
 from conftest import EPS_ENTRIES
@@ -324,6 +326,79 @@ class TestFromEntries:
     def test_non_finite_value_rejected(self):
         with pytest.raises(FormatError, match="finite"):
             Tensor4.from_entries(2, [(1, 1, 1, 1, float("nan"))])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_among_few_entries_rejected(self, bad):
+        # few enough entries that max|t| is read from the listed values only
+        with pytest.raises(FormatError, match="finite"):
+            Tensor4.from_entries(2, [(1, 1, 1, 1, bad)])
+        with pytest.raises(FormatError, match="finite"):
+            Tensor4.from_entries(4, [(1, 2, 1, 2, 1.0), (3, 3, 4, 1, bad), (4, 4, 4, 4, -2.0)])
+
+
+def psd_scan(t: Tensor4):
+    """(report or error, the width of every stack the PSD scan judges) on
+    the standard directions."""
+    widths, judge = [], tensor_module._judge
+
+    def recorded(M, bound, scratch):
+        widths.append(M.shape[1:])
+        return judge(M, bound, scratch)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tensor_module, "_judge", recorded)
+        try:
+            outcome = check_psd_c(t, default_directions(t.n))
+        except NonFiniteValue as exc:
+            outcome = str(exc)
+    return outcome, widths
+
+
+def assert_support_reads_like_the_entries(t: Tensor4) -> None:
+    """A tensor built from entries keeps their positions, and reads max|t|
+    and the PSD scan's live rows from them; built from its array it reads
+    all n^4 entries. Both must give the same bits and reports."""
+    assert t.max_abs().hex() == float(np.abs(t.values).max()).hex()
+    dense = Tensor4(t.n, t.values)
+    assert dense._support is None and dense.max_abs().hex() == t.max_abs().hex()
+    assert psd_scan(t) == psd_scan(dense)
+
+
+class TestSupportFacts:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(t=sparse_tensors(), data=st.data())
+    def test_listed_positions_give_the_dense_facts(self, t, data):
+        n = t.n
+        zeros = [tuple(int(v) + 1 for v in at) for at in np.argwhere(t.values == 0.0)]
+        listed = data.draw(st.lists(st.sampled_from(zeros), unique=True, max_size=6)) if zeros else []
+        signs = data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(listed), max_size=len(listed)))
+        entries = t.nonzero_entries() + [(*key, v) for key, v in zip(listed, signs)]
+        built = Tensor4.from_entries(n, entries)  # keeps its positions when they are few (n = 3, 4)
+        assert built == t
+        assert_support_reads_like_the_entries(built)
+
+    @pytest.mark.parametrize("case", ["explicit-zeros", "negative-zero", "one-negative", "empty"])
+    def test_edge_entry_lists(self, case):
+        entries = {
+            # listed zeros in rows that only they would make live
+            "explicit-zeros": [(1, 1, 1, 1, 1.0), (4, 3, 1, 1, 0.0), (2, 4, 1, 1, 0.0), (3, 2, 2, 3, 0.0)],
+            "negative-zero": [(1, 1, 1, 1, -0.0), (4, 3, 1, 1, -0.0), (2, 3, 2, 3, 0.5)],
+            "one-negative": [(2, 3, 4, 1, -2.5)],
+            "empty": [],
+        }[case]
+        t = Tensor4.from_entries(4, entries)
+        assert t._support is not None and len(t._support) == len(entries)
+        assert_support_reads_like_the_entries(t)
+
+    def test_a_file_that_lists_every_entry(self, tmp_path):
+        n = 3
+        rng = np.random.default_rng(3)
+        values = rng.choice([0.0, -0.0, 1.5, -2.0], size=(n,) * 4)
+        entries = [dict(zip("ijklv", (*(int(v) + 1 for v in at), float(values[at]))))
+                   for at in np.ndindex(values.shape)]
+        t = load_tensor(write_json(tmp_path / "t.json", {"n": n, "entries": entries}))
+        assert np.array_equal(t.values, values)
+        assert_support_reads_like_the_entries(t)
 
 
 class TestMatrixFormat:

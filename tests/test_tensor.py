@@ -26,6 +26,7 @@ from ciph import (
     split_tensor,
     symmetrize_34,
 )
+from ciph import tensor as tensor_module
 from ciph.tensor import PSD_BLOCK, Witness
 from ciph.verify import random_cons_irrev, random_polynomial, random_skew
 
@@ -259,6 +260,31 @@ class TestPsdC:
         for dirs in ([huge, fail], [zero] * PSD_BLOCK + [huge, fail]):
             with pytest.raises(NonFiniteValue, match="overflowed at direction"):
                 check_psd_c(neg, dirs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_failure_wins_over_a_later_overflow_across_a_grown_block(self, golden_eps, monkeypatch):
+        # The negated golden tensor on coordinates 1-2 and the golden one on
+        # 3-4: e_3 + e_4 passes and e_1 + e_2 fails, both two rows wide, so a
+        # block of sparse directions that holds either grows to
+        # PSD_BLOCK n^2 / 2^2 directions. A failure or an overflow is the last
+        # direction of that block, and the other one the first after it.
+        n = 4
+        values = np.zeros((n,) * 4)
+        values[:2, :2, :2, :2], values[2:, 2:, 2:, 2:] = -golden_eps.values, golden_eps.values
+        t, e = Tensor4(n, values), np.eye(n)
+        good, fail, huge, zero = e[2] + e[3], e[0] + e[1], 1e200 * e[0], np.zeros(n)
+        grown = PSD_BLOCK * n * n // 4
+        judged, judge = [], tensor_module._judge
+        monkeypatch.setattr(tensor_module, "_judge", lambda M, b, s: judged.append(M.shape) or judge(M, b, s))
+        lead = [good] + [zero] * (grown - 2)
+        report = check_psd_c(t, lead + [fail, huge, good])
+        assert judged == [(grown, 2, 2)]
+        assert report.witness.direction == tuple(fail)
+        assert report.witness.residual == check_psd_c(t, [fail]).witness.residual < 0.0
+        judged.clear()
+        with pytest.raises(NonFiniteValue, match=f"overflowed at direction #{grown}; "):
+            check_psd_c(t, lead + [huge, fail, good])
+        assert judged == [(grown, 2, 2)]
 
     def test_asymmetry_detected(self):
         # A skew, B not proportional: M(y) Gram-like product is asymmetric.
