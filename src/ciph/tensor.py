@@ -56,11 +56,11 @@ DEFAULT_TOL = 1e-10
 #: Seed of the pseudorandom part of the default direction set ("CIPH" in hex).
 DIRECTION_SEED = 0x43495048
 RANDOM_DIRECTIONS = 64
-#: Directions contracted and judged together by the PSD scan: a block of
-#: this many, or, when all of them have at most two nonzero coordinates, as
-#: many such directions as fill the same PSD_BLOCK n^2 floats of scratch at
-#: their live width (see ``check_psd_c``). Blocks bound peak memory and keep
-#: the early exit near the first failing direction.
+#: Directions contracted and judged together by the PSD scan: this many at
+#: full width n, or as many narrower ones (directions with at most two
+#: nonzero coordinates, judged on their live rows) as fill the same
+#: PSD_BLOCK n^2 floats of scratch (see ``check_psd_c``). Blocks bound peak
+#: memory and keep the early exit near the first failing direction.
 PSD_BLOCK = 64
 #: The six permutations of slots (1, 3, 4) as ``_rearranged`` patterns. Every
 #: term of an index identity is one of them; none moves slot 2.
@@ -111,11 +111,10 @@ class Tensor4:
     (1, 3, 4); the tensor builds those operands on first use and keeps them
     (``_slot_operands``). A sparse tensor's operands cover only the orbit of
     its nonzero positions, which ``from_entries`` seeds with the positions it
-    has already sorted. The tensor keeps those positions (its support) for
-    its lifetime: max|t| and the PSD scan's live rows are read from them
-    rather than from all n^4 entries. Neither cache is part of the value:
-    ``==`` and ``hash`` read only n and the entries, and ``set`` starts a
-    new tensor.
+    has already sorted, and from whose listed values it reads max|t| rather
+    than from all n^4 entries. The cache is not part of the value: ``==``
+    and ``hash`` read only n and the entries, and ``set`` starts a new
+    tensor.
     """
 
     __slots__ = ("n", "_values", "_max_abs", "_support", "_operands")
@@ -129,7 +128,7 @@ class Tensor4:
     def _owning(cls, n: int, arr: np.ndarray, support: np.ndarray | None = None) -> "Tensor4":
         """Wrap a fresh float array that no caller keeps, without copying it.
         ``support``, when given, holds sorted flat positions that include
-        every nonzero entry; the tensor keeps it (see ``_hold``)."""
+        every nonzero entry (see ``_hold``)."""
         t = cls.__new__(cls)
         t._hold(_checked_dimension(n), arr, support)
         return t
@@ -139,13 +138,14 @@ class Tensor4:
         positions that include every nonzero entry, or None).
 
         max|t| comes from min and max, which propagate NaN and reach +-inf
-        with no n^4 mask (abs: for an all -0.0 tensor). A support of fewer
-        than n^4 positions leaves only zeros unlisted, so min and max run
-        over its listed values and 0.0 alone; otherwise over all n^4 entries.
+        with no n^4 mask (abs: for an all -0.0 tensor). A support leaves
+        only zeros unlisted, so min and max run over its listed values and
+        0.0 alone; without one, over all n^4 entries. The support is kept
+        until the index-check operands are built from it.
         """
         if arr.shape != (n, n, n, n):
             raise DimensionMismatch(f"values have shape {arr.shape}, expected {(n, n, n, n)}")
-        listed = arr.take(support) if support is not None and len(support) < arr.size else arr
+        listed = arr if support is None else arr.take(support)
         lo, hi = float(listed.min(initial=0.0)), float(listed.max(initial=0.0))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise FormatError("tensor entries must be finite (no NaN/Inf)")
@@ -160,6 +160,7 @@ class Tensor4:
         """The operands of the index checks, built on first use and kept."""
         if self._operands is None:
             self._operands = _slot_operands(self._values, self._support)
+            self._support = None
         return self._operands
 
     @classmethod
@@ -542,20 +543,20 @@ def check_psd_c(
     sparse and builds M(y) from its support: the rows aa, ab, ba, bb of P
     weighted by y_a y_a, y_a y_b, y_b y_a and y_b y_b, added in that order,
     on its live rows only (row i is live when row or column i of a P row
-    read with a nonzero weight holds a nonzero; a tensor that keeps its
-    support reads these from its listed positions), padded with dead rows
-    to the block's widest live set K: entries keep their bits, and for K < n
+    read with a nonzero weight holds a nonzero), padded with dead rows to
+    the block's widest live set K: entries keep their bits, and for K < n
     lambda_min = min(lambda_live, 0) is below -bound <= 0 just when
     lambda_live is. Such a failure stands only if one n x n solve, whose
     eigenvalue is the residual, confirms it. Other directions take one
     matmul of the stacked ``y (x) y`` rows against P.
 
-    The scan runs in blocks of ``PSD_BLOCK`` directions, in list order. A
-    block whose directions are all sparse grows over the sparse directions
-    after it, up to the first other one, while B K^2 <= PSD_BLOCK n^2 for B
-    directions of widest live set K: the size of the scratch buffers, so a
-    narrow block holds up to PSD_BLOCK n^2 / K^2 directions. The next block
-    starts where a block ends.
+    The scan cuts the list, in order, into blocks: each the longest run of
+    B directions with B K^2 <= PSD_BLOCK n^2, K the widest of their widths
+    (a sparse direction's live set, at least 1; n for any other direction).
+    That is the size of the scratch buffers. A block holding a direction of
+    width n thus has at most PSD_BLOCK directions, and a narrow block of
+    sparse ones up to PSD_BLOCK n^2 / K^2; every block has at least
+    PSD_BLOCK, or the rest of the list.
 
     Each stack of M(y) goes to ``_judge``. A stack whose M + M^T and bounds
     are finite is first factored once by Cholesky, shifted by each bound
@@ -588,27 +589,25 @@ def check_psd_c(
         sparse, rows, weights = _support_rows(Y)
         bounds = tol * t.max_abs() * np.einsum("ij,ij->i", Y, Y)
     row_start = np.concatenate([[0], np.cumsum(sparse)])  # direction -> its support row
+    width, room = np.full(len(Y), n), PSD_BLOCK * n * n  # per direction, for the cut into blocks
     if sparse.any():
-        # Live rows per P row (row n^2 is dead), then per direction (a zero weight reads row n^2)
-        live = np.zeros((n * n + 1, n), bool)
-        if t._support is None:
-            nz = t.values != 0.0
-            live[:-1] = (nz.any(axis=1) | nz.any(axis=0)).reshape(n, n * n).T
-        else:  # a listed nonzero t[i, j, k, l] makes rows i and j of P[k n + l] live
-            ij, kl = np.divmod(t._support[t.values.take(t._support) != 0.0], n * n)
-            live[kl, ij // n] = live[kl, ij % n] = True
+        # Live rows per P row, then per direction (a zero weight reads the dead row n^2)
+        nz = t.values != 0.0
+        live = np.vstack([(nz.any(axis=1) | nz.any(axis=0)).reshape(n, n * n).T, np.zeros(n, bool)])
         live = live[np.where(weights != 0.0, rows, n * n).T].any(axis=0)
         widths, P = np.count_nonzero(live, axis=1), None
+        width[sparse] = widths.clip(1)
     # Scratch reused by every block: M, one term of M (then M + M^T), and M - M^T.
     bufs = np.empty((3, min(len(Y), PSD_BLOCK) * n * n))
     start = 0
     while start < len(Y):
-        stop = min(start + PSD_BLOCK, len(Y))
-        if stop < len(Y) and sparse[start : stop + 1].all():  # grow while B K^2 <= PSD_BLOCK n^2
-            run = stop + int(np.argmax(np.append(~sparse[stop:], True)))  # up to the next dense direction
-            lo = row_start[start]  # K: the widest live set so far
-            wide = np.maximum.accumulate(widths[lo : lo + run - start].clip(1))
-            stop = start + int(np.count_nonzero(np.arange(1, len(wide) + 1) * wide**2 <= PSD_BLOCK * n * n))
+        # The longest run with B K^2 <= room. Every block has B >= PSD_BLOCK (or the rest), so its K is
+        # at least K0, the widest of the first PSD_BLOCK, and B <= room / K0^2: read no further. Up to
+        # PSD_BLOCK directions, B K^2 <= room holds for any K <= n.
+        stop = min(start + room // int(width[start : start + PSD_BLOCK].max()) ** 2, len(Y))
+        if stop > start + PSD_BLOCK:
+            wide = np.maximum.accumulate(width[start:stop])
+            stop = start + int(np.count_nonzero(np.arange(1, len(wide) + 1) * wide**2 <= room))
         block, on_support, bound = Y[start:stop], sparse[start:stop], bounds[start:stop]
         lo, hi = row_start[start], row_start[stop]
         finite, asym, lam = judged = np.empty((3, len(block)))  # finite as 1.0 or 0.0

@@ -3,10 +3,11 @@
 * The PSD scan builds M(y) from a direction's support when it has at most
   two nonzero coordinates; a per-direction ``contract_directions`` scan (and,
   at n <= 5, the loop oracle) must give the same report.
-* The PSD scan cuts the list into blocks of PSD_BLOCK directions and grows
-  a block of sparse directions while B K^2 <= PSD_BLOCK n^2; the stacks it
-  factors must have the shapes that rule gives from the tensor's entries
-  alone.
+* The PSD scan cuts the list into blocks, each the longest run of B
+  directions with B K^2 <= PSD_BLOCK n^2 (K their widest live width, n for
+  a dense direction); the stacks it factors must have the shapes that rule
+  gives from the tensor's entries alone, and the cut must not look further
+  ahead than a block can grow.
 * The PSD judge passes a stack of M(y) by one Cholesky factorization when
   it can; an ``eigvalsh``-only judge must give the same verdicts and
   failing residuals at the edge of the bound, and a passing scan must call
@@ -624,28 +625,25 @@ def live_width(values: np.ndarray, y: np.ndarray) -> int:
     return int(np.count_nonzero(live))
 
 
-def block_stacks(t: Tensor4, dirs, grow: bool = True) -> list:
+def block_stacks(t: Tensor4, dirs) -> list:
     """Shapes of the stacks a scan of ``dirs`` that runs to the end judges,
-    in order: blocks of PSD_BLOCK directions, except that (with ``grow``) a
-    block of directions that all have at most two nonzero coordinates takes
-    the next such direction while (B + 1) K^2 <= PSD_BLOCK n^2, K its widest
-    live set with that direction (at least 1). A block's sparse directions
-    make one (count, K, K) stack, then its others one (count, n, n) stack."""
+    in order. Each block is the longest run of B directions with
+    B K^2 <= PSD_BLOCK n^2, K the widest of their widths: a direction with
+    at most two nonzero coordinates has its live width (at least 1), any
+    other has n. A block's sparse directions make one (count, K', K') stack,
+    K' the widest of their live widths, then its others one (count, n, n)
+    stack."""
     n, dirs = t.n, np.asarray(dirs, dtype=float)
     sparse = [np.count_nonzero(y) <= 2 for y in dirs]
-    width = [max(live_width(t.values, y), 1) if s else 0 for y, s in zip(dirs, sparse)]
+    width = [max(live_width(t.values, y), 1) if s else n for y, s in zip(dirs, sparse)]
     stacks, start = [], 0
     while start < len(dirs):
-        stop = min(start + PSD_BLOCK, len(dirs))
-        K = max(width[start:stop])
-        while grow and all(sparse[start : stop + 1]) and stop < len(dirs):
-            if (stop + 1 - start) * max(K, width[stop]) ** 2 > PSD_BLOCK * n * n:
-                break
-            K = max(K, width[stop])
-            stop += 1
-        on_support = int(sum(sparse[start:stop]))
-        stacks += [(on_support, K, K)] if on_support else []
-        stacks += [(stop - start - on_support, n, n)] if stop - start > on_support else []
+        stop, K = start + 1, width[start]
+        while stop < len(dirs) and (stop + 1 - start) * max(K, width[stop]) ** 2 <= PSD_BLOCK * n * n:
+            stop, K = stop + 1, max(K, width[stop])
+        on_support = [w for w, s in zip(width[start:stop], sparse[start:stop]) if s]
+        stacks += [(len(on_support), max(on_support), max(on_support))] if on_support else []
+        stacks += [(stop - start - len(on_support), n, n)] if stop - start > len(on_support) else []
         start = stop
     return stacks
 
@@ -664,8 +662,9 @@ def growth_cases() -> dict:
     """id -> (tensor, directions) of passing scans that pin the block rule:
     ``ray-24``'s sparse directions (live widths 1 to 4, the widest not first)
     five times over, so the first block stops at its cap; with a random
-    direction after 100 of them; alternating with the random directions;
-    and a dense ray, whose sparse directions are all full width."""
+    direction after 100 of them, or after 10, inside the first PSD_BLOCK;
+    alternating with the random directions; and a dense ray, whose sparse
+    directions are all full width."""
     t = live_row_cases()["ray-24"][0]
     dirs = default_directions(24)
     sparse, dense = dirs[: 24 * 24], dirs[24 * 24 :]
@@ -673,12 +672,13 @@ def growth_cases() -> dict:
     return {
         "capped": (t, np.concatenate([np.tile(sparse, (5, 1)), dense])),
         "cut-by-dense": (t, np.concatenate([sparse[:100], dense[:1], sparse[100:], sparse, dense[1:]])),
+        "dense-in-first-block": (t, np.concatenate([sparse[:10], dense[:1], sparse[10:], sparse, dense[1:]])),
         "alternating": (t, alternating),
         "dense-ray": (passing_scans()["dense-ray-16"], np.tile(default_directions(16), (2, 1))),
     }
 
 
-@pytest.mark.parametrize("name", ["capped", "cut-by-dense", "alternating", "dense-ray"])
+@pytest.mark.parametrize("name", ["capped", "cut-by-dense", "dense-in-first-block", "alternating", "dense-ray"])
 def test_blocks_follow_the_growth_rule(name, monkeypatch):
     t, dirs = growth_cases()[name]
     n = t.n
@@ -693,12 +693,44 @@ def test_blocks_follow_the_growth_rule(name, monkeypatch):
     if name == "cut-by-dense":  # the first block stops at the dense direction, which starts a block of 64
         K = max(widths[:100])
         assert factored[:3] == [(100, K, K), (PSD_BLOCK - 1, max(widths[101:164]), max(widths[101:164])), (1, n, n)]
-    if name == "alternating":  # no block is all sparse, so none grows
-        assert factored == block_stacks(t, dirs, grow=False)
-        K = max(widths[:PSD_BLOCK:2])
-        assert factored[:2] == [(PSD_BLOCK // 2, K, K), (PSD_BLOCK // 2, n, n)]
+    if name == "dense-in-first-block":  # a dense direction keeps its block at PSD_BLOCK; the next one grows
+        K = max(widths[:10] + widths[11:PSD_BLOCK])
+        assert factored[:2] == [(PSD_BLOCK - 1, K, K), (1, n, n)] and factored[2][0] > PSD_BLOCK
+    if name == "alternating":  # every block holds a dense direction, so each has PSD_BLOCK
+        expected = []
+        for start in range(0, len(dirs), PSD_BLOCK):
+            K = max(widths[start : start + PSD_BLOCK : 2])
+            expected += [(PSD_BLOCK // 2, K, K), (PSD_BLOCK // 2, n, n)]
+        assert factored == expected
     if name == "dense-ray":  # every live set is full, so no block grows
         assert factored == [(PSD_BLOCK, n, n)] * (len(dirs) // PSD_BLOCK)
+
+
+def test_the_cut_looks_no_further_than_a_block_can_grow(monkeypatch):
+    # A dense tensor makes every sparse direction n rows wide, so no block
+    # grows past PSD_BLOCK, and the cut must not track a running K over the
+    # rest of a long list of sparse directions for each block.
+    n = 8
+    t = Tensor4(n, ray(random_skew(np.random.default_rng(8), n).array))
+    dirs = np.tile(default_directions(n)[: n * n], (300, 1))
+    read, maximum = [], np.maximum
+
+    class Counted:
+        def __call__(self, *args, **kwargs):
+            return maximum(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(maximum, name)
+
+        def accumulate(self, a, *args, **kwargs):
+            read.append(len(a))
+            return maximum.accumulate(a, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_module.np, "maximum", Counted())
+    factored = counting(monkeypatch, "cholesky")
+    assert check_psd_c(t, dirs).passed
+    assert factored == [(PSD_BLOCK, n, n)] * (len(dirs) // PSD_BLOCK)
+    assert read == []
 
 
 @pytest.mark.parametrize("name, confirmed", [

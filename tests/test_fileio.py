@@ -355,9 +355,9 @@ def psd_scan(t: Tensor4):
 
 
 def assert_support_reads_like_the_entries(t: Tensor4) -> None:
-    """A tensor built from entries keeps their positions, and reads max|t|
-    and the PSD scan's live rows from them; built from its array it reads
-    all n^4 entries. Both must give the same bits and reports."""
+    """A tensor built from few entries reads max|t| from their listed
+    values; built from its array it reads all n^4 entries. Both must give
+    the same bits, and the PSD scan the same reports."""
     assert t.max_abs().hex() == float(np.abs(t.values).max()).hex()
     dense = Tensor4(t.n, t.values)
     assert dense._support is None and dense.max_abs().hex() == t.max_abs().hex()
