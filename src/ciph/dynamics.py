@@ -14,8 +14,9 @@ trajectories matter more here than adaptive efficiency. At the small n of
 these models, Python's per-call cost (and numpy's more so) dwarfs the
 arithmetic, so each model writes its right-hand side out once as
 straight-line Python on floats and compiles it (``_ModelCode``): one
-function takes a whole RK4 step, with the coordinate powers, gradients,
-dot products (left folds) and stage points as local variables. A stage
+function runs the whole RK4 loop, with the state, the stage rates, the
+coordinate powers, gradients, dot products (left folds) and stage points
+as local variables, and appends each sample to one flat list. A stage
 (k2-k4) computes gamma and the gradients with the powers they read, and
 the rhs; each accepted sample gives, besides the next step's k1 at the
 same (x, t), H, S, sigma_int and the input powers p = dH^T (W + g u) and
@@ -79,6 +80,7 @@ from .fields import (
     _fold,
     _list,
     _names,
+    _product,
     _unpack,
     list_form,
 )
@@ -88,7 +90,7 @@ SKEW_TOL = 1e-12
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; at n = 2 a step peaks at about 560 B.
+# Largest step count integrate accepts; at n = 2 a step peaks at about 400 B.
 MAX_STEPS = 10**6
 
 
@@ -252,7 +254,7 @@ def _compile_inputs(n: int, W, g, u) -> Callable | None:
 
 class _InputTable:
     """``inputs`` for typed pieces: the row of W + g u for the schedule
-    segment that holds t. The model step indexes ``rows`` inline."""
+    segment that holds t. The model's ``run`` indexes ``rows`` inline."""
 
     __slots__ = ("times", "rows")
 
@@ -289,7 +291,7 @@ def _adapted_inputs(n: int, W, g, u) -> Callable:
 
 class _ModelCode:
     """One model's right-hand side written out as straight-line Python and
-    compiled, each function on first use: the RK4 ``step``, the first
+    compiled, each function on first use: the RK4 loop ``run``, the first
     sample ``start`` (whose rhs ``full_rhs`` returns), and the drift
     ``parts`` behind the other public functions.
 
@@ -302,15 +304,17 @@ class _ModelCode:
     included; the update is ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.
     J entries, coefficients, the input table and the folds of these alone
     (computed when the statements are written) are namespace names, never
-    text. A stage computes gamma, the gradients and what the rhs and the
-    rates read; H, S and the powers only their values read are computed at
-    the sample alone.
+    text; a factor bound to exactly 1.0 is left out of its product (see
+    ``_product``), and so is no longer read from the namespace. A stage
+    computes gamma, the gradients and what the rhs and the rates read; H, S
+    and the powers only their values read are computed at the sample alone.
 
     Every evaluation is at the point y. Other local names: x (the state), a
-    b c d (k1-k4), e (the rhs a sample returns, the next k1), u (the input
-    row), j (J dH), w (dS^T J dH), m (gamma w), s p q (sigma_int and the
-    input powers at a sample; s1-s4, p1-p4, q1-q4 at the stages), ip iq ia
-    (the running balance integrals), and per field G (gamma), H and S.
+    b c d (k1-k4; a sample sets a, the next step's k1), u (the input row),
+    j (J dH), w (dS^T J dH), m (gamma w), s1-s4 p1-p4 q1-q4 (sigma_int and
+    the input powers at k1-k4; a sample sets s1 p1 q1), ip iq ia (the
+    running balance integrals), t th te tn (the stage and sample times),
+    and per field G (gamma), H and S.
     """
 
     def __init__(self, model: IphsModel):
@@ -328,22 +332,26 @@ class _ModelCode:
         self.y = _names("y", self.n)
         # a sample row, and each balance integral with its rate at stage {0}
         self.row, self.integrals = (
-            ("(Hv, Sv, s, 0.0, 0.0, 0.0, iq, iq)", [("iq", "s{0}")]) if self.inputs is None else
-            ("(Hv, Sv, s, p, q, ip, iq, ia)", [("ip", "p{0}"), ("iq", "(s{0} + q{0})"), ("ia", "(s{0} + p{0})")]))
+            ("Hv, Sv, s1, 0.0, 0.0, 0.0, iq, iq", [("iq", "s{0}")]) if self.inputs is None else
+            ("Hv, Sv, s1, p1, q1, ip, iq, ia", [("ip", "p{0}"), ("iq", "(s{0} + q{0})"), ("ia", "(s{0} + p{0})")]))
 
     @functools.cached_property
-    def step(self) -> Callable:
-        """step(x, k1, row, t, tn, half, dt, sixth): one RK4 step from (x, t)
-        whose k1 and sample row are known, and the sample at tn = t + dt as
-        (state, row, next k1), or None once the state or H, S or sigma_int
-        is not finite. A row is (H, S, sigma_int, p, q, int p,
-        int (sigma_int + q), int (sigma_int + p)); each integral advances by
-        the RK4 update over its rates at k1 (read off the row) to k4."""
+    def run(self) -> Callable:
+        """run(x, k1, row, steps, dt, half, sixth, buf): ``steps`` RK4 steps
+        from (x, 0.0), whose k1 and sample row are known, the whole loop in
+        one function. Step k runs from t = k * dt to tn = (k + 1) * dt, and
+        its sample is appended to the flat list ``buf`` as tn, the state and
+        the row. A row is (H, S, sigma_int, p, q, int p, int (sigma_int + q),
+        int (sigma_int + p)); each integral advances by the RK4 update over
+        its rates at k1 (the previous sample's) to k4. Returns
+        "NonFiniteState", before appending, once the state or H, S or
+        sigma_int is not finite, else None; NonpositiveGamma propagates, so
+        ``buf`` holds the valid prefix either way."""
         n, y = self.n, self.y
         x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
-        body = [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1", "_, _, s1, p1, q1, ip, iq, ia = row"]
+        body = ["tn = (k + 1) * dt"]
         if self.inputs is not None:
-            body += ["th = t + half", "te = t + dt"]
+            body += ["t = k * dt", "th = t + half", "te = t + dt"]
         # k2 and k3 share the stage time th, so k3 reuses k2's input table row
         for k, factor, time, out, tag, lookup in ((k1, "half", "th", "b", "2", True),
                                                   (k2, "half", "th", "c", "3", False),
@@ -351,18 +359,21 @@ class _ModelCode:
             body += [f"{y[i]} = {x[i]} + {factor} * {k[i]}" for i in range(n)]
             body += [*self._stage(time, out, lookup), *self._rates(tag)]
         body += [f"{y[i]} = {_rk4(x[i], k1[i], k2[i], k3[i], k4[i])}" for i in range(n)]
-        body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return None",
+        body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return 'NonFiniteState'",
+                 # the integrals read the rates at k1 that the sample overwrites
+                 *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals),
                  *self._record("tn"),
-                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s)):", "    return None",
-                 *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals)]
-        return self._function("step(x, k1, row, t, tn, half, dt, sixth)",
-                              [*body, f"return {_list(y)}, {self.row}, {_list(_names('e', n))}"])
+                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)):", "    return 'NonFiniteState'",
+                 *(f"{a} = {b}" for a, b in zip(x, y)), f"buf.extend((tn, {', '.join(y)}, {self.row}))"]
+        return self._function("run(x, k1, row, steps, dt, half, sixth, buf)",
+                              [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1", "_, _, s1, p1, q1, ip, iq, ia = row",
+                               "for k in range(steps):", *("    " + line for line in body)])
 
     @functools.cached_property
     def start(self) -> Callable:
         """start(xs, t) = (row, rhs) at (xs, t), its integrals zero."""
         return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"), "ip = iq = ia = 0.0",
-                                              f"return {self.row}, {_list(_names('e', self.n))}"])
+                                              f"return ({self.row}), {_list(_names('a', self.n))}"])
 
     @functools.cached_property
     def parts(self) -> Callable:
@@ -399,7 +410,7 @@ class _ModelCode:
         for i in range(n):
             lines += _fold(JdH[i], [(f"J{i:d}_{j:d}", dH[j]) for j in range(n)], self.namespace)
         lines += _fold("w", list(zip(dS, JdH)), self.namespace)
-        return [*lines, "m = Gv * w"], h_value + s_value
+        return [*lines, f"m = {_product(['Gv', 'w'], self.namespace)}"], h_value + s_value
 
     def _stage(self, time: str, out: str, lookup: bool = True) -> list:
         """Statements setting ``out<i>`` to the full rhs at (y, time); an
@@ -425,8 +436,9 @@ class _ModelCode:
         return lines
 
     def _record(self, time: str) -> list:
-        """A sample at (y, time): the rhs e (the next k1), its rates, Hv, Sv."""
-        return [*self._stage(time, "e"), *self._rates(""), *self._drift[1]]
+        """A sample at (y, time): the rhs a (the next k1), its rates s1, p1,
+        q1 (the next step's first), Hv and Sv."""
+        return [*self._stage(time, "a"), *self._rates("1"), *self._drift[1]]
 
 
 def _rk4(total: str, a: str, b: str, c: str, d: str) -> str:
@@ -460,10 +472,12 @@ def observable_rate(model: IphsModel, f, x) -> float:
 def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 solve of the full dynamics, sampling every step.
 
-    Each sample records H, S, sigma_int and the input powers p, q. If gamma
-    fails to be positive or the state leaves the finite range mid-run, the
-    trajectory returned is the valid prefix with ``fault`` set instead of
-    raising.
+    Each sample records H, S, sigma_int and the input powers p, q. The
+    model's compiled ``run`` makes every step after the first sample and
+    appends each sample to one flat list, which becomes the ``Trajectory``
+    columns by one ``np.array`` and a copy per column. If gamma fails to be
+    positive or the state leaves the finite range mid-run, the trajectory
+    returned is the valid prefix with ``fault`` set instead of raising.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise NonFiniteValue(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -476,36 +490,24 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     steps = max(1, int(round(t_end / dt)))
     if steps > MAX_STEPS:
         raise DimensionTooLarge(f"t_end / dt = {steps} steps exceeds the cap of {MAX_STEPS}")
-    x = _as_vector(x0, model.n).tolist()
-    step = model._code.step
-    times, states, fault = [0.0], [x], None
-    half, sixth = 0.5 * dt, dt / 6.0
+    n, code = model.n, model._code
+    x, fault = _as_vector(x0, n).tolist(), None
     # Overflow to inf/nan (silent in float arithmetic) is caught by the finiteness checks.
     with np.errstate(all="ignore"):
         try:
-            row, k1 = model._code.start(x, 0.0)
-            rows = [row]
+            row, k1 = code.start(x, 0.0)
         except NonpositiveGamma:
-            rows = [(list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6)]
-            fault, steps = "NonpositiveGamma", 0
-
-        for k in range(steps):
-            tn = (k + 1) * dt
+            row, fault = (list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6), "NonpositiveGamma"
+        buf = [0.0, *x, *row]
+        if fault is None:
             try:
-                sample = step(x, k1, row, k * dt, tn, half, dt, sixth)
+                fault = code.run(x, k1, row, steps, dt, 0.5 * dt, dt / 6.0, buf)
             except NonpositiveGamma:
                 fault = "NonpositiveGamma"
-                break
-            if sample is None:
-                fault = "NonFiniteState"
-                break
-            x, row, k1 = sample
-            times.append(tn)
-            states.append(x)
-            rows.append(row)
-
-    columns = [np.array(column) for column in zip(*rows)]
-    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:]), fault=fault)
+    samples = np.array(buf).reshape(-1, n + 9)
+    del buf  # its floats go before the columns are copied out
+    return Trajectory(samples[:, 0].copy(), samples[:, 1:n + 1].copy(),
+                      *(samples[:, i].copy() for i in range(n + 1, n + 6)), samples[:, n + 6:].copy(), fault=fault)
 
 
 def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 Three concrete kinds share one base, ``CompiledField``: each writes its
 value and gradient out as straight-line Python statements on floats
 (``emit``), and its list functions ``value_list`` and ``grad_list`` are
-compiled from them, as is the model step in ``ciph.dynamics``. The
+compiled from them, as is the model's RK4 loop in ``ciph.dynamics``. The
 statements are split by what reads them, so a caller that needs only the
 gradient (an RK4 stage) runs only the gradient's: the coordinate powers
 the gradient reads, and the gradient folds. Powers only the value reads
@@ -81,11 +81,29 @@ def _list(items: Sequence[str]) -> str:
     return "[" + ", ".join(items) + "]"
 
 
+# Terms per statement of a fold. A fold is one left-associated ``+`` chain,
+# but CPython's compiler recurses once per operator (a 5000-term chain
+# exhausts it), so a longer fold continues in further statements.
+FOLD_TERMS = 32
+
+
+def _product(names: Sequence[str], namespace: dict) -> str:
+    """Source for the product of ``names`` left to right, without the
+    factors bound to exactly 1.0 in ``namespace``: ``v * 1.0`` is ``v`` bit
+    for bit, -0.0, inf and nan included. A product of 1.0s alone keeps its
+    first name. A dropped factor is no longer read from the namespace."""
+    kept = [name for name in names if not (isinstance(namespace.get(name), float) and namespace[name] == 1.0)]
+    return " * ".join(kept or names[:1])
+
+
 def _fold(total: str, products: Sequence[Sequence[str]], namespace: dict) -> list[str]:
     """Statements for a left fold from 0.0 of ``products``, each a sequence
-    of names multiplied left to right, one accumulator statement per term:
-    deep expressions do not compile (CPython caps nesting at 200
-    parentheses, and a 5000-term ``+`` chain exhausts its recursion).
+    of names multiplied left to right (``_product``): one chain
+    ``total = 0.0 + a + b + ...``, cut after every ``FOLD_TERMS`` terms into
+    a statement ``total = total + ...``. The leading 0.0 stays, so a fold
+    of -0.0 terms is +0.0 as in a loop from 0.0; so do factors of -1.0 and
+    0.0, as ``-1.0 * nan`` and ``-nan`` differ in sign and ``0.0 * inf`` is
+    nan.
 
     When every name is a number bound in ``namespace`` (a constant fold, the
     empty one included), the fold is computed here instead, by the same
@@ -95,8 +113,9 @@ def _fold(total: str, products: Sequence[Sequence[str]], namespace: dict) -> lis
     if all(isinstance(v, float) for factors in numbers for v in factors):
         namespace[total] = reduce(add, (reduce(mul, factors) for factors in numbers), 0.0)
         return []
-    terms = [" * ".join(product) for product in products]
-    return [f"{total} = 0.0 + {terms[0]}", *(f"{total} = {total} + {t}" for t in terms[1:])]
+    terms = [_product(product, namespace) for product in products]
+    return [f"{total} = {total if i else '0.0'} + {' + '.join(terms[i:i + FOLD_TERMS])}"
+            for i in range(0, len(terms), FOLD_TERMS)]
 
 
 def _overflowed(bases: list, exponents: list) -> list[float]:
@@ -201,8 +220,10 @@ class PolynomialField(CompiledField):
     terms (coef, factor positions) and derivative terms (coordinate,
     coef * exponent, factor positions). ``emit`` writes these out as
     straight-line Python statements: each power above the first once, by
-    ``**`` on Python floats (the scalar libm ``pow``), then one accumulator
-    statement per term, coefficient first and factors in coordinate order.
+    ``**`` on Python floats (the scalar libm ``pow``), then the value and
+    each gradient component as one left fold (``_fold``) of the terms,
+    coefficient first (left out where it is exactly 1.0) and factors in
+    coordinate order.
     """
 
     __slots__ = ("terms", "_pairs", "_value_terms", "_grad_terms")
@@ -377,8 +398,9 @@ class ExpSumField(_ScaledExp):
              form: str = "grad") -> tuple[list, list, list]:
         exps = _names(prefix + "p", self.n)
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf, prefix + "s": self.scale})
-        value = [*_fold(prefix + "t", [[e] for e in exps], namespace), f"{prefix}v = {prefix}s * {prefix}t"]
-        grad = [f"{prefix}g{m:d} = {prefix}s * {e}" for m, e in enumerate(exps)]
+        value = [*_fold(prefix + "t", [[e] for e in exps], namespace),
+                 f"{prefix}v = {_product([prefix + 's', prefix + 't'], namespace)}"]
+        grad = [f"{prefix}g{m:d} = {_product([prefix + 's', e], namespace)}" for m, e in enumerate(exps)]
         return _exps(exps, point), value, grad
 
 
@@ -400,8 +422,8 @@ class ExpNegSumField(_ScaledExp):
         namespace.update({"_exp": math.exp, "_exp_or_inf": _exp_or_inf,
                           prefix + "s": self.scale, prefix + "d": -self.scale})
         powers = [*_fold(prefix + "t", [[y] for y in point], namespace), *_exps([e], [f"-{prefix}t"])]
-        grad = [f"{prefix}g{m:d} = {prefix}d * {e}" for m in range(self.n)]
-        return powers, [f"{prefix}v = {prefix}s * {e}"], grad
+        grad = [f"{prefix}g{m:d} = {_product([prefix + 'd', e], namespace)}" for m in range(self.n)]
+        return powers, [f"{prefix}v = {_product([prefix + 's', e], namespace)}"], grad
 
 
 BUILTIN_FIELDS: dict[str, Callable[..., CompiledField]] = {

@@ -391,9 +391,9 @@ class TestBuiltins:
     def test_no_builtin_step_calls_numpy(self, name):
         # every built-in field emits statements: no list_form adapter (a
         # "<prefix>value" or "<prefix>grad" callable) and no numpy function
-        # is bound where the compiled step looks its names up
+        # is bound where the compiled loop looks its names up
         code = builtin_model(name)._code
-        code.step, code.start, code.parts
+        code.run, code.start, code.parts
         adapters = [k for k in code.namespace if k.endswith(("value", "grad"))]
         assert adapters == []
         numpy_bound = [k for k, v in code.namespace.items()
@@ -751,10 +751,11 @@ class TestBalanceLedger:
         assert audit_balances(model, fed).energy_scale == pytest.approx(1e3 * 0.05, rel=1e-3)
 
 
-def readme_model(tmp_path) -> IphsModel:
-    """The README's model-file example, loaded as ``ciph simulate`` loads it."""
+def readme_model(tmp_path, **changes) -> IphsModel:
+    """The README's model-file example, with the entries ``changes`` replaced,
+    loaded as ``ciph simulate`` loads it."""
     path = tmp_path / "readme-model.json"
-    path.write_text(json.dumps(TestCompiledInputs.README_MODEL), encoding="utf-8")
+    path.write_text(json.dumps({**TestCompiledInputs.README_MODEL, **changes}), encoding="utf-8")
     return load_model(path)
 
 
@@ -842,9 +843,12 @@ class TestAuditGate:
         assert report.max_entropy_defect > 0.5 > 1e-6 * report.entropy_scale
 
     def test_q_from_dh_fails(self, monkeypatch, tmp_path):
-        assert audited(readme_model(tmp_path), [1.0, 0.0]).passed is True
+        # the README's S = x1 + x2 has unit gradient coefficients, which the
+        # q folds drop; this S keeps its dS factors in them
+        S = {"poly": [[[1, 0], 2.0], [[0, 1], 0.5]]}
+        assert audited(readme_model(tmp_path, S=S), [1.0, 0.0]).passed is True
         changed = mutate_step(monkeypatch, lambda line: line.replace("Sg", "Hg") if line.lstrip()[:1] == "q" else line)
-        report = audited(readme_model(tmp_path), [1.0, 0.0])
+        report = audited(readme_model(tmp_path, S=S), [1.0, 0.0])
         assert len(changed) >= 4
         assert report.passed is False
         assert report.max_energy_defect <= 1e-6 * report.energy_scale

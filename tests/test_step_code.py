@@ -1,11 +1,12 @@
-"""The compiled model step against the loop reference ``loop_trajectory``.
+"""The compiled model loop against the loop reference ``loop_trajectory``.
 
-``IphsModel`` writes its RK4 step out as straight-line Python and compiles
-it; ``ciph.verify.loop_trajectory`` runs the same scheme as a plain loop
-over lists. The two must agree bit for bit on every ``Trajectory`` column,
-on the fault and on the length of the valid prefix.
+``IphsModel`` writes its whole RK4 loop out as straight-line Python and
+compiles it; ``ciph.verify.loop_trajectory`` runs the same scheme as a
+plain loop over lists. The two must agree bit for bit on every
+``Trajectory`` column, on the fault and on the length of the valid prefix.
 """
 
+import ast
 import io
 import math
 import re
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from ciph import BracketMatrix, IphsModel, NonpositiveGamma, PolynomialField, integrate
 from ciph import dynamics, fields
 from ciph.dynamics import Constant, Schedule, builtin_model, drift_rhs, full_rhs, observable_rate
+from ciph.fields import FOLD_TERMS
 from ciph.verify import loop_polynomial, random_skew
 
 from conftest import assert_matches_reference
@@ -37,10 +39,11 @@ def capture_sources(monkeypatch) -> list:
 
 
 def step_source(monkeypatch, model) -> tuple[str, str]:
-    """A new model's compiled step source, split into its stages (k2-k4 and
-    the update) and its sample (from the state's finiteness check on)."""
+    """A new model's compiled ``run`` source, split into its stages (the
+    loop head, k2-k4 and the update) and its sample (from the state's
+    finiteness check on)."""
     sources = capture_sources(monkeypatch)
-    model._code.step
+    model._code.run
     stages, sample = sources[-1].split("if not (_isfinite(", 1)
     return stages, sample
 
@@ -221,6 +224,20 @@ class TestSmallestModel:
         assert observable_rate(model, H, [0.75]) == 0.0
         assert model.gamma_at([0.5]) == 1.25
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_n1_model_of_unit_numbers(self, monkeypatch, forced):
+        # every factor of the step is 1.0 or gone, so the carry of the lone
+        # coordinate into the next step is what the loop runs on
+        pieces = dict(W=Constant([1.0]), g=Constant([[1.0]]), u=Schedule([0.0, 0.03], [1.0, 2.0])) if forced else {}
+        H = PolynomialField(1, [((2,), 0.5), ((3,), 1.0 / 3.0)])
+        model = IphsModel(1, H, PolynomialField(1, [((1,), 1.0)]), BracketMatrix.zeros(1),
+                          PolynomialField.constant(1, 1.0), **pieces)
+        stages, sample = step_source(monkeypatch, model)
+        assert "x0 = y0" in sample and "buf.extend((tn, y0, " in sample
+        tr = assert_matches_reference(model, [-0.0 if forced else 0.75], t_end=0.05, dt=1e-2)
+        assert tr.fault is None and tr.states.shape == (6, 1)
+        assert len(set(tr.states[:, 0].tolist())) == (6 if forced else 1)
+
 
 class TestStageTimes:
     @pytest.mark.parametrize("typed", [True, False])
@@ -241,6 +258,118 @@ class TestStageTimes:
         model = IphsModel(2, H, S, BracketMatrix.standard_skew(), PolynomialField.constant(2, 1.0), **base)
         tr = assert_matches_reference(model, [0.5, -0.25], t_end=dt * steps, dt=dt)
         assert tr.fault is None and len(set(tr.p.tolist())) > steps // 2
+
+
+class TestUnitFactors:
+    @pytest.mark.parametrize("build, longest_fold", [
+        (lambda: builtin_model("quadratic-linear"), 2), (lambda: builtin_model("heat-exchanger"), 2),
+        (readme_forced_model, 2), (lambda: wide_model(100), FOLD_TERMS)])
+    def test_run_multiplies_by_no_unit_name_and_caps_its_chains(self, monkeypatch, build, longest_fold):
+        sources, model = capture_sources(monkeypatch), build()
+        model._code.run
+        source, namespace = sources[-1], model._code.namespace
+
+        def unit(node):
+            return isinstance(node, ast.Name) and isinstance(namespace.get(node.id), float) \
+                and namespace[node.id] == 1.0
+
+        tree = ast.parse(source)
+        products = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]
+        assert products and not [ast.unparse(p) for p in products if unit(p.left) or unit(p.right)]
+        longest = 0
+        for statement in ast.walk(tree):
+            if isinstance(statement, ast.Assign):
+                chain, value = 0, statement.value
+                while isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add):
+                    chain, value = chain + 1, value.left
+                longest = max(longest, chain)
+        # the 100-term fold of the wide model fills its statements to the cap
+        assert longest == longest_fold <= FOLD_TERMS
+
+    def test_unit_factors_are_not_read_from_the_namespace(self):
+        # J0_1 = 1.0 is dropped from the source, J1_0 = -1.0 is not
+        model = builtin_model("quadratic-linear")
+        want = integrate(model, [1.0, 0.5], t_end=0.1, dt=1e-2)
+        model._code.namespace["J0_1"] = 7.0
+        assert integrate(model, [1.0, 0.5], t_end=0.1, dt=1e-2).states.tobytes() == want.states.tobytes()
+        model._code.namespace["J1_0"] = 7.0
+        assert integrate(model, [1.0, 0.5], t_end=0.1, dt=1e-2).states.tobytes() != want.states.tobytes()
+
+    def test_nonfinite_state_from_a_stage(self):
+        # u is inf near t = 0.035, the stage time of k2 and k3 in step 3
+        # (t = 0.03); every sample time, 0.03 and 0.04 included, misses it
+        model = IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), PolynomialField.constant(2, 1.0),
+                          W=lambda x, dH: np.array([1.0, -1.0]), g=lambda x, dH: np.array([[1.0], [0.0]]),
+                          u=lambda t: np.array([math.inf if 0.034 <= t < 0.036 else 1.0]))
+        tr = assert_matches_reference(model, [1.0, -0.0], t_end=0.1, dt=1e-2)
+        assert tr.fault == "NonFiniteState" and len(tr) == 4
+
+    def test_nonpositive_gamma_mid_run(self):
+        # gamma = 1 - x1, with W driving x1 from 0.5 through 1 at rate 1
+        gamma = PolynomialField(2, [((0, 0), 1.0), ((1, 0), -1.0)])
+        model = IphsModel(2, QUADRATIC, PolynomialField(2, [((0, 1), 1.0)]), BracketMatrix.standard_skew(), gamma,
+                          W=Constant([1.0, 0.0]))
+        tr = assert_matches_reference(model, [0.5, 0.0], t_end=1.0, dt=1e-2)
+        assert tr.fault == "NonpositiveGamma" and 40 <= len(tr) <= 51
+
+
+def wide_model(terms: int) -> IphsModel:
+    """An n = 3 model whose H has ``terms`` terms, each of a unit gradient
+    coefficient in x1, so dH_1 is a fold of ``terms`` products."""
+    H = PolynomialField(3, [((1, e // 12, e % 12), 1.0) for e in range(terms)])
+    return IphsModel(3, H, PolynomialField(3, [((1, 0, 0), 1.0), ((0, 1, 0), 2.0)]), random_skew(
+        np.random.default_rng(3), 3), PolynomialField.constant(3, 1.0))
+
+
+UNIT = st.sampled_from([1.0, -1.0, 0.0, -0.0])
+NUMBER = st.one_of(UNIT, st.floats(-2.0, 2.0))
+# (exponent, coefficient) pairs whose gradient coefficient is exactly +-1.0,
+# and a few others; 400 overflows float ** past 5.9
+UNIT_TERM = st.sampled_from([(1, 1.0), (2, 0.5), (3, 1.0 / 3.0), (4, 0.25), (400, 0.0025), (2, 1.5)])
+
+
+@st.composite
+def unit_models(draw):
+    n = draw(st.integers(1, 3))
+
+    def field():
+        terms = []
+        for _ in range(draw(st.integers(1, 6))):
+            exponents = [0] * n
+            coefficient = draw(st.sampled_from([1.0, -1.0]))
+            for j in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                exponents[j], c = draw(UNIT_TERM)
+                coefficient *= c
+            terms.append((exponents, coefficient))
+        return PolynomialField(n, terms)
+
+    J = np.zeros((n, n))
+    for i in range(n):
+        J[i, i] = draw(st.sampled_from([0.0, -0.0]))
+        for j in range(i + 1, n):
+            J[i, j] = draw(NUMBER)
+            J[j, i] = -J[i, j]
+    # a constant gamma (1.0 most often), or 1 - x1 (faults once x1 reaches 1)
+    gamma = draw(st.one_of(st.sampled_from([1.0, 1.0, 0.5]).map(lambda c: PolynomialField.constant(n, c)),
+                           st.just(PolynomialField(n, [((0,) * n, 1.0), ((1,) + (0,) * (n - 1), -1.0)]))))
+    vector = st.lists(st.one_of(NUMBER, st.floats(-6.0, 6.0)), min_size=n, max_size=n)
+    pieces = {}
+    kind = draw(st.sampled_from(["isolated", "W", "table"]))
+    if kind != "isolated":
+        pieces["W"] = Constant(draw(vector))
+    if kind == "table":
+        gmat = draw(st.lists(st.lists(NUMBER, min_size=1, max_size=1), min_size=n, max_size=n))
+        pieces.update(g=Constant(gmat), u=Schedule([0.0, 0.1], draw(st.lists(NUMBER, min_size=2, max_size=2))))
+    model = IphsModel(n, field(), field(), BracketMatrix(J), gamma, **pieces)
+    dt = draw(st.sampled_from([1e-2, 5e-2, 0.25]))
+    return model, draw(vector), dt * draw(st.integers(1, 12)), dt
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=unit_models())
+def test_unit_number_models_match_the_reference(case):
+    model, x0, t_end, dt = case
+    assert_matches_reference(model, x0, t_end, dt)
 
 
 EXPONENT = st.sampled_from(list(range(7)) * 3 + [400])
