@@ -264,11 +264,13 @@ class PolynomialField(CompiledField):
 
     @classmethod
     def coordinate(cls, n: int, i: int) -> "PolynomialField":
-        """The coordinate function x_i; ``i`` is 1-based like all external indices."""
-        if not 1 <= i <= n:
-            raise DimensionMismatch(f"coordinate index {i} out of range 1..{n}")
+        """The coordinate function x_i; ``i`` is 1-based like all external
+        indices, an integer under ``_integer``'s rule."""
+        n = _dimension(n)
+        if (m := _integer(i)) is None or not 1 <= m <= n:
+            raise DimensionMismatch(f"coordinate index {i!r} out of range 1..{n}")
         exps = [0] * n
-        exps[i - 1] = 1
+        exps[m - 1] = 1
         return cls(n, [(exps, 1.0)])
 
     def emit(self, point: Sequence[str], prefix: str, namespace: dict,

@@ -111,6 +111,10 @@ def _n(spec: dict, what: str = "invalid 'n'") -> int:
     return n
 
 
+# Rows of a trajectory CSV formatted per write: the formatting temporaries
+# (about 0.4 kB a row at n = 2) stay a few MB however long the run.
+CSV_BLOCK_ROWS = 4096
+
 _ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
 _ENTRY_ERRORS = (KeyError, TypeError, ValueError)
 
@@ -340,7 +344,8 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     mismatch H(t) - H(0) - integral of dH^T (W + g u) dt, the integral that
     the RK4 step carried (``trajectory.supplied``); for an isolated model it
     reduces to the energy drift.
-    Every number is written as "%.17g", the body in one %-format.
+    Every number is written as "%.17g", each block of ``CSV_BLOCK_ROWS``
+    rows in one %-format.
     """
     tr = trajectory
     rows = np.column_stack(
@@ -348,5 +353,7 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     )
     header = ["t", *(f"x{i + 1}" for i in range(model.n)), "H", "S", "sigma_int", "energy_defect"]
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    body = (row * len(rows)) % tuple(rows.ravel().tolist())
-    _write(path, ",".join(header) + "\n" + body)
+    with _naming(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -4,13 +4,11 @@ Two input shapes are handled. A *raw product* tensor t[i,j,k,l] = A[i,k] B[j,l]
 is rank one after reshaping index pairs, so a pivoted rank-1 factorization
 recovers (A, B) exactly; the product splits iff A is skew and B is a
 nonnegative multiple of A. A *symmetric representative*
-t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is recovered row by row from
-the slices t[i, :, i, :], which are negated rank-1 Gram matrices of the rows
-of sqrt(c) * J; the row signs all come from one pivot, the largest entry
-t[p,p,q,q] = 2 c J[p,q]^2, whose slice t[:, p, :, q] is c J[p,q] J plus a
-known rank-1 term. Every recovery is verified by reconstructing the tensor
-before a SPLIT is reported, so the heuristics can never accept a wrong
-answer.
+t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is read off one slice: at
+the largest entry t[p,p,q,q] = 2 c J[p,q]^2, the slice t[:, p, :, q] is
+c J[p,q] J plus a rank-1 term built from two other slices of t. Every
+recovery is verified by reconstructing the tensor before a SPLIT is
+reported, so no recovery can accept a wrong answer.
 
 Every tolerance is relative, as in ``ciph.tensor``: a residual is measured
 against ``tol`` times the largest magnitude of the quantity it belongs to
@@ -53,7 +51,8 @@ class SplitResult:
     (rank-1 residual, skewness residual, or proportionality deviation),
     each in the product tensor's units: ``split_product`` reports the
     skewness residual of A times max|B| and the proportionality deviation
-    times max|A|, i.e. max|A (x) (B - lam A)|.
+    times max|A|, i.e. max|A (x) (B - lam A)| with lam the ratio of B to A
+    at A's max-abs entry.
     """
 
     status: str
@@ -88,7 +87,7 @@ def flatten_pairs(t: Tensor4) -> np.ndarray:
     a bijection and ``unflatten_pairs`` inverts it.
     """
     n = t.n
-    return t.values.transpose(0, 2, 1, 3).reshape(n * n, n * n).copy()
+    return np.array(t.values.transpose(0, 2, 1, 3), order="C").reshape(n * n, n * n)
 
 
 def unflatten_pairs(F, n: int) -> Tensor4:
@@ -109,10 +108,11 @@ def rank_one_factor(F, tol: float = DEFAULT_TOL) -> RankOneFactor:
     tol = _require_tol(tol)
     F = np.asarray(F, dtype=float)
     n = math.isqrt(F.shape[0])
-    fmax = float(np.max(np.abs(F)))
+    magnitude = np.abs(F)
+    p, q = np.unravel_index(int(np.argmax(magnitude)), F.shape)
+    fmax = float(magnitude[p, q])
     if fmax == 0.0:
         return RankOneFactor(BracketMatrix.zeros(n), BracketMatrix.zeros(n), 0.0)
-    p, q = np.unravel_index(int(np.argmax(np.abs(F))), F.shape)
     a = F[:, q].copy()
     b = F[p, :] / F[p, q]
     residual = float(np.max(np.abs(F - np.outer(a, b))))
@@ -137,11 +137,11 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     """Decide whether the product tensor of (A, B) is a scaled skew square.
 
     Checks, in order: A skew within ``tol * max|A|``; B globally
-    proportional to A within ``tol * max|B|`` (ratio taken at A's max-abs
-    entry, and between the unit-max-abs factors when that ratio overflows);
-    proportionality factor nonnegative, judged on the gauge-free ratio
-    ``lam * max|A| / max|B|`` (the ratio of the unit-max-abs factors), which
-    must not fall below ``-tol``. On success the
+    proportional to A within ``tol * max|B|``; proportionality factor
+    nonnegative. Both are judged on the unit-max-abs factors A / max|A| and
+    B / max|B|, whose ratio ``unit`` at A's max-abs entry is finite for any
+    finite nonzero factors and must not fall below ``-tol``; the product's
+    coefficient is then ``unit * max|B| * max|A|``. On success the
     factor pair is rewritten in the canonical gauge and the reconstruction
     error of the gauged product against the original product is reported;
     a failure reports its residual in the product's units too (see
@@ -161,20 +161,15 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
         return SplitResult(NOT_SKEW, residual=bmax * skew.residual)
 
     p, q = np.unravel_index(int(np.argmax(np.abs(A.array))), (n, n))
-    lam = float(B.array[p, q]) / float(A.array[p, q])  # a float quotient overflows to inf silently
-    if math.isfinite(lam):
-        deviation = float(np.max(np.abs(B.array - lam * A.array)))
-    else:  # e.g. a subnormal A: compare the factors at unit max-abs, lam = unit * bmax / amax
-        unit = float((B.array[p, q] / bmax) / (A.array[p, q] / amax))
-        deviation = bmax * float(np.max(np.abs(B.array / bmax - unit * (A.array / amax))))
+    unit = float((B.array[p, q] / bmax) / (A.array[p, q] / amax))
+    deviation = bmax * float(np.max(np.abs(B.array / bmax - unit * (A.array / amax))))
     if deviation > tol * bmax:
         return SplitResult(NOT_PROPORTIONAL, residual=amax * deviation)
-    if (lam * amax < -tol * bmax) if math.isfinite(lam) else (unit < -tol):
+    if unit < -tol:
         return SplitResult(NEGATIVE_GAMMA, residual=amax * deviation)
 
-    J_arr, c = _canonical_gauge(A.array)
-    # c * c is amax^2; lam * amax^2 = unit * bmax * amax
-    gamma = max(lam, 0.0) * c * c if math.isfinite(lam) else max(unit, 0.0) * bmax * amax
+    J_arr, _ = _canonical_gauge(A.array)
+    gamma = max(unit, 0.0) * bmax * amax
     J = BracketMatrix(J_arr)
     recon = product_tensor(J, BracketMatrix(gamma * J_arr))
     residual = float(np.max(np.abs(recon.values - product_tensor(A, B).values)))
@@ -184,43 +179,27 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
 def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     """Try to match t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]).
 
-    Writes K = sqrt(c) * J. The slice -t[i, :, i, :] is the Gram matrix of
-    K's i-th row, which pins the row up to sign. One pivot fixes all the
-    signs: t[i,i,k,k] = 2 K[i,k]^2 peaks at the largest |K[p,q]|, and
-    E = t[:,p,:,q] - t[:,p,q,q] t[p,p,:,q] / (2 t[p,p,q,q]) = K[p,q] K, so
-    rows whose overlap with E differs in sign from the first recovered
-    row's are flipped. Returns None unless the reconstructed tensor matches
-    t within ``tol * max|t|``.
+    Writes K = sqrt(c) * J. The largest t[i,i,k,k] = 2 K[i,k]^2 sits at the
+    largest |K[p,q]| = r, and t[:,p,:,q] = K[p,q] K + K[:,q] K[p,:] with
+    t[:,p,q,q] = 2 K[p,q] K[:,q] and t[p,p,:,q] = 2 K[p,q] K[p,:], so
+    (t[:,p,:,q] - outer(t[:,p,q,q] / 2r, t[p,p,:,q] / 2r)) / r is K up to
+    the sign of K[p,q], which the gauge absorbs. Each factor is divided by r
+    before it is multiplied, so nothing overflows or underflows on the way.
+    Returns None unless the reconstructed tensor matches t within
+    ``tol * max|t|``.
     """
     v = t.values
-    accept = tol * t.max_abs()
-
     p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", v))), (t.n, t.n))
-    pivot = float(v[p, p, q, q])
-    if pivot <= 2.0 * accept:
-        return None  # every K[i,k]^2 is at most accept: no row to recover
-
-    grams = -np.einsum("ijil->ijl", v)
-    diag = np.einsum("ijj->ij", grams)
-    m = np.argmax(diag, axis=1)
-    d = diag[np.arange(t.n), m]
-    live = d > accept  # the other rows are zero (or not a positive Gram matrix)
-    rows = np.zeros((t.n, t.n))
-    rows[live] = grams[live, :, m[live]] / np.sqrt(d[live])[:, None]
-
-    E = v[:, p, :, q] - np.outer(v[:, p, q, q], v[p, p, :, q]) / (2.0 * pivot)
-    overlap = np.einsum("ik,ik->i", rows, E)
-    # The gauge fixes J's global sign except on its zero entries (+-0.0);
-    # those follow the first recovered row, which keeps its Gram sign.
-    ref = np.sign(overlap[np.argmax(live)])
-    K = np.where((overlap * ref < 0.0)[:, None], -rows, rows)
-
+    r = math.sqrt(max(float(v[p, p, q, q]), 0.0) / 2.0)
+    if not r > 0.0:
+        return None  # no positive t[i,i,k,k]: K would be zero
+    K = (v[:, p, :, q] - np.outer(v[:, p, q, q] / (2.0 * r), v[p, p, :, q] / (2.0 * r))) / r
     K = 0.5 * (K - K.T)  # exact inputs are already skew; this absorbs rounding
     recon = np.einsum("ik,jl->ijkl", K, K) + np.einsum("il,jk->ijkl", K, K)
     residual = float(np.max(np.abs(recon - v)))
-    if residual > accept:
+    if not residual <= tol * t.max_abs():  # a NaN residual fails too
         return None
-    # K is nonzero here (a zero K leaves a residual >= t[p,p,q,q] > accept),
+    # K is nonzero here (a zero K leaves the residual max|t| > tol * max|t|),
     # and 0.5 * (K - K.T) is exactly skew, so J = K / c is too.
     J_arr, c = _canonical_gauge(K)
     return SplitResult(SPLIT, BracketMatrix(J_arr), 2.0 * c * c, residual)
@@ -229,33 +208,30 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
 def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     """Full splitting decision for a 4-tensor.
 
-    Branch 1 treats t as a raw bracket product via the pair flattening;
-    branch 2 treats it as a symmetric representative. A SPLIT is only
-    returned once the canonical factors reproduce t itself within
-    ``tol * max|t|``; tensors that fit neither shape come back as
-    NOT_RANK_ONE (which is a status, not a proof that no splitting exists).
+    A tensor symmetric in its last two slots is first matched as a
+    symmetric representative; otherwise, or when that match fails, t is
+    treated as a raw bracket product via the pair flattening. (At a tight
+    tol no nonzero tensor fits both shapes; at a loose one the symmetric
+    match wins, since its J is exactly skew.) A SPLIT is only returned once
+    the canonical factors reproduce t itself within ``tol * max|t|``;
+    tensors that fit neither shape come back with the raw branch's status,
+    NOT_RANK_ONE when t is not a pair-flattened rank-1 matrix (a status, not
+    a proof that no splitting exists).
     """
     tol = _require_tol(tol)
     # Near the double range residuals can overflow; an inf residual fails every
     # acceptance test.
     with np.errstate(over="ignore", invalid="ignore"):
+        if check_sym_a(t, tol).passed and (recovered := _recover_symmetric(t, tol)) is not None:
+            return recovered
         factor = rank_one_factor(flatten_pairs(t), tol)
-        if factor.ok:
-            result = split_product(factor.A, factor.B, tol)
-            if result.status == SPLIT:
-                recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
-                residual = float(np.max(np.abs(recon.values - t.values)))
-                if residual <= tol * t.max_abs():
-                    return SplitResult(SPLIT, result.J, result.gamma, residual)
-                fallback = SplitResult(NOT_RANK_ONE, residual=residual)
-            else:
-                fallback = result
-        else:
-            fallback = SplitResult(NOT_RANK_ONE, residual=factor.residual)
-
-        if check_sym_a(t, tol).passed:
-            recovered = _recover_symmetric(t, tol)
-            if recovered is not None:
-                return recovered
-
-        return fallback
+        if not factor.ok:
+            return SplitResult(NOT_RANK_ONE, residual=factor.residual)
+        result = split_product(factor.A, factor.B, tol)
+        if result.status != SPLIT:
+            return result
+        recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
+        residual = float(np.max(np.abs(recon.values - t.values)))
+        if residual <= tol * t.max_abs():
+            return SplitResult(SPLIT, result.J, result.gamma, residual)
+        return SplitResult(NOT_RANK_ONE, residual=residual)

@@ -75,10 +75,10 @@ ORBIT_CROSSOVER = 0.15
 
 def _integer(value) -> int | None:
     """``value`` as an int when it is integral: an int or numpy integer (not
-    a bool), or a float with no fractional part. Anything else gives None,
-    so a fraction is never truncated."""
-    if isinstance(value, float):
-        return int(value) if value.is_integer() else None
+    a bool), or a Python or numpy float with no fractional part. Anything
+    else gives None, so a fraction is never truncated."""
+    if isinstance(value, (float, np.floating)):
+        return int(value) if float(value).is_integer() else None
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     return None
@@ -174,24 +174,30 @@ class Tensor4:
         """Build from sparse 1-based entries: a mapping (i, j, k, l) -> value,
         or (i, j, k, l, value) rows (an iterable, or an (m, 5) array).
 
-        ``n`` is checked before anything is allocated. The first entry whose
-        index is out of range, and then the first that repeats an earlier
-        index, is a FormatError naming it (entries count from 1).
+        ``n`` is checked before anything is allocated. Each index must be an
+        integer in 1..n under ``_integer``'s rule (a bool, a string or a
+        fraction is not one). The first entry that breaks it, and then the
+        first that repeats an earlier index, is a FormatError naming it
+        (entries count from 1).
         """
         n = _checked_dimension(n)
         if isinstance(entries, Mapping):
             entries = [(*key, v) for key, v in entries.items()]
         elif not isinstance(entries, np.ndarray):
             entries = list(entries)
-        try:
-            table = np.asarray(entries, dtype=float).reshape(-1, 5)
+        numeric = isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu"
+        try:  # other rows take each index through _integer, whose None reads as NaN and fails below
+            rows = entries if numeric else [(*map(_integer, row[:4]), *row[4:]) for row in entries]
+            table = np.asarray(rows, dtype=float).reshape(-1, 5)
         except OverflowError:
             raise FormatError(f"an entry index or value is out of range (n = {n})") from None
         index = table[:, :4]
-        outside = ~((index >= 1) & (index <= n)).all(axis=1)
+        # _integer's rule on a float: integral, so a fraction is never truncated
+        outside = ~((index >= 1) & (index <= n) & (index == np.trunc(index))).all(axis=1)
         if outside.any():
             pos = int(np.argmax(outside))
-            key = tuple(int(v) for v in index[pos])
+            key = index[pos].tolist() if numeric else entries[pos][:4]
+            key = tuple(v if (m := _integer(v)) is None else m for v in key)
             raise FormatError(f"entry #{pos + 1} index {key} out of range 1..{n}")
         flat = np.ravel_multi_index(tuple(index.astype(np.intp).T - 1), (n, n, n, n))
         positions, first = np.unique(flat, return_index=True)
@@ -211,14 +217,13 @@ class Tensor4:
         return self._values
 
     def get(self, i: int, j: int, k: int, l: int) -> float:
-        self._check_index(i, j, k, l)
-        return float(self._values[i - 1, j - 1, k - 1, l - 1])
+        return float(self._values[self._position(i, j, k, l)])
 
     def set(self, i: int, j: int, k: int, l: int, value: float) -> "Tensor4":
         """Functional update: returns a copy with one entry replaced."""
-        self._check_index(i, j, k, l)
+        position = self._position(i, j, k, l)
         arr = self._values.copy()
-        arr[i - 1, j - 1, k - 1, l - 1] = float(value)
+        arr[position] = float(value)
         return Tensor4._owning(self.n, arr)
 
     def max_abs(self) -> float:
@@ -231,10 +236,13 @@ class Tensor4:
         nonzero = np.argwhere(v).tolist()
         return [(i + 1, j + 1, k + 1, l + 1, float(v[i, j, k, l])) for i, j, k, l in nonzero]
 
-    def _check_index(self, i, j, k, l):
-        for idx in (i, j, k, l):
-            if not 1 <= idx <= self.n:
-                raise DimensionMismatch(f"index {(i, j, k, l)} out of range 1..{self.n}")
+    def _position(self, *key) -> tuple[int, ...]:
+        """The 0-based position of a 1-based index (i, j, k, l), each an
+        integer in 1..n under ``_integer``'s rule."""
+        position = tuple(map(_integer, key))
+        if not all(m is not None and 1 <= m <= self.n for m in position):
+            raise DimensionMismatch(f"index {key} out of range 1..{self.n}")
+        return tuple(m - 1 for m in position)
 
     def __eq__(self, other):
         return (

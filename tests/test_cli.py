@@ -423,6 +423,18 @@ class TestSplit:
         assert result["gamma"] == pytest.approx(2.0, abs=1e-9)
         assert result["J"]["rows"] == [[0.0, 1.0], [-1.0, 0.0]]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, tol", [(1.0, "0.5"), (1.0, "0.9"), (1e160, "1e-10"), (1e-160, "1e-10")])
+    def test_golden_tensor_splits_at_a_loose_tol_and_any_scale(self, tmp_path, capsys, scale, tol):
+        # the pivot slice squares no entry of t, and a loose tol drops no row
+        # and lets no raw-branch answer with a non-skew J in first
+        entries = [{"i": i, "j": j, "k": k, "l": l, "v": scale * v} for (i, j, k, l), v in EPS_ENTRIES.items()]
+        p = write_json(tmp_path / "eps.json", {"n": 2, "entries": entries})
+        assert main(["split", p, "--tol", tol]) == 0
+        result = stdout_reports(capsys)[0]
+        assert result["status"] == "SPLIT" and result["gamma"] == pytest.approx(2.0 * scale, rel=1e-15)
+        assert result["J"]["rows"] == [[0.0, 1.0], [-1.0, 0.0]]
+
     def test_unsplittable_tensor_exits_three(self, tmp_path, capsys):
         entries = []
         for i in (1, 2):

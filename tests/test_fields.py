@@ -44,6 +44,13 @@ def test_coordinate_is_one_based():
         PolynomialField.coordinate(3, 0)
 
 
+def test_coordinate_index_is_an_integer():
+    assert PolynomialField.coordinate(2, 2.0).terms == PolynomialField.coordinate(2, np.int64(2)).terms == (((0, 1), 1.0),)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(DimensionMismatch, match="out of range 1..2"):
+            PolynomialField.coordinate(2, bad)
+
+
 def test_algebra_operators():
     x1 = PolynomialField.coordinate(2, 1)
     x2 = PolynomialField.coordinate(2, 2)

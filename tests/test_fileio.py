@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ciph.fileio import (
     save_tensor,
     write_trajectory_csv,
 )
+from ciph import fileio
 from ciph import tensor as tensor_module
 from ciph.errors import NonFiniteValue
 from ciph.tensor import MAX_DIMENSION, check_psd_c, default_directions
@@ -318,6 +320,27 @@ class TestFromEntries:
         named = rf"entry #3 index \({', '.join(map(str, key))}\) out of range 1..2"
         with pytest.raises(FormatError, match=named):
             Tensor4.from_entries(2, entries)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_index_must_be_an_integer(self, bad):
+        # a fraction is not truncated, a bool or a numeric string not converted
+        entries = [(2, 1, 1, 1, 1.0), (1, bad, 1, 1, 1.0)]
+        with pytest.raises(FormatError, match=rf"entry #2 index \(1, {re.escape(repr(bad))}, 1, 1\)"):
+            Tensor4.from_entries(2, entries)
+        with pytest.raises(FormatError, match="entry #2 index"):
+            Tensor4.from_entries(2, {e[:4]: e[4] for e in entries})
+
+    def test_fractional_index_in_a_float_table_rejected(self):
+        with pytest.raises(FormatError, match=r"entry #1 index \(1, 1, 1.5, 1\) out of range"):
+            Tensor4.from_entries(2, np.array([[1.0, 1.0, 1.5, 1.0, 2.0]]))
+        with pytest.raises(FormatError, match="entry #1 index"):
+            Tensor4.from_entries(2, np.array([[True, True, True, True, True]]))
+
+    def test_integral_float_and_numpy_indices_accepted(self):
+        expected = Tensor4.from_entries(2, [(2, 1, 1, 2, 3.0)])
+        assert Tensor4.from_entries(2, [(2.0, np.int64(1), np.float32(1.0), 2, 3.0)]) == expected
+        assert Tensor4.from_entries(2, np.array([[2.0, 1.0, 1.0, 2.0, 3.0]])) == expected
+        assert Tensor4.from_entries(2, np.array([[2, 1, 1, 2, 3]])) == expected
 
     def test_huge_index_in_rows_rejected(self):
         with pytest.raises(FormatError, match="out of range"):
@@ -690,3 +713,17 @@ class TestTrajectoryCsvFormat:
                                 balance_ledger(tr)[0]])
         assert p.read_text(encoding="utf-8").partition("\n")[2] == join_rows(rows.tolist())
         assert p.read_text(encoding="utf-8").split("\n")[1].startswith("0,1,0,0.5,1,")
+
+    @pytest.mark.parametrize("block", [1, 3, 11, 12, 10**6])
+    def test_blocks_do_not_change_the_bytes(self, tmp_path, monkeypatch, block):
+        # 11 rows written in blocks of 1, 3 (a short last block), 11, 12 or
+        # all at once: the same bytes as the per-number join
+        model = quadratic_linear_model()
+        tr = integrate(model, [1.0, 0.0], t_end=0.1, dt=1e-2)
+        assert len(tr) == 11
+        monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", block)
+        p = tmp_path / "traj.csv"
+        write_trajectory_csv(model, tr, p)
+        rows = np.column_stack([tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int,
+                                balance_ledger(tr)[0]])
+        assert p.read_bytes() == ("t,x1,x2,H,S,sigma_int,energy_defect\n" + join_rows(rows.tolist())).encode()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ciph import (
     BracketMatrix,
@@ -173,7 +177,7 @@ class TestSplitProduct:
         (1e-300, -1e300, NEGATIVE_GAMMA, None),
     ])
     def test_overflowing_ratio_compares_unit_factors(self, j_std, a, b, status, gamma):
-        # B[p,q] / A[p,q] overflows; the unit-max-abs factors are compared instead
+        # B[p,q] / A[p,q] would overflow; the ratio of the unit-max-abs factors does not
         result = split_product(BracketMatrix(a * j_std.array), BracketMatrix(b * j_std.array))
         assert result.status == status and result.residual == 0.0
         if gamma is not None:
@@ -182,8 +186,9 @@ class TestSplitProduct:
 
     @pytest.mark.parametrize("c", [1e12, 1.0, 1e-12])
     def test_negative_factor_at_any_scale(self, c):
-        # The sign is read off lam * max|A| / max|B|, which c does not move;
-        # lam itself scales like 1/c and fell inside -tol at c = 1e12.
+        # The sign is read off the ratio of the unit-max-abs factors, which c
+        # does not move; B[p,q] / A[p,q] scales like 1/c and falls inside -tol
+        # at c = 1e12.
         J = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 2.0], [0.5, -2.0, 0.0]])
         pair = (BracketMatrix(c * J), BracketMatrix(-J))
         assert split_product(*pair).status == NEGATIVE_GAMMA
@@ -366,9 +371,11 @@ class TestSplitTensor:
 
     def test_pivot_is_the_largest_diagonal_pair_entry(self):
         # Entries at the tolerance scale: with tol = 0.4 and max|t| = 2 the
-        # bound is 0.8 and the pivot guard 1.6. The Gram diagonal
-        # -t[2,3,2,3] = 1.1 outgrows -t[0,1,0,1] = 1, yet t[2,2,3,3] = 1.5
-        # stays below the pivot guard while t[0,0,1,1] = 2 is above it.
+        # bound is 0.8. The perturbed entries t[2,3,2,3] etc. make the second
+        # block's Gram diagonal -t[2,3,2,3] = 1.1 outgrow the first block's 1,
+        # but the pivot is t[0,0,1,1] = 2 > t[2,2,3,3] = 1.5, and its slice
+        # t[:,0,:,1] never reads the perturbed entries: K comes out exact, so
+        # gamma = 2 a^2 and the residual is the perturbation eta.
         a, b, eta = 1.0, np.sqrt(0.75), 0.35
         K = np.zeros((4, 4))
         K[0, 1], K[2, 3] = a, b
@@ -378,10 +385,75 @@ class TestSplitTensor:
         for scale in (1.0, 1e-10):
             result = split_tensor(Tensor4(4, scale * v), tol=0.4)
             assert_canonical(result)
-            assert result.gamma == pytest.approx(scale * 2.0 * (b * b + eta), rel=1e-12)
-            assert result.residual <= scale * 0.8
+            assert result.gamma == pytest.approx(scale * 2.0 * a * a, rel=1e-12)
+            assert np.max(np.abs(result.J.array - (K - K.T))) <= 1e-15
+            assert result.residual == pytest.approx(scale * eta, rel=1e-12)
+
+    def test_pivot_slice_is_read_at_the_largest_entry(self):
+        # The first positive t[i,i,k,k] in row-major order is t[0,0,1,1] =
+        # 2e-6 (K[0,1] = 1e-3); the largest is t[2,2,3,3] = 2. Noise of 1e-13
+        # divided by K[0,1] would grow 1000-fold in K and miss the 1e-10
+        # gate; read at the largest entry it stays at the noise level.
+        rng = np.random.default_rng(66)
+        K = random_unit_scaled_skew(rng, 5).array.copy()
+        K[0, 1], K[1, 0], K[2, 3], K[3, 2] = 1e-3, -1e-3, 1.0, -1.0
+        for trial in range(5):
+            noise = 1e-13 * rng.standard_normal((5,) * 4)
+            t = symmetrize_34(Tensor4(5, representative(K).values + noise))
+            result = assert_splits_to(t, K)
+            assert result.residual <= 1e-12
 
     def test_symmetric_but_wrong_shape_rejected(self):
         # symmetric in the last two slots yet not of the two-bracket form
         t = Tensor4.zeros(3).set(1, 1, 2, 3, 1.0).set(1, 1, 3, 2, 1.0)
         assert split_tensor(t).status != SPLIT
+
+
+SPLIT_TOLS = (0.0, 1e-10, 1e-3, 0.1, 0.5, 0.9)
+
+
+@st.composite
+def skew_matrices(draw):
+    """(K, exact): a nonzero skew K that is dense, 30%-sparse, has zero rows
+    or splits into two diagonal blocks. Exact ones hold integers, so every
+    product in c (K (x) K + swap) and in its recovery is exact at a power-of-
+    four c; the others hold standard normal entries."""
+    n = draw(st.integers(2, 8))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = rng.integers(-1000, 1001, (n, n)) if exact else rng.standard_normal((n, n))
+    upper = np.triu(upper.astype(float), 1)
+    shape = draw(st.sampled_from(["dense", "sparse", "zero rows", "blocks"]))
+    if shape == "sparse":
+        upper *= rng.random((n, n)) < 0.3
+    elif shape == "zero rows":
+        zero = rng.random(n) < 0.4
+        upper[zero] = upper[:, zero] = 0.0
+    elif shape == "blocks":
+        cut = int(rng.integers(1, n))
+        upper[:cut, cut:] = 0.0
+    K = upper - upper.T
+    assume(K.any())
+    return K, exact
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=skew_matrices(), k=st.integers(-250, 250))
+def test_representatives_split_at_every_tol_and_scale(case, k):
+    # c is the power of four nearest 10^k: exact at any scale, so an exact K
+    # splits even at tol = 0. The pivot slice never squares an entry of t, so
+    # no scale overflows or underflows on the way, and no row is dropped at a
+    # loose tol.
+    K, exact = case
+    c = 4.0 ** round(k * math.log(10.0, 4.0))
+    t = Tensor4(len(K), c * representative(K).values)
+    m = float(np.max(np.abs(K)))
+    J = K / math.copysign(m, K.ravel()[np.flatnonzero(K)[0]])
+    for tol in SPLIT_TOLS if exact else SPLIT_TOLS[1:]:
+        result = split_tensor(t, tol)
+        assert_canonical(result)
+        # A structural zero of an inexact K can come out as a rounding-level
+        # entry; when it comes first in row-major order, its sign sets J's.
+        signs = (1.0,) if exact else (1.0, -1.0)
+        assert min(np.max(np.abs(result.J.array - s * J)) for s in signs) <= 8 * np.finfo(float).eps
+        assert result.gamma == pytest.approx(2.0 * c * m * m, rel=8 * np.finfo(float).eps, abs=0.0)

@@ -84,6 +84,18 @@ class TestTensor4:
         with pytest.raises(DimensionMismatch):
             t.get(1, 1, 1, 3)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None, float("nan")])
+    def test_index_must_be_an_integer(self, bad):
+        t = Tensor4.zeros(2).set(1, 2, 1, 2, 5.0)
+        with pytest.raises(DimensionMismatch, match="out of range 1..2"):
+            t.get(bad, 2, 1, 2)
+        with pytest.raises(DimensionMismatch, match="out of range 1..2"):
+            t.set(1, 2, 1, bad, 1.0)
+
+    def test_integral_float_and_numpy_indices(self):
+        t = Tensor4.zeros(2).set(1.0, 2, np.int64(1), np.float64(2.0), 5.0)
+        assert t.get(1, 2.0, 1, 2) == 5.0 == t.get(np.int32(1), 2, 1.0, 2)
+
 
 class TestSymmetrize:
     def test_zero_is_fixed_point(self):
