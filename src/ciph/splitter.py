@@ -6,9 +6,11 @@ recovers (A, B) exactly; the product splits iff A is skew and B is a
 nonnegative multiple of A. A *symmetric representative*
 t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is read off one slice: at
 the largest entry t[p,p,q,q] = 2 c J[p,q]^2, the slice t[:, p, :, q] is
-c J[p,q] J plus a rank-1 term built from two other slices of t. Every
-recovery is verified by reconstructing the tensor before a SPLIT is
-reported, so no recovery can accept a wrong answer.
+c J[p,q] J plus a rank-1 term built from two other slices of t.
+``split_tensor`` tries every input as a symmetric representative first and
+then as a raw product; each candidate it tries is accepted or refused by one
+residual, that of its reconstruction against t, so no recovery can accept a
+wrong answer.
 
 Every tolerance is relative, as in ``ciph.tensor``: a residual is measured
 against ``tol`` times the largest magnitude of the quantity it belongs to
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import BracketMatrix, is_skew, product_tensor
+from .brackets import BracketMatrix, is_skew
 from .errors import DimensionMismatch
-from .tensor import DEFAULT_TOL, Tensor4, _require_tol, check_sym_a
+from .tensor import DEFAULT_TOL, Tensor4, _require_tol
 
 SPLIT = "SPLIT"
 NOT_RANK_ONE = "NOT_RANK_ONE"
@@ -46,13 +48,14 @@ NEGATIVE_GAMMA = "NEGATIVE_GAMMA"
 class SplitResult:
     """Outcome of a splitting attempt.
 
-    For SPLIT, ``residual`` is the max-abs error of the verified
-    reconstruction; for failures it is the defect that triggered the status
-    (rank-1 residual, skewness residual, or proportionality deviation),
-    each in the product tensor's units: ``split_product`` reports the
-    skewness residual of A times max|B| and the proportionality deviation
-    times max|A|, i.e. max|A (x) (B - lam A)| with lam the ratio of B to A
-    at A's max-abs entry.
+    From ``split_tensor``, a SPLIT's ``residual`` is the max-abs error of
+    its reconstruction against t. Otherwise it is the defect that triggered
+    the status (rank-1 residual, skewness residual, or proportionality
+    deviation), each in the product tensor's units: ``split_product``
+    reports the skewness residual of A times max|B| and, for every other
+    status including SPLIT, the proportionality deviation times max|A|,
+    i.e. max|A (x) (B - lam A)| with lam the ratio of B to A at A's max-abs
+    entry.
     """
 
     status: str
@@ -126,10 +129,7 @@ def rank_one_factor(F, tol: float = DEFAULT_TOL) -> RankOneFactor:
 def _canonical_gauge(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Return (J, c) with K = c * J, max|J| = 1 and J's first nonzero
     positive, for a nonzero K (both callers return earlier for a zero one)."""
-    c0 = float(np.max(np.abs(K)))
-    flat = K.ravel()
-    first = flat[np.flatnonzero(flat)[0]]
-    c = c0 if first > 0 else -c0
+    c = math.copysign(float(np.max(np.abs(K))), K.flat[np.flatnonzero(K)[0]])
     return K / c, c
 
 
@@ -141,11 +141,11 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     nonnegative. Both are judged on the unit-max-abs factors A / max|A| and
     B / max|B|, whose ratio ``unit`` at A's max-abs entry is finite for any
     finite nonzero factors and must not fall below ``-tol``; the product's
-    coefficient is then ``unit * max|B| * max|A|``. On success the
-    factor pair is rewritten in the canonical gauge and the reconstruction
-    error of the gauged product against the original product is reported;
-    a failure reports its residual in the product's units too (see
-    ``SplitResult``). A zero factor splits trivially with J = 0, gamma = 0.
+    coefficient is then ``unit * max|B| * max|A|``. On success A is
+    rewritten in the canonical gauge; no tensor is built, and the residual
+    of every status but NOT_SKEW is the closed form max|A (x) (B - lam A)|
+    (see ``SplitResult``), which only ``split_tensor`` goes on to verify
+    against a tensor. A zero factor splits trivially with J = 0, gamma = 0.
     """
     if A.n != B.n:
         raise DimensionMismatch(f"dimensions differ: {A.n} vs {B.n}")
@@ -169,11 +169,7 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
         return SplitResult(NEGATIVE_GAMMA, residual=amax * deviation)
 
     J_arr, _ = _canonical_gauge(A.array)
-    gamma = max(unit, 0.0) * bmax * amax
-    J = BracketMatrix(J_arr)
-    recon = product_tensor(J, BracketMatrix(gamma * J_arr))
-    residual = float(np.max(np.abs(recon.values - product_tensor(A, B).values)))
-    return SplitResult(SPLIT, J, gamma, residual)
+    return SplitResult(SPLIT, BracketMatrix(J_arr), max(unit, 0.0) * bmax * amax, amax * deviation)
 
 
 def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
@@ -195,8 +191,10 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
         return None  # no positive t[i,i,k,k]: K would be zero
     K = (v[:, p, :, q] - np.outer(v[:, p, q, q] / (2.0 * r), v[p, p, :, q] / (2.0 * r))) / r
     K = 0.5 * (K - K.T)  # exact inputs are already skew; this absorbs rounding
-    recon = np.einsum("ik,jl->ijkl", K, K) + np.einsum("il,jk->ijkl", K, K)
-    residual = float(np.max(np.abs(recon - v)))
+    KK = np.multiply.outer(K, K)  # KK[i,k,j,l] = K[i,k] K[j,l]
+    recon = KK.transpose(0, 2, 1, 3) + KK.transpose(0, 2, 3, 1)
+    recon -= v
+    residual = float(np.abs(recon, out=recon).max())
     if not residual <= tol * t.max_abs():  # a NaN residual fails too
         return None
     # K is nonzero here (a zero K leaves the residual max|t| > tol * max|t|),
@@ -208,21 +206,23 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
 def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     """Full splitting decision for a 4-tensor.
 
-    A tensor symmetric in its last two slots is first matched as a
-    symmetric representative; otherwise, or when that match fails, t is
-    treated as a raw bracket product via the pair flattening. (At a tight
-    tol no nonzero tensor fits both shapes; at a loose one the symmetric
-    match wins, since its J is exactly skew.) A SPLIT is only returned once
-    the canonical factors reproduce t itself within ``tol * max|t|``;
-    tensors that fit neither shape come back with the raw branch's status,
-    NOT_RANK_ONE when t is not a pair-flattened rank-1 matrix (a status, not
-    a proof that no splitting exists).
+    Every tensor is first matched as a symmetric representative; when that
+    match fails, t is treated as a raw bracket product via the pair
+    flattening. Each candidate is accepted or refused by one residual: its
+    canonical factors must reproduce t itself within ``tol * max|t|``. No
+    SYM_A check comes first, so a tensor within ``tol * max|t|`` of a
+    representative splits even where its SYM_A residual exceeds that bound
+    (by at most a factor 2). (At a tight tol no nonzero tensor fits both
+    shapes; at a loose one the symmetric match wins, since its J is exactly
+    skew.) Tensors that fit neither shape come back with the raw branch's
+    status, NOT_RANK_ONE when t is not a pair-flattened rank-1 matrix (a
+    status, not a proof that no splitting exists).
     """
     tol = _require_tol(tol)
     # Near the double range residuals can overflow; an inf residual fails every
     # acceptance test.
     with np.errstate(over="ignore", invalid="ignore"):
-        if check_sym_a(t, tol).passed and (recovered := _recover_symmetric(t, tol)) is not None:
+        if (recovered := _recover_symmetric(t, tol)) is not None:
             return recovered
         factor = rank_one_factor(flatten_pairs(t), tol)
         if not factor.ok:
@@ -230,8 +230,10 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
         result = split_product(factor.A, factor.B, tol)
         if result.status != SPLIT:
             return result
-        recon = product_tensor(result.J, BracketMatrix(result.gamma * result.J.array))
-        residual = float(np.max(np.abs(recon.values - t.values)))
+        J = result.J.array
+        recon = np.multiply.outer(J, result.gamma * J)  # product_tensor's products, as [i,k,j,l]
+        recon -= t.values.transpose(0, 2, 1, 3)
+        residual = float(np.abs(recon, out=recon).max())
         if residual <= tol * t.max_abs():
             return SplitResult(SPLIT, result.J, result.gamma, residual)
         return SplitResult(NOT_RANK_ONE, residual=residual)

@@ -11,6 +11,7 @@ from ciph import (
     Tensor4,
     check_psd_c,
     check_raw_iii,
+    check_sym_a,
     default_directions,
     flatten_pairs,
     is_skew,
@@ -211,6 +212,34 @@ class TestSplitProduct:
         assert result.status == NOT_PROPORTIONAL and result.residual == pytest.approx(0.5)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_c=st.floats(-3.0, 3.0),
+    noise=st.one_of(st.none(), st.floats(-14.0, -11.0)),
+    k=st.integers(-20, 20),
+)
+def test_split_product_residual_is_the_closed_form(n, seed, log_c, noise, k):
+    # SPLIT's residual is max|A (x) (B - lam A)|, lam = B[p,q] / A[p,q] at
+    # A's max-abs entry, up to the rounding of lam; here it is computed on
+    # the n^4 tensor itself. B = 2^k A makes both exactly zero.
+    rng = np.random.default_rng(seed)
+    A = random_unit_scaled_skew(rng, n).array * 10.0 ** rng.uniform(-3.0, 3.0)
+    B = 10.0**log_c * A
+    if noise is not None:
+        B = B + 10.0**noise * np.max(np.abs(B)) * rng.standard_normal((n, n))
+    p, q = np.unravel_index(int(np.argmax(np.abs(A))), A.shape)
+    lam = B[p, q] / A[p, q]
+    expected = float(np.max(np.abs(np.einsum("ik,jl->ijkl", A, B - lam * A))))
+    result = split_product(BracketMatrix(A), BracketMatrix(B))
+    assert result.status == SPLIT
+    scale = float(np.max(np.abs(A))) * float(np.max(np.abs(B)))
+    assert abs(result.residual - expected) <= 8 * np.finfo(float).eps * scale
+    exact = split_product(BracketMatrix(A), BracketMatrix(2.0**k * A))
+    assert exact.status == SPLIT and exact.residual == 0.0
+
+
 class TestSplitTensor:
     def test_golden_tensor_splits_via_symmetric_branch(self, golden_eps, j_std):
         result = split_tensor(golden_eps)
@@ -402,6 +431,32 @@ class TestSplitTensor:
             t = symmetrize_34(Tensor4(5, representative(K).values + noise))
             result = assert_splits_to(t, K)
             assert result.residual <= 1e-12
+
+    @pytest.mark.parametrize("eps, splits", [(0.75, True), (0.9, True), (1.2, False)])
+    def test_near_representative_is_judged_by_its_reconstruction_alone(self, eps, splits):
+        # A (k,l)-antisymmetric perturbation d = eps * tol * max|t| off the
+        # pivot slice t[:,0,:,1] and its two correction slices: K comes out
+        # exact, so the reconstruction residual is d, while the SYM_A
+        # residual is 2d. No SYM_A check gates the match, so it splits up to
+        # eps = 1 even where SYM_A fails.
+        tol = 1e-6
+        K = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.25], [0.5, -0.25, 0.0]])
+        exact = representative(K)
+        v = exact.values.copy()
+        d = eps * tol * exact.max_abs()
+        v[1, 2, 0, 2] += d
+        v[1, 2, 2, 0] -= d
+        t = Tensor4(3, v)
+        assert not check_sym_a(t, tol).passed
+        result = split_tensor(t, tol)
+        if not splits:
+            assert result.status != SPLIT
+            return
+        reference = split_tensor(exact, tol)
+        assert_canonical(result)
+        assert np.array_equal(result.J.array, reference.J.array)
+        assert result.gamma == reference.gamma == 2.0
+        assert result.residual <= tol * t.max_abs()
 
     def test_symmetric_but_wrong_shape_rejected(self):
         # symmetric in the last two slots yet not of the two-bracket form

@@ -1,9 +1,10 @@
 """Every Python file of the package, its tests and the benchmark parses as
-Python 3.10, the oldest version ``pyproject.toml`` admits.
+Python 3.10, the oldest version ``pyproject.toml`` admits, and names none of
+the standard-library modules, attributes and builtins that 3.10 lacks.
 
-This checks grammar only (``ast.parse`` with ``feature_version``): a call to
-a standard-library API that 3.10 lacks still passes here, and only a run on
-3.10 finds it.
+The grammar check is ``ast.parse`` with ``feature_version``. The names are
+matched against ``NEWER_STDLIB``, a deny-list, so an API newer than 3.10
+that the list leaves out still passes here, and only a run on 3.10 finds it.
 """
 
 import ast
@@ -14,6 +15,61 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
 SOURCES = sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+
+# Standard-library names added after 3.10: a whole module maps to None, a
+# module's attributes to the set of new ones. NEWER_BUILTINS are new builtins.
+NEWER_STDLIB = {
+    "tomllib": None,  # 3.11
+    "wsgiref.types": None,  # 3.11
+    "typing": {
+        "Self", "LiteralString", "Never", "assert_never", "assert_type", "reveal_type",
+        "Required", "NotRequired", "TypeVarTuple", "Unpack", "dataclass_transform",
+        "get_overloads", "clear_overloads",  # 3.11
+        "override", "TypeAliasType",  # 3.12
+        "TypeIs", "ReadOnly", "NoDefault", "get_protocol_members", "is_protocol",  # 3.13
+    },
+    "enum": {
+        "StrEnum", "ReprEnum", "EnumCheck", "FlagBoundary", "verify", "member",
+        "nonmember", "global_enum", "property", "show_flag_values",  # 3.11
+    },
+    "datetime": {"UTC"},  # 3.11
+    "math": {"cbrt", "exp2"},  # 3.11
+    "contextlib": {"chdir"},  # 3.11
+    "operator": {"call"},  # 3.11
+    "hashlib": {"file_digest"},  # 3.11
+    "asyncio": {"TaskGroup", "Runner", "timeout", "timeout_at", "Timeout", "Barrier"},  # 3.11
+    "logging": {"getLevelNamesMapping"},  # 3.11
+    "itertools": {"batched"},  # 3.12
+    "warnings": {"deprecated"},  # 3.13
+    "copy": {"replace"},  # 3.13
+}
+NEWER_BUILTINS = {"ExceptionGroup", "BaseExceptionGroup"}  # 3.11
+
+
+def newer_stdlib_names(source: str) -> list[str]:
+    """The names of ``NEWER_STDLIB`` and ``NEWER_BUILTINS`` that ``source``
+    imports or reads, through ``import m [as a]`` then ``a.name``, or
+    ``from m import name``."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> imported module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in NEWER_STDLIB and NEWER_STDLIB[alias.name] is None:
+                    found.append(alias.name)
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module in NEWER_STDLIB:
+            new = NEWER_STDLIB[node.module]
+            found += [f"{node.module}.{a.name}" for a in node.names if new is None or a.name in new]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if node.attr in (NEWER_STDLIB.get(module) or ()):
+                found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in NEWER_BUILTINS:
+            found.append(node.id)
+    return found
 
 
 def test_every_tree_has_sources():
@@ -30,3 +86,22 @@ def test_newer_grammar_is_refused():
     ast.parse(newer)
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=OLDEST)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_uses_no_newer_stdlib_name(path):
+    assert newer_stdlib_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet, names", [
+    ("import tomllib\n", ["tomllib"]),
+    ("from typing import Any, Self\n", ["typing.Self"]),
+    ("import enum\nclass Kind(enum.StrEnum):\n    A = 'a'\n", ["enum.StrEnum"]),
+    ("import datetime as dt\nnow = dt.datetime.now(dt.UTC)\n", ["datetime.UTC"]),
+    ("try:\n    pass\nexcept ExceptionGroup:\n    pass\n", ["ExceptionGroup"]),
+    ("import math\nx = math.cbrt(8.0) + math.sqrt(4.0)\n", ["math.cbrt"]),
+    ("from contextlib import chdir\n", ["contextlib.chdir"]),
+    ("import math\nimport typing\nx: typing.Any = math.sqrt(2.0)\n", []),
+])
+def test_newer_stdlib_names_are_flagged(snippet, names):
+    assert newer_stdlib_names(snippet) == names
