@@ -34,13 +34,10 @@ from .splitter import (
     NOT_RANK_ONE,
     NOT_SKEW,
     SPLIT,
-    RankOneFactor,
     SplitResult,
     flatten_pairs,
-    rank_one_factor,
     split_product,
     split_tensor,
-    unflatten_pairs,
 )
 from .tensor import (
     DEFAULT_TOL,

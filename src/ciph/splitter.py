@@ -1,9 +1,9 @@
 """Factor 4-tensors back into bracket products gamma * {.,.}_J x {.,.}_J.
 
 Two input shapes are handled. A *raw product* tensor t[i,j,k,l] = A[i,k] B[j,l]
-is rank one after reshaping index pairs, so a pivoted rank-1 factorization
-recovers (A, B) exactly; the product splits iff A is skew and B is a
-nonnegative multiple of A. A *symmetric representative*
+is rank one after reshaping index pairs, so two slices of t through its
+largest entry recover (A, B) exactly; the product splits iff A is skew and
+B is a nonnegative multiple of A. A *symmetric representative*
 t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is read off one slice: at
 the largest entry t[p,p,q,q] = 2 c J[p,q]^2, the slice t[:, p, :, q] is
 c J[p,q] J plus a rank-1 term built from two other slices of t.
@@ -14,7 +14,7 @@ wrong answer.
 
 Every tolerance is relative, as in ``ciph.tensor``: a residual is measured
 against ``tol`` times the largest magnitude of the quantity it belongs to
-(the tensor, a factor, the pair matrix), never against ``tol`` alone, so
+(the tensor or a factor), never against ``tol`` alone, so
 scaling the input by c > 0 scales gamma by c and leaves the status and J
 unchanged (bit for bit when c is an even power of two).
 
@@ -29,7 +29,7 @@ its J-products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,58 +72,12 @@ class SplitResult:
         }
 
 
-@dataclass(frozen=True)
-class RankOneFactor:
-    A: BracketMatrix | None
-    B: BracketMatrix | None
-    residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.A is not None
-
-
 def flatten_pairs(t: Tensor4) -> np.ndarray:
     """Reshape t[i,j,k,l] to F[(i,k), (j,l)] so products become rank one.
 
-    With 1-based indices F[(i-1)*n + k, (j-1)*n + l] = t[i,j,k,l]; the map is
-    a bijection and ``unflatten_pairs`` inverts it.
+    With 1-based indices F[(i-1)*n + k, (j-1)*n + l] = t[i,j,k,l].
     """
-    n = t.n
-    return np.array(t.values.transpose(0, 2, 1, 3), order="C").reshape(n * n, n * n)
-
-
-def unflatten_pairs(F, n: int) -> Tensor4:
-    F = np.asarray(F, dtype=float)
-    if F.shape != (n * n, n * n):
-        raise DimensionMismatch(f"matrix has shape {F.shape}, expected {(n * n, n * n)}")
-    return Tensor4(n, F.reshape(n, n, n, n).transpose(0, 2, 1, 3))
-
-
-def rank_one_factor(F, tol: float = DEFAULT_TOL) -> RankOneFactor:
-    """Pivoted rank-1 factorization of a pair-flattened tensor.
-
-    Picks the max-abs pivot (p, q), takes column q and row p scaled by the
-    pivot, and accepts iff the outer product reproduces F within
-    ``tol * max|F|``. Exact products factor exactly; anything else is
-    reported as not rank one with the achieved residual.
-    """
-    tol = _require_tol(tol)
-    F = np.asarray(F, dtype=float)
-    n = math.isqrt(F.shape[0])
-    magnitude = np.abs(F)
-    p, q = np.unravel_index(int(np.argmax(magnitude)), F.shape)
-    fmax = float(magnitude[p, q])
-    if fmax == 0.0:
-        return RankOneFactor(BracketMatrix.zeros(n), BracketMatrix.zeros(n), 0.0)
-    a = F[:, q].copy()
-    b = F[p, :] / F[p, q]
-    residual = float(np.max(np.abs(F - np.outer(a, b))))
-    if residual > tol * fmax:
-        return RankOneFactor(None, None, residual)
-    return RankOneFactor(
-        BracketMatrix(a.reshape(n, n)), BracketMatrix(b.reshape(n, n)), residual
-    )
+    return np.array(t.values.transpose(0, 2, 1, 3), order="C").reshape(t.n**2, t.n**2)
 
 
 def _canonical_gauge(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -183,6 +137,19 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     before it is multiplied, so nothing overflows or underflows on the way.
     Returns None unless the reconstructed tensor matches t within
     ``tol * max|t|``.
+
+    Rounding residue. At a structural zero K[i,k] = 0 the slice holds the
+    one product K[i,q] K[p,k], and the correction rebuilds that product
+    through other roundings. To first order in u = 2^-53, with each entry of
+    t read here within 2u of its exact value (a rounded product, then a
+    rounded scale by c): r is within 2u, each correction factor within 5u,
+    their product within 11u, and the subtraction of two such close numbers
+    is exact, so the difference is at most 13u |K[i,q] K[p,k]| / r, which is
+    at most 13u r, r = max|K|. Every entry of K with |K| <= 16u r is
+    therefore set to zero before the gate and the gauge: a structural zero
+    comes out as 0.0 and cannot set J's sign, and a genuine entry moves by
+    at most 16u r. The bound is relative to max|K| and does not depend on
+    tol.
     """
     v = t.values
     p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", v))), (t.n, t.n))
@@ -191,6 +158,7 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
         return None  # no positive t[i,i,k,k]: K would be zero
     K = (v[:, p, :, q] - np.outer(v[:, p, q, q] / (2.0 * r), v[p, p, :, q] / (2.0 * r))) / r
     K = 0.5 * (K - K.T)  # exact inputs are already skew; this absorbs rounding
+    K[np.abs(K) <= 2.0**-49 * r] = 0.0  # rounding residue: 16u r
     KK = np.multiply.outer(K, K)  # KK[i,k,j,l] = K[i,k] K[j,l]
     recon = KK.transpose(0, 2, 1, 3) + KK.transpose(0, 2, 3, 1)
     recon -= v
@@ -207,16 +175,20 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     """Full splitting decision for a 4-tensor.
 
     Every tensor is first matched as a symmetric representative; when that
-    match fails, t is treated as a raw bracket product via the pair
-    flattening. Each candidate is accepted or refused by one residual: its
-    canonical factors must reproduce t itself within ``tol * max|t|``. No
-    SYM_A check comes first, so a tensor within ``tol * max|t|`` of a
+    match fails, t is read as a raw product A[i,k] B[j,l] off two slices at
+    one pivot: the first max-abs entry t[i,j,k,l] of the pair matrix
+    ``flatten_pairs(t)``, in its row-major order, gives A = t[:,j,:,l] and
+    B = t[i,:,k,:] / t[i,j,k,l] (zero for the zero tensor), and
+    ``split_product`` judges the pair. Each candidate is accepted or refused
+    by one residual, that of its reconstruction against t within
+    ``tol * max|t|``: the symmetric match's, the canonical gamma J (x) J's
+    when ``split_product`` says SPLIT, and otherwise A (x) B's, which
+    decides between NOT_RANK_ONE and ``split_product``'s status. No SYM_A
+    check comes first, so a tensor within ``tol * max|t|`` of a
     representative splits even where its SYM_A residual exceeds that bound
     (by at most a factor 2). (At a tight tol no nonzero tensor fits both
     shapes; at a loose one the symmetric match wins, since its J is exactly
-    skew.) Tensors that fit neither shape come back with the raw branch's
-    status, NOT_RANK_ONE when t is not a pair-flattened rank-1 matrix (a
-    status, not a proof that no splitting exists).
+    skew.) NOT_RANK_ONE is a status, not a proof that no splitting exists.
     """
     tol = _require_tol(tol)
     # Near the double range residuals can overflow; an inf residual fails every
@@ -224,16 +196,19 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     with np.errstate(over="ignore", invalid="ignore"):
         if (recovered := _recover_symmetric(t, tol)) is not None:
             return recovered
-        factor = rank_one_factor(flatten_pairs(t), tol)
-        if not factor.ok:
-            return SplitResult(NOT_RANK_ONE, residual=factor.residual)
-        result = split_product(factor.A, factor.B, tol)
-        if result.status != SPLIT:
-            return result
-        J = result.J.array
-        recon = np.multiply.outer(J, result.gamma * J)  # product_tensor's products, as [i,k,j,l]
-        recon -= t.values.transpose(0, 2, 1, 3)
+        v, n, top = t.values, t.n, t.max_abs()
+        # The pivot is F's first max-abs entry in row-major (i, k, j, l) order, F =
+        # flatten_pairs(t): the first i of t's own order, then the first (k, j, l).
+        i = int(np.argmax(np.abs(v))) // n**3
+        k, j, l = np.unravel_index(int(np.argmax(np.abs(v[i].transpose(1, 0, 2)) == top)), (n,) * 3)
+        A = v[:, j, :, l]
+        B = v[i, :, k, :] / v[i, j, k, l] if top > 0.0 else np.zeros_like(A)
+        result = split_product(BracketMatrix(A), BracketMatrix(B), tol)
+        if result.status == SPLIT:  # rebuild the canonical gamma J (x) J instead
+            A, B = result.J.array, result.gamma * result.J.array
+        recon = A[:, None, :, None] * B[:, None, :]  # recon[i,j,k,l] = A[i,k] B[j,l]
+        recon -= v
         residual = float(np.abs(recon, out=recon).max())
-        if residual <= tol * t.max_abs():
-            return SplitResult(SPLIT, result.J, result.gamma, residual)
-        return SplitResult(NOT_RANK_ONE, residual=residual)
+        if not residual <= tol * top:
+            return SplitResult(NOT_RANK_ONE, residual=residual)
+        return replace(result, residual=residual) if result.status == SPLIT else result

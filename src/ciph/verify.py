@@ -421,6 +421,35 @@ def random_cons_irrev(seed: int, n: int, count: int, gamma_max: float = 5.0) -> 
     return out
 
 
+def hidden_psd_violation(seed: int, n: int, eps: float = 1e-3) -> tuple[Tensor4, np.ndarray]:
+    """(t, u): a tensor that passes SYM_A and CYCLIC_B but not PSD_C, and the
+    unit direction u that refutes it. Built in three steps from a seeded
+    orthonormal pair (a, b):
+
+    1. the unit 2-plane K0 = (a b^T - b a^T) / sqrt(2);
+    2. the sum of sym34(E (x) E) over an orthonormal basis E of the skew
+       matrices orthogonal to K0 (Frobenius inner product);
+    3. minus eps * sym34(K0 (x) K0).
+
+    So x^T M(y) x = |x ^ y|^2 / 2 - (1 + eps) <K0, x y^T>^2 with |x ^ y|^2 =
+    |x|^2 |y|^2 - (x.y)^2, which is negative only where y lies within about
+    sqrt(eps) of the plane of a and b; at u = a, M(u) has the eigenvalue
+    -eps / 2 (eigenvector b). For n >= 3 the standard directions mostly miss
+    that plane, so the sampled scan passes t.
+    """
+    if n < 2:
+        raise DimensionTooLarge(f"need n >= 2 to have a 2-plane, got {n}")
+    if not eps > 0.0:
+        raise NegativeCoefficient(f"eps must be > 0, got {eps}")
+    a, b = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))[0].T
+    K0 = (np.outer(a, b) - np.outer(b, a)) / math.sqrt(2.0)
+    # Summed over any orthonormal basis E of all skew matrices, E[i,k] E[j,l] is
+    # (d_ij d_kl - d_il d_jk) / 2; step 2 is that sum minus K0 (x) K0.
+    eye = np.eye(n)
+    every = 0.5 * (np.einsum("ij,kl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+    return symmetrize_34(Tensor4(n, every - (1.0 + eps) * np.einsum("ik,jl->ijkl", K0, K0))), a
+
+
 def kulkarni_nomizu(sigma, mu) -> np.ndarray:
     """The Kulkarni-Nomizu product of two symmetric matrices, R[i,j,k,l] =
     s[i,k] m[j,l] + s[j,l] m[i,k] - s[i,l] m[j,k] - s[j,k] m[i,l]."""

@@ -9,7 +9,8 @@ import pytest
 from ciph import cli
 from ciph.cli import build_parser, main
 from ciph.fileio import load_tensor, save_matrix, save_tensor
-from ciph.tensor import Tensor4
+from ciph.tensor import Tensor4, check_psd_c
+from ciph.verify import hidden_psd_violation
 
 from conftest import EJ_ENTRIES, EPS_ENTRIES
 
@@ -926,6 +927,22 @@ class TestParserReuse:
         assert len(out.read_text().splitlines()) == 12  # the default --dt 1e-3 again
         assert run("check", eps_file, "--bogus")[0] == 1
         assert run("check", eps_file) == plain
+
+
+class TestHiddenPsdViolation:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the sampled PSD_C scan misses the violating 2-plane (ROADMAP items 12 and 3)",
+    )
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_check_refutes_hidden_violation(self, tmp_path, n):
+        # The standard directions pass t, yet M(u) has the eigenvalue -5e-4.
+        t, u = hidden_psd_violation(0, n, 1e-3)
+        assert not check_psd_c(t, [u]).passed
+        path = tmp_path / "hidden.json"
+        save_tensor(t, path)
+        assert main(["check", str(path)]) == 2
 
 
 class TestOracle:

@@ -5,9 +5,17 @@ the standard-library modules, attributes and builtins that 3.10 lacks.
 The grammar check is ``ast.parse`` with ``feature_version``. The names are
 matched against ``NEWER_STDLIB``, a deny-list, so an API newer than 3.10
 that the list leaves out still passes here, and only a run on 3.10 finds it.
+
+The package imports nothing but the standard library (``sys.stdlib_module_names``)
+and the dependencies ``pyproject.toml`` declares, and the tests add only the
+package itself, ``conftest`` and the ``test`` extra: a module that happens to
+be installed where the suite runs would pass a local run and break a clean
+install.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +23,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
 SOURCES = sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+PYPROJECT = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+
+
+def declared(key: str) -> set[str]:
+    """The distribution names in ``pyproject.toml``'s array ``key = [...]``;
+    each declared distribution here imports under its own name."""
+    block = re.search(rf"^{key} = \[(.*?)\]", PYPROJECT, re.MULTILINE | re.DOTALL).group(1)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+
+
+STDLIB = set(sys.stdlib_module_names)
+IMPORTABLE = {
+    "src": STDLIB | declared("dependencies"),
+    "tests": STDLIB | declared("dependencies") | declared("test") | {"ciph", "conftest"},
+}
 
 # Standard-library names added after 3.10: a whole module maps to None, a
 # module's attributes to the set of new ones. NEWER_BUILTINS are new builtins.
@@ -105,3 +128,44 @@ def test_uses_no_newer_stdlib_name(path):
 ])
 def test_newer_stdlib_names_are_flagged(snippet, names):
     assert newer_stdlib_names(snippet) == names
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """The top-level modules that ``source`` imports absolutely and
+    ``allowed`` lacks, in the order of the AST walk."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name.split(".")[0] for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_declared_dependencies():
+    assert declared("dependencies") == {"numpy"}
+    assert declared("test") == {"pytest", "hypothesis"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.relative_to(ROOT).parts[0] in IMPORTABLE],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_imports_only_declared_modules(path):
+    allowed = IMPORTABLE[path.relative_to(ROOT).parts[0]]
+    assert foreign_imports(path.read_text(encoding="utf-8"), allowed) == []
+
+
+@pytest.mark.parametrize("snippet, folder, names", [
+    ("import scipy.linalg\n", "src", ["scipy"]),
+    ("from scipy import linalg\n", "src", ["scipy"]),
+    ("import math, pytest\n", "src", ["pytest"]),
+    ("from . import brackets\nfrom .tensor import Tensor4\nimport numpy as np\n", "src", []),
+    ("import pytest\nfrom hypothesis import given\nfrom ciph import Tensor4\n", "tests", []),
+    ("def f():\n    import scipy.sparse as sp\n", "tests", ["scipy"]),
+])
+def test_foreign_imports_are_flagged(snippet, folder, names):
+    assert foreign_imports(snippet, IMPORTABLE[folder]) == names

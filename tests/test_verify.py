@@ -27,6 +27,7 @@ from ciph.fields import ExpSumField
 from ciph.verify import (
     exhaustive_condition_check,
     exhaustive_psd_check,
+    hidden_psd_violation,
     kulkarni_nomizu,
     kulkarni_nomizu_member,
 )
@@ -302,3 +303,34 @@ class TestKulkarniNomizu:
                     t, _ = kulkarni_nomizu_member(seed, n, (2, 2), indefinite=True, sparse=sparse)
                     report = check_psd_c(t, default_directions(n))
                     assert report.passed if (n, seed) == (4, 2) else report.witness.residual < 0.0
+
+
+class TestHiddenPsdViolation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_linear_conditions_pass_and_u_refutes(self, n, eps):
+        for seed in range(3):
+            t, u = hidden_psd_violation(seed, n, eps)
+            assert np.dot(u, u) == pytest.approx(1.0, rel=1e-15)
+            assert check_sym_a(t).passed and check_cyclic_b(t).passed
+            report = check_psd_c(t, [u])
+            assert not report.passed
+            assert report.witness.residual == pytest.approx(-eps / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_oracle_rederives_the_failure(self, n):
+        for seed in range(3):
+            t, u = hidden_psd_violation(seed, n, 1e-3)
+            report = exhaustive_psd_check(t, [u])
+            assert not report.passed
+            assert report.direction == tuple(u)
+            assert report.residual == pytest.approx(-5e-4, rel=1e-9)
+
+    def test_deterministic_and_validated(self):
+        t, u = hidden_psd_violation(7, 4)
+        again, u_again = hidden_psd_violation(7, 4)
+        assert t == again and np.array_equal(u, u_again)
+        with pytest.raises(DimensionTooLarge):
+            hidden_psd_violation(0, 1)
+        with pytest.raises(NegativeCoefficient):
+            hidden_psd_violation(0, 3, 0.0)
