@@ -35,7 +35,6 @@ from .splitter import (
     NOT_SKEW,
     SPLIT,
     SplitResult,
-    flatten_pairs,
     split_product,
     split_tensor,
 )

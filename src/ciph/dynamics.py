@@ -29,15 +29,15 @@ linear H) are computed once, when the step is written, and gamma's
 ``full_rhs`` (the sample's rhs), ``observable_rate`` and ``gamma_at``
 call functions compiled from the same statements.
 
-The input term W + g u(t) is compiled once per model into a list function.
-A constant W or g (``Constant``) and a piecewise-constant u (``Schedule``),
-the types a model file builds, carry list forms: W + g u is then a table
-with one row per schedule segment, which the step indexes inline, and their
-shapes are checked once, when the model is built (k2 and k3 share their
-stage time and so their row). Any other callable is
-called on ndarrays and its shapes are checked at every call. Component i
-is (0.0 + W_i) + (left-fold dot of g_i and u) on either path, so both give
-the same floats.
+One function computes the input term W + g u(t) as a list: it calls W, g
+and u on ndarrays, checks the shapes they return, and sums component i as
+(0.0 + W_i) + (left-fold dot of g_i and u). When W and g are constant
+(``Constant``) and u is piecewise constant (``Schedule``), the types a model
+file builds, W + g u depends on the schedule segment alone: the model
+evaluates that function once per segment into a table, which the step
+indexes inline (k2 and k3 share their stage time and so their row), and
+checks these pieces' shapes once, when it is built. With any other callable
+the step calls the function at every stage.
 
 ``balance_ledger`` keeps both balances in integral form, for the audit and
 the CSV alike: the change in H or S minus int p or int (sigma_int + q).
@@ -128,7 +128,9 @@ class IphsModel:
             raise DimensionMismatch(f"J must be skew-symmetric to within {SKEW_TOL} of max|J|")
         if (self.g is None) != (self.u is None):
             raise FormatError("'u' has no effect without 'g'" if self.g is None else "'g' has no effect without 'u'")
-        object.__setattr__(self, "_inputs", _compile_inputs(self.n, self.W, self.g, self.u))
+        inputs, table = _compile_inputs(self.n, self.W, self.g, self.u)
+        object.__setattr__(self, "_inputs", inputs)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_code", _ModelCode(self))
 
     def gamma_at(self, x) -> float:
@@ -190,12 +192,11 @@ def _dot(a: list, b: list) -> float:
 class Constant:
     """A constant input: W(x, dH) = w or g(x, dH) = G."""
 
-    __slots__ = ("array", "values")
+    __slots__ = ("array",)
 
     def __init__(self, value):
         self.array = np.array(value, dtype=float)
         self.array.setflags(write=False)
-        self.values = self.array.tolist()
 
     def __call__(self, x, dH) -> np.ndarray:
         return self.array
@@ -206,7 +207,7 @@ class Schedule:
     zero before the first breakpoint. ``values`` has one row per breakpoint
     (a flat list is one scalar input per breakpoint)."""
 
-    __slots__ = ("times", "array", "segments", "_zero")
+    __slots__ = ("times", "array", "_zero")
 
     def __init__(self, times, values):
         times, values = np.array(times, dtype=float), np.array(values, dtype=float)
@@ -221,53 +222,39 @@ class Schedule:
             raise FormatError("'u' times must be strictly increasing")
         values.setflags(write=False)
         self.array, self._zero = values, np.zeros(values.shape[1])
-        # u on each segment as a list, indexed by bisect_right(times, t)
-        self.segments = [self._zero.tolist(), *values.tolist()]
-
-    @property
-    def width(self) -> int:
-        return self.array.shape[1]
 
     def __call__(self, t: float) -> np.ndarray:
         k = bisect_right(self.times, t)  # breakpoints <= t
         return self.array[k - 1] if k else self._zero
 
 
-def _compile_inputs(n: int, W, g, u) -> Callable | None:
-    """``inputs(xs, dH, t)``, the input term W + g u as a list (not to be
-    mutated), or None when nothing is forced. g and u come together."""
+def _compile_inputs(n: int, W, g, u) -> tuple[Callable | None, tuple[list, list] | None]:
+    """(inputs, table). ``inputs(xs, dH, t)`` is the input term W + g u as a
+    list (not to be mutated), or None when nothing is forced; g and u come
+    together. When W is a ``Constant`` or None and g a ``Constant`` with u a
+    ``Schedule``, or None, ``table`` is (times, rows): ``inputs`` evaluated
+    once per schedule segment, at t = -inf and at each breakpoint, so that
+    row ``bisect_right(times, t)`` holds W + g u(t) at every x; otherwise it
+    is None. Typed pieces read neither x nor dH, so building the table runs
+    no user code, and their shapes are checked here, once."""
     if W is None and g is None:
-        return None
+        return None, None
     if isinstance(W, Constant) and W.array.shape != (n,):
         raise DimensionMismatch(f"W has shape {W.array.shape}, expected ({n},)")
-    if isinstance(g, Constant) and isinstance(u, Schedule) and g.array.shape != (n, u.width):
-        raise DimensionMismatch(f"g has shape {g.array.shape}, u has shape ({u.width},)")
+    if isinstance(g, Constant) and isinstance(u, Schedule) and g.array.shape != (n, *u.array.shape[1:]):
+        raise DimensionMismatch(f"g has shape {g.array.shape}, u has shape {u.array.shape[1:]}")
+    inputs = _adapted_inputs(n, W, g, u)
     typed_g = g is None or isinstance(g, Constant) and isinstance(u, Schedule)
     if not (typed_g and (W is None or isinstance(W, Constant))):
-        return _adapted_inputs(n, W, g, u)
-    # W_i + dot equals (0.0 + W_i) + dot bit for bit, as a left fold from 0.0
-    # is never -0.0; without a g, the table is one segment of zero rows
-    w0 = [0.0] * n if W is None else W.values
-    times, segments, rows = (u.times, u.segments, g.values) if g is not None else ([], [[0.0]], [[0.0]] * n)
-    return _InputTable(times, [[a + _dot(row, us) for a, row in zip(w0, rows)] for us in segments])
-
-
-class _InputTable:
-    """``inputs`` for typed pieces: the row of W + g u for the schedule
-    segment that holds t. The model's ``run`` indexes ``rows`` inline."""
-
-    __slots__ = ("times", "rows")
-
-    def __init__(self, times: list, rows: list):
-        self.times, self.rows = times, rows
-
-    def __call__(self, xs: list, dH: list, t: float) -> list:
-        return self.rows[bisect_right(self.times, t)]
+        return inputs, None
+    times, zeros = [] if g is None else u.times, [0.0] * n
+    return inputs, (times, [inputs(zeros, zeros, t) for t in (-math.inf, *times)])
 
 
 def _adapted_inputs(n: int, W, g, u) -> Callable:
-    """``inputs`` for plain callables: W, g and u see ndarrays, and the
-    shapes they return are checked at every call."""
+    """``inputs`` for any pieces: W, g and u see ndarrays, and the shapes
+    they return are checked at every call. Component i is (0.0 + W_i) + the
+    left-fold dot of g_i and u."""
 
     def inputs(xs: list, dH: list, t: float) -> list:
         x, dH = np.array(xs), np.array(dH)
@@ -318,15 +305,15 @@ class _ModelCode:
     """
 
     def __init__(self, model: IphsModel):
-        self.n, self.inputs = model.n, model._inputs
+        self.n, self.inputs, self.table = model.n, model._inputs, model._table
         # gamma in the value form: no stage reads its gradient
         self.fields = (("G", model.gamma, "value"), ("H", model.H, "grad"), ("S", model.S, "grad"))
         self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right}
         for i, row in enumerate(model.J.array.tolist()):
             for j, entry in enumerate(row):
                 self.namespace[f"J{i:d}_{j:d}"] = entry
-        if isinstance(self.inputs, _InputTable):
-            self.namespace.update(_times=self.inputs.times, _table=self.inputs.rows)
+        if self.table is not None:
+            self.namespace["_times"], self.namespace["_table"] = self.table
         elif self.inputs is not None:
             self.namespace["_inputs"] = self.inputs
         self.y = _names("y", self.n)
@@ -419,7 +406,7 @@ class _ModelCode:
         lines = list(self._drift[0])
         if self.inputs is None:
             return [*lines, *(f"{r} = m * {j}" for r, j in zip(rhs, JdH))]
-        if not isinstance(self.inputs, _InputTable):
+        if self.table is None:
             lines.append(f"{_unpack(u)}= _inputs({_list(self.y)}, {_list(_names('Hg', self.n))}, {time})")
         elif lookup:
             lines.append(f"{_unpack(u)}= _table[_bisect(_times, {time})]")

@@ -1,7 +1,7 @@
 """Factor 4-tensors back into bracket products gamma * {.,.}_J x {.,.}_J.
 
 Two input shapes are handled. A *raw product* tensor t[i,j,k,l] = A[i,k] B[j,l]
-is rank one after reshaping index pairs, so two slices of t through its
+is rank one as the (i, k) x (j, l) matrix, so two slices of t through its
 largest entry recover (A, B) exactly; the product splits iff A is skew and
 B is a nonnegative multiple of A. A *symmetric representative*
 t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]) is read off one slice: at
@@ -70,14 +70,6 @@ class SplitResult:
             "J": None if self.J is None else {"n": self.J.n, "rows": self.J.array.tolist()},
             "residual": self.residual,
         }
-
-
-def flatten_pairs(t: Tensor4) -> np.ndarray:
-    """Reshape t[i,j,k,l] to F[(i,k), (j,l)] so products become rank one.
-
-    With 1-based indices F[(i-1)*n + k, (j-1)*n + l] = t[i,j,k,l].
-    """
-    return np.array(t.values.transpose(0, 2, 1, 3), order="C").reshape(t.n**2, t.n**2)
 
 
 def _canonical_gauge(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -176,8 +168,8 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
 
     Every tensor is first matched as a symmetric representative; when that
     match fails, t is read as a raw product A[i,k] B[j,l] off two slices at
-    one pivot: the first max-abs entry t[i,j,k,l] of the pair matrix
-    ``flatten_pairs(t)``, in its row-major order, gives A = t[:,j,:,l] and
+    one pivot: the first max-abs entry t[i,j,k,l] in row-major (i, k, j, l)
+    order (t read as the (i, k) x (j, l) matrix) gives A = t[:,j,:,l] and
     B = t[i,:,k,:] / t[i,j,k,l] (zero for the zero tensor), and
     ``split_product`` judges the pair. Each candidate is accepted or refused
     by one residual, that of its reconstruction against t within
@@ -197,8 +189,8 @@ def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
         if (recovered := _recover_symmetric(t, tol)) is not None:
             return recovered
         v, n, top = t.values, t.n, t.max_abs()
-        # The pivot is F's first max-abs entry in row-major (i, k, j, l) order, F =
-        # flatten_pairs(t): the first i of t's own order, then the first (k, j, l).
+        # The pivot is t's first max-abs entry in row-major (i, k, j, l) order:
+        # the first i of t's own order, then the first (k, j, l).
         i = int(np.argmax(np.abs(v))) // n**3
         k, j, l = np.unravel_index(int(np.argmax(np.abs(v[i].transpose(1, 0, 2)) == top)), (n,) * 3)
         A = v[:, j, :, l]

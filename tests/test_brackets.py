@@ -4,6 +4,7 @@ import pytest
 from ciph import (
     BracketMatrix,
     DimensionMismatch,
+    FormatError,
     PolynomialField,
     Tensor4,
     bracket_eval,
@@ -30,6 +31,17 @@ def test_zeros_accepts_an_integral_float():
     assert BracketMatrix.zeros(2.0) == BracketMatrix.zeros(2)
 
 
+@pytest.mark.parametrize("rows, error", [
+    ([[0.0, 1.0]], DimensionMismatch),
+    ([0.0, 1.0], DimensionMismatch),
+    ([[0.0, float("nan")], [-1.0, 0.0]], FormatError),
+    ([[0.0, float("inf")], [-1.0, 0.0]], FormatError),
+])
+def test_matrix_must_be_square_and_finite(rows, error):
+    with pytest.raises(error):
+        BracketMatrix(rows)
+
+
 class TestBracketEval:
     def test_hand_value(self, j_std, x2, x1_plus_x2):
         # e2^T J (1,1)^T = (-1, 0) . (1, 1)
@@ -48,8 +60,10 @@ class TestBracketEval:
 
     def test_dimension_mismatch(self, j_std):
         f3 = PolynomialField.coordinate(3, 1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="point has shape"):
             bracket_eval(j_std, f3, f3, np.array([0.0, 0.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match="field dimensions"):
+            bracket_eval(j_std, f3, f3, np.array([0.0, 0.0]))
 
 
 class TestProductTensor:

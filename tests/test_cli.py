@@ -704,6 +704,8 @@ MALFORMED = {
     "product-string-rows": ("product", {"A": {"n": 2, "rows": [["a", "b"], ["c", "d"]]}}),
     "check-direction-string": ("check", {"D": {"directions": [[1.0, 0.0], ["x", 1.0]]}}),
     "check-direction-ragged": ("check", {"D": {"directions": [[1.0, [0.0, 1.0]]]}}),
+    "check-entries-object": ("check", {"T": {"n": 2, "entries": {"i": 1, "j": 1, "k": 1, "l": 1, "v": 1.0}}}),
+    "field-spec-unknown": ("simulate", {"M": _model(H={"constant": 1.0})}),
     "W-constant-string": ("simulate", {"M": _model(W={"constant": ["a", 0.0]})}),
     "W-constant-null": ("simulate", {"M": _model(W={"constant": [None, 0.0]})}),
     "g-rows-ragged": ("simulate", {"M": _model(g={"rows": [[1.0], [0.0, 2.0]]})}),
@@ -735,8 +737,8 @@ def test_malformed_file_is_a_format_error(tmp_path, case):
         j = write_json(tmp_path / "J.json", {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]})
         argv = ["product", "-A", str(paths["A"]), "-B", j, "-o", out]
     elif command == "check":
-        t = write_json(tmp_path / "t.json", {"n": 2, "entries": []})
-        argv = ["check", t, "--directions", str(paths["D"])]
+        t = paths.get("T") or write_json(tmp_path / "t.json", {"n": 2, "entries": []})
+        argv = ["check", str(t), *(["--directions", str(paths["D"])] if "D" in paths else [])]
     else:
         argv = ["simulate", str(paths["M"]), "--t-end", "0.01", "--x0", "1,0", "-o", out]
     proc = subprocess.run([sys.executable, "-m", "ciph.cli", *argv], capture_output=True, text=True)

@@ -451,6 +451,8 @@ class TestBuiltins:
                       constant_gamma(2))
         with pytest.raises(DimensionMismatch, match="J has dimension 3, expected 2"):
             IphsModel(2, H, S, BracketMatrix.zeros(3), constant_gamma(2))
+        with pytest.raises(DimensionMismatch, match="field has dimension 3, expected 2"):
+            observable_rate(quadratic_linear_model(), PolynomialField.coordinate(3, 1), [1.0, 0.0])
 
 
 def test_input_power_zero_without_inputs():

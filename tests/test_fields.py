@@ -189,6 +189,8 @@ class TestCompiledPolynomial:
             f.value([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
             f.grad([1.0])
+        with pytest.raises(DimensionMismatch, match="got 3 coordinates"):
+            loop_polynomial(f, [1.0, 2.0, 3.0])
 
     def test_algebra_results_are_compiled(self):
         x1 = PolynomialField.coordinate(2, 1)
@@ -323,3 +325,5 @@ class TestCompiledExponentials:
             ExpSumField(2).value([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
             ExpNegSumField(2).grad([1.0])
+        with pytest.raises(DimensionMismatch, match="got 1 coordinates"):
+            loop_exponential(ExpSumField(2), [1.0])

@@ -13,7 +13,6 @@ from ciph import (
     check_raw_iii,
     check_sym_a,
     default_directions,
-    flatten_pairs,
     is_skew,
     product_tensor,
     split_product,
@@ -81,7 +80,16 @@ def assert_splits_to(t: Tensor4, K: np.ndarray, tol: float = 1e-9):
     return result
 
 
+def flatten_pairs(t: Tensor4) -> np.ndarray:
+    """The pair matrix F[(i, k), (j, l)] = t[i, j, k, l], the reference layout
+    that ``pair_matrix_split`` reads: a product tensor becomes rank one."""
+    n = t.n
+    return t.values.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 class TestFlattenPairs:
+    """The reference layout itself, on which the raw-branch oracle rests."""
+
     def test_zero(self):
         assert np.array_equal(flatten_pairs(Tensor4.zeros(2)), np.zeros((4, 4)))
 

@@ -27,7 +27,7 @@ from ciph import (
     symmetrize_34,
 )
 from ciph import tensor as tensor_module
-from ciph.tensor import PSD_BLOCK, Witness
+from ciph.tensor import PSD_BLOCK, Witness, contract_directions
 from ciph.verify import random_cons_irrev, random_polynomial, random_skew
 
 from conftest import EPS_ENTRIES
@@ -57,6 +57,11 @@ class TestTensor4:
 
         with pytest.raises(FormatError):
             Tensor4(2, arr)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 2, 3), (4, 4)])
+    def test_rejects_values_of_the_wrong_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match="values have shape"):
+            Tensor4(2, np.zeros(shape))
 
     def test_rejects_oversized_dimension(self):
         with pytest.raises(DimensionTooLarge):
@@ -386,6 +391,8 @@ class TestPsdBlockedScan:
     def test_wrong_shape_direction(self, golden_eps, bad):
         with pytest.raises(DimensionMismatch):
             check_psd_c(golden_eps, [np.array([1.0, 0.0]), bad])
+        with pytest.raises(DimensionMismatch, match="direction has shape"):
+            contract_directions(golden_eps, bad)
 
     def test_ragged_directions_name_the_first_wrong_shape(self, golden_eps):
         with pytest.raises(DimensionMismatch, match=r"shape \(1,\), expected \(2,\)"):
@@ -508,6 +515,8 @@ class TestEvaluate:
         f2 = PolynomialField.coordinate(2, 1)
         with pytest.raises(DimensionMismatch):
             evaluate_e(golden_eps, f3, f2, f2, f2, np.array([0.0, 0.0]))
+        with pytest.raises(DimensionMismatch, match="point has shape"):
+            evaluate_e(golden_eps, f2, f2, f2, f2, np.array([0.0, 0.0, 0.0]))
 
 
 class TestLinearCombine:

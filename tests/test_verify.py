@@ -55,6 +55,11 @@ class TestFdGradient:
         f = PolynomialField.constant(3, 9.0)
         assert fd_gradient(f, [1.0, 2.0, 3.0]) == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("step", [0.0, -1e-6])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(NegativeCoefficient, match="step must be > 0"):
+            fd_gradient(PolynomialField.constant(2, 1.0), [0.0, 0.0], step=step)
+
     def test_heat_exchanger_energy(self):
         H = ExpSumField(2)
         rng = np.random.default_rng(90)
@@ -252,6 +257,11 @@ class TestRandomConsIrrev:
                 assert check_cyclic_b(t).passed
                 assert check_raw_iii(t).passed
                 assert check_psd_c(t, dirs).passed
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_a_nonzero_skew_matrix(self, n):
+        with pytest.raises(DimensionTooLarge, match="need n >= 2"):
+            random_cons_irrev(0, n, 1)
 
     def test_deterministic_for_fixed_seed(self):
         a = random_cons_irrev(123, 3, 5)
