@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from .dynamics import audit_balances, integrate
@@ -249,10 +250,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_values(argv: list) -> list:
+    """``argv`` with each long option and a following token that starts
+    with "-" and a digit or "." joined as "--option=token": argparse reads
+    such a token ("-1,0" for --x0, "-1e-3" for --dt) as an option of its
+    own, and every long option here but --help takes a value."""
+    out = []
+    for token in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (_UsageError, CiphError) as exc:  # FormatError is a CiphError
         _note(f"error: {exc}")

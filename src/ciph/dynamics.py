@@ -13,21 +13,23 @@ Integration is fixed-step classical Runge-Kutta (RK4): deterministic
 trajectories matter more here than adaptive efficiency. At the small n of
 these models, Python's per-call cost (and numpy's more so) dwarfs the
 arithmetic, so each model writes its right-hand side out once as
-straight-line Python on floats and compiles it (``_ModelCode``): one
-function runs the whole RK4 loop, with the state, the stage rates, the
-coordinate powers, gradients, dot products (left folds) and stage points
-as local variables, and appends each sample to one flat list. A stage
-(k2-k4) computes gamma and the gradients with the powers they read, and
-the rhs; each accepted sample gives, besides the next step's k1 at the
-same (x, t), H, S, sigma_int and the input powers p = dH^T (W + g u) and
-q = dS^T (W + g u). Only the sample evaluates H and S, with the powers
-that only their values read: 8 field gradients a step (2 per stage for
-k2-k4, 2 at the sample) and 2 field values. A constant gamma, a linear
-field's gradient, and any other fold of model numbers alone (J dH for a
-linear H) are computed once, when the step is written, and gamma's
-``> 0`` check is left out when gamma is a positive constant. ``drift_rhs``,
-``full_rhs`` (the sample's rhs), ``observable_rate`` and ``gamma_at``
-call functions compiled from the same statements.
+straight-line Python on floats and compiles it (``_ModelCode``), each
+function on first use. ``integrate`` compiles one, ``run``: it takes the
+first sample at t = 0, its balance integrals zero, and then runs the
+whole RK4 loop, with the state, the stage rates, the coordinate powers,
+gradients, dot products (left folds) and stage points as local variables,
+appending each sample to one flat list. A stage (k2-k4) computes gamma
+and the gradients with the powers they read, and the rhs; each sample
+gives, besides the next step's k1 at the same (x, t), H, S, sigma_int and
+the input powers p = dH^T (W + g u) and q = dS^T (W + g u). Only the
+sample evaluates H and S, with the powers that only their values read: 8
+field gradients a step (2 per stage for k2-k4, 2 at the sample) and 2
+field values. A constant gamma, a linear field's gradient, and any other
+fold of model numbers alone (J dH for a linear H) are computed once, when
+the step is written, and gamma's ``> 0`` check is left out when gamma is
+a positive constant. ``full_rhs`` (the rhs of a first sample at any (x,
+t)), ``drift_rhs``, ``observable_rate`` and ``gamma_at`` call functions
+compiled from the same statements.
 
 One function computes the input term W + g u(t) as a list: it calls W, g
 and u on ndarrays, checks the shapes they return, and sums component i as
@@ -128,9 +130,6 @@ class IphsModel:
             raise DimensionMismatch(f"J must be skew-symmetric to within {SKEW_TOL} of max|J|")
         if (self.g is None) != (self.u is None):
             raise FormatError("'u' has no effect without 'g'" if self.g is None else "'g' has no effect without 'u'")
-        inputs, table = _compile_inputs(self.n, self.W, self.g, self.u)
-        object.__setattr__(self, "_inputs", inputs)
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_code", _ModelCode(self))
 
     def gamma_at(self, x) -> float:
@@ -139,12 +138,12 @@ class IphsModel:
     @property
     def forced(self) -> bool:
         """Whether W or g u contributes an input term."""
-        return self._inputs is not None
+        return self._code.inputs is not None
 
     def input_term(self, x, dH, t: float) -> np.ndarray:
         """W(x, dH) + g(x, dH) u(t), with missing pieces treated as zero."""
-        xs = _as_vector(x, self.n).tolist()
-        return np.zeros(self.n) if self._inputs is None else np.array(self._inputs(xs, dH, t))
+        xs, inputs = _as_vector(x, self.n).tolist(), self._code.inputs
+        return np.zeros(self.n) if inputs is None else np.array(inputs(xs, dH, t))
 
 
 @dataclass(frozen=True)
@@ -277,9 +276,11 @@ def _adapted_inputs(n: int, W, g, u) -> Callable:
 
 
 class _ModelCode:
-    """One model's right-hand side written out as straight-line Python and
-    compiled, each function on first use: the RK4 loop ``run``, the first
-    sample ``start`` (whose rhs ``full_rhs`` returns), and the drift
+    """What one model compiles: its input term (``inputs`` and ``table``,
+    see ``_compile_inputs``) and its right-hand side written out as
+    straight-line Python, each function compiled on first use: ``run``, the
+    first sample and the RK4 loop, which ``integrate`` calls; ``start``, a
+    first sample alone, whose rhs ``full_rhs`` returns; and the drift
     ``parts`` behind the other public functions.
 
     A field with ``emit`` (every built-in field) contributes its statements,
@@ -305,7 +306,8 @@ class _ModelCode:
     """
 
     def __init__(self, model: IphsModel):
-        self.n, self.inputs, self.table = model.n, model._inputs, model._table
+        self.n = model.n
+        self.inputs, self.table = _compile_inputs(model.n, model.W, model.g, model.u)
         # gamma in the value form: no stage reads its gradient
         self.fields = (("G", model.gamma, "value"), ("H", model.H, "grad"), ("S", model.S, "grad"))
         self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right}
@@ -324,16 +326,17 @@ class _ModelCode:
 
     @functools.cached_property
     def run(self) -> Callable:
-        """run(x, k1, row, steps, dt, half, sixth, buf): ``steps`` RK4 steps
-        from (x, 0.0), whose k1 and sample row are known, the whole loop in
-        one function. Step k runs from t = k * dt to tn = (k + 1) * dt, and
-        its sample is appended to the flat list ``buf`` as tn, the state and
-        the row. A row is (H, S, sigma_int, p, q, int p, int (sigma_int + q),
-        int (sigma_int + p)); each integral advances by the RK4 update over
-        its rates at k1 (the previous sample's) to k4. Returns
-        "NonFiniteState", before appending, once the state or H, S or
+        """run(x, steps, dt, half, sixth, buf): the first sample at (x, 0.0),
+        its integrals zero, then ``steps`` RK4 steps, the whole loop in one
+        function. Step k runs from t = k * dt to tn = (k + 1) * dt. Each
+        sample is appended to the flat list ``buf`` as its time, the state
+        and the row. A row is (H, S, sigma_int, p, q, int p, int (sigma_int +
+        q), int (sigma_int + p)); each integral advances by the RK4 update
+        over its rates at k1 (the previous sample's) to k4. Returns
+        "NonFiniteState", before appending, once a step's state or H, S or
         sigma_int is not finite, else None; NonpositiveGamma propagates, so
-        ``buf`` holds the valid prefix either way."""
+        ``buf`` holds the valid prefix either way (empty when gamma fails at
+        the first sample)."""
         n, y = self.n, self.y
         x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
         body = ["tn = (k + 1) * dt"]
@@ -352,14 +355,15 @@ class _ModelCode:
                  *self._record("tn"),
                  "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)):", "    return 'NonFiniteState'",
                  *(f"{a} = {b}" for a, b in zip(x, y)), f"buf.extend((tn, {', '.join(y)}, {self.row}))"]
-        return self._function("run(x, k1, row, steps, dt, half, sixth, buf)",
-                              [f"{_unpack(x)}= x", f"{_unpack(k1)}= k1", "_, _, s1, p1, q1, ip, iq, ia = row",
-                               "for k in range(steps):", *("    " + line for line in body)])
+        return self._function("run(x, steps, dt, half, sixth, buf)",
+                              [*self._first("0.0"), f"buf.extend((0.0, {', '.join(y)}, {self.row}))",
+                               f"{_unpack(x)}= x", "for k in range(steps):", *("    " + line for line in body)])
 
     @functools.cached_property
     def start(self) -> Callable:
-        """start(xs, t) = (row, rhs) at (xs, t), its integrals zero."""
-        return self._function("start(x, t)", [f"{_unpack(self.y)}= x", *self._record("t"), "ip = iq = ia = 0.0",
+        """start(xs, t) = (row, rhs): the first sample at (xs, t), as ``run``
+        takes it at t = 0.0; ``full_rhs`` returns its rhs."""
+        return self._function("start(x, t)", [*self._first("t"),
                                               f"return ({self.row}), {_list(_names('a', self.n))}"])
 
     @functools.cached_property
@@ -422,6 +426,11 @@ class _ModelCode:
             lines += _fold(f"q{tag}", list(zip(_names("Sg", self.n), u)), self.namespace)
         return lines
 
+    def _first(self, time: str) -> list:
+        """A first sample at (x, time): the state x unpacked into y, the
+        sample (see ``_record``) and its integrals set to zero."""
+        return [f"{_unpack(self.y)}= x", *self._record(time), "ip = iq = ia = 0.0"]
+
     def _record(self, time: str) -> list:
         """A sample at (y, time): the rhs a (the next k1), its rates s1, p1,
         q1 (the next step's first), Hv and Sv."""
@@ -459,12 +468,15 @@ def observable_rate(model: IphsModel, f, x) -> float:
 def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 solve of the full dynamics, sampling every step.
 
-    Each sample records H, S, sigma_int and the input powers p, q. The
-    model's compiled ``run`` makes every step after the first sample and
-    appends each sample to one flat list, which becomes the ``Trajectory``
-    columns by one ``np.array`` and a copy per column. If gamma fails to be
-    positive or the state leaves the finite range mid-run, the trajectory
-    returned is the valid prefix with ``fault`` set instead of raising.
+    Each sample records H, S, sigma_int and the input powers p, q. One
+    call of the model's compiled ``run`` takes the first sample at t = 0,
+    its balance integrals zero, makes every step, and appends each sample
+    to one flat list, which becomes the ``Trajectory`` columns by one
+    ``np.array`` and a copy per column. If gamma fails to be positive or
+    the state leaves the finite range mid-run, the trajectory returned is
+    the valid prefix with ``fault`` set instead of raising; when gamma
+    fails at x0 itself, that prefix is one sample holding H and S, with
+    sigma_int, the input powers and the integrals zero.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise NonFiniteValue(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -477,20 +489,16 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     steps = max(1, int(round(t_end / dt)))
     if steps > MAX_STEPS:
         raise DimensionTooLarge(f"t_end / dt = {steps} steps exceeds the cap of {MAX_STEPS}")
-    n, code = model.n, model._code
-    x, fault = _as_vector(x0, n).tolist(), None
+    n, buf, fault = model.n, [], None
+    x = _as_vector(x0, n).tolist()
     # Overflow to inf/nan (silent in float arithmetic) is caught by the finiteness checks.
     with np.errstate(all="ignore"):
         try:
-            row, k1 = code.start(x, 0.0)
+            fault = model._code.run(x, steps, dt, 0.5 * dt, dt / 6.0, buf)
         except NonpositiveGamma:
-            row, fault = (list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6), "NonpositiveGamma"
-        buf = [0.0, *x, *row]
-        if fault is None:
-            try:
-                fault = code.run(x, k1, row, steps, dt, 0.5 * dt, dt / 6.0, buf)
-            except NonpositiveGamma:
-                fault = "NonpositiveGamma"
+            fault = "NonpositiveGamma"
+            if not buf:  # gamma failed at x0: the first sample holds H and S alone
+                buf = [0.0, *x, list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6]
     samples = np.array(buf).reshape(-1, n + 9)
     del buf  # its floats go before the columns are copied out
     return Trajectory(samples[:, 0].copy(), samples[:, 1:n + 1].copy(),

@@ -14,6 +14,7 @@ FormatError that begins with the file's path; the code inside names no path.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 from contextlib import contextmanager
@@ -316,8 +317,10 @@ def _bracket_from_spec(spec, n: int) -> BracketMatrix:
 
 def load_model(path) -> IphsModel:
     """Read a model file; a top-level "builtin" selects a named model and
-    optional W/g/u sections are attached on top (``IphsModel`` refuses a
-    "g" or a "u" alone)."""
+    optional W/g/u sections are attached on top: the base model with
+    those fields replaced (``dataclasses.replace``, so every other field,
+    the name included, is kept), built and checked again (``IphsModel``
+    refuses a "g" or a "u" alone)."""
     with _naming(path):
         data = _load_json(path)
         if "builtin" in data:
@@ -334,7 +337,7 @@ def load_model(path) -> IphsModel:
         u = _schedule_from_spec(data["u"]) if "u" in data else base.u
         if W is base.W and g is base.g and u is base.u:
             return base
-        return IphsModel(base.n, base.H, base.S, base.J, base.gamma, W=W, g=g, u=u, name=base.name)
+        return dataclasses.replace(base, W=W, g=g, u=u)
 
 
 def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None:

@@ -544,6 +544,29 @@ class TestSimulate:
         assert 0.7 <= summary["t_last"] < 0.71  # exp(x1) overflows once x1 = 1000 t > 709.78
         assert out.exists()
 
+    @pytest.mark.parametrize("x0", ["-1,0", "-0.5,-0.25"])
+    @pytest.mark.parametrize("console", [False, True])
+    def test_negative_x0_after_a_space(self, tmp_path, x0, console):
+        # argparse alone reads "-1,0" as an option rather than as --x0's value
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        argv = ["simulate", m, "--t-end", "1", "--x0", x0, "-o", str(out)]
+        if console:
+            code = subprocess.run([sys.executable, "-m", "ciph.cli", *argv], capture_output=True).returncode
+        else:
+            code = main(argv)
+        assert code == 0
+        first = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert [float(v) for v in first[:3]] == [0.0, *map(float, x0.split(","))]
+
+    def test_negative_dt_after_a_space_exits_one(self, tmp_path, capsys):
+        m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", m, "--t-end", "1", "--dt", "-1e-3", "--x0", "1,0", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: dt must be > 0, got -0.001\n"
+        assert not out.exists()
+
     def test_wrong_x0_length_exits_one(self, tmp_path, capsys):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
         assert main(["simulate", m, "--t-end", "1", "--x0", "1,0,0"]) == 1

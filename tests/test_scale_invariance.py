@@ -12,14 +12,17 @@ Every condition is homogeneous in t and every tolerance is relative
   exactly, so the four index verdicts do not change, even at the
   tolerance's edge;
 * a random orthogonal change of basis, t -> Q^{(x)4} t, keeps the index
-  verdicts of cone members and of tensors that clearly violate a condition.
+  verdicts of cone members and of tensors that clearly violate a condition,
+  and rotates a split's gamma J (x) J.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciph import (
+    BracketMatrix,
     Tensor4,
     check_cyclic_b,
     check_psd_c,
@@ -31,8 +34,9 @@ from ciph import (
     split_tensor,
     symmetrize_34,
 )
+from ciph.splitter import SPLIT
 from ciph.tensor import DEFAULT_TOL
-from ciph.verify import kulkarni_nomizu_member, random_skew
+from ciph.verify import hidden_psd_violation, kulkarni_nomizu_member, random_cons_irrev, random_skew
 
 INDEX_CHECKS = (check_sym_a, check_cyclic_b, check_raw_iii, check_quasi_poisson)
 KINDS = ("cone", "negated", "raw", "mixed", "random", "symmetrized", "edge", "kn", "kn-indefinite")
@@ -124,6 +128,54 @@ def test_orthogonal_basis_keeps_clear_index_verdicts(t, seed):
     moved = rotate(t, Q)
     for check in INDEX_CHECKS:
         assert check(moved).passed == check(t).passed, check.__name__
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), raw=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_rotated_split_rotates_gamma_j_j(n, raw, seed):
+    # A ray or a raw product J (x) cJ still splits in a rotated basis. gamma
+    # itself is not compared: the max-abs gauge of J depends on the basis.
+    rng = np.random.default_rng(seed)
+    if raw:
+        J = random_skew(rng, n)
+        t = product_tensor(J, BracketMatrix(rng.uniform(0.1, 5.0) * J.array))
+    else:
+        t = random_cons_irrev(seed, n, 1)[0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    moved = rotate(t, Q)
+    split, split_moved = split_tensor(t), split_tensor(moved)
+    assert split.status == split_moved.status == SPLIT
+    want = rotate(Tensor4(n, split.gamma * product_tensor(split.J, split.J).values), Q).values
+    got = split_moved.gamma * product_tensor(split_moved.J, split_moved.J).values
+    assert np.max(np.abs(got - want)) <= DEFAULT_TOL * moved.max_abs()
+
+
+ROTATED_HIDDEN = [(3, 2), (3, 4), (3, 8), *((n, seed) for n in (4, 5, 8) for seed in (0, 1, 2))]
+
+
+def rotated_hidden(n: int, seed: int) -> tuple[Tensor4, np.ndarray]:
+    """``hidden_psd_violation(seed, n, 1e-3)`` in a seeded random basis Q,
+    with its witness u moved to Q u."""
+    t, u = hidden_psd_violation(seed, n, 1e-3)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return rotate(t, Q), Q @ u
+
+
+@pytest.mark.parametrize("n, seed", [
+    pytest.param(n, seed, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the sampled PSD_C scan misses the violating 2-plane (ROADMAP "
+               + ("item 12)" if n <= 4 else "item 3)")))
+    for n, seed in ROTATED_HIDDEN])
+def test_default_scan_refutes_rotated_hidden_violation(n, seed):
+    t, _ = rotated_hidden(n, seed)
+    assert not check_psd_c(t, default_directions(n)).passed
+
+
+@pytest.mark.parametrize("n, seed", ROTATED_HIDDEN)
+def test_rotated_witness_refutes_rotated_hidden_violation(n, seed):
+    t, u = rotated_hidden(n, seed)
+    assert not check_psd_c(t, [u]).passed
 
 
 def test_psd_near_the_kernel_of_j_is_judged_on_the_tensors_scale():

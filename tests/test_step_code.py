@@ -8,6 +8,7 @@ plain loop over lists. The two must agree bit for bit on every
 
 import ast
 import io
+import json
 import math
 import re
 import tokenize
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 from ciph import BracketMatrix, IphsModel, NonpositiveGamma, PolynomialField, integrate
 from ciph import dynamics, fields
+from ciph.cli import main
 from ciph.dynamics import Constant, Schedule, builtin_model, drift_rhs, full_rhs, observable_rate
 from ciph.fields import FOLD_TERMS
+from ciph.fileio import load_model
 from ciph.verify import loop_polynomial, random_skew
 
 from conftest import assert_matches_reference
@@ -39,13 +42,18 @@ def capture_sources(monkeypatch) -> list:
 
 
 def step_source(monkeypatch, model) -> tuple[str, str]:
-    """A new model's compiled ``run`` source, split into its stages (the
-    loop head, k2-k4 and the update) and its sample (from the state's
-    finiteness check on)."""
+    """A new model's compiled ``run`` loop (past the first sample), split
+    into its stages (the loop head, k2-k4 and the update) and its sample
+    (from the state's finiteness check on)."""
     sources = capture_sources(monkeypatch)
     model._code.run
-    stages, sample = sources[-1].split("if not (_isfinite(", 1)
+    stages, sample = sources[-1].split("for k in range(steps):", 1)[1].split("if not (_isfinite(", 1)
     return stages, sample
+
+
+def compiled(sources: list) -> list:
+    """The names of the functions whose sources ``capture_sources`` collected."""
+    return [re.match(r"def (\w+)\(", source).group(1) for source in sources]
 
 
 QUADRATIC = PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)])
@@ -56,6 +64,38 @@ def readme_forced_model() -> IphsModel:
     """The forced model-file example of the README."""
     return IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), PolynomialField.constant(2, 1.0),
                      W=Constant([0.1, -0.1]), g=Constant([[1.0], [0.0]]), u=Schedule([0.0, 5.0], [[0.5], [0.0]]))
+
+
+README_FORCED_FILE = {
+    "n": 2,
+    "H": {"poly": [[[2, 0], 0.5], [[0, 2], 0.5]]},
+    "S": {"poly": [[[1, 0], 1.0], [[0, 1], 1.0]]},
+    "gamma": {"poly": [[[0, 0], 1.0]]},
+    "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]},
+    "W": {"constant": [0.1, -0.1]},
+    "g": {"rows": [[1.0], [0.0]]},
+    "u": {"times": [0.0, 5.0], "values": [[0.5], [0.0]]},
+}
+
+
+class TestOneCompile:
+    @pytest.mark.parametrize("spec", [{"builtin": "quadratic-linear"}, {"builtin": "heat-exchanger"},
+                                      README_FORCED_FILE], ids=["quadratic-linear", "heat-exchanger", "forced"])
+    def test_simulate_compiles_run_alone(self, monkeypatch, tmp_path, capsys, spec):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        sources = capture_sources(monkeypatch)
+        argv = ["simulate", str(path), "--t-end", "0.1", "--x0", "0.5,-0.25", "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        assert compiled(sources) == ["run"]
+        # full_rhs compiles the first sample on its own, with the rhs W + g u
+        # added to the drift, as drift_rhs and input_term give them apart
+        model, x = load_model(path), [0.5, -0.25]
+        integrate(model, x, t_end=0.1)
+        del sources[:]
+        rhs = full_rhs(model, x, 0.0)
+        assert compiled(sources) == ["start"]
+        assert np.array_equal(rhs, drift_rhs(model, x) + model.input_term(x, model.H.grad(x), 0.0))
 
 
 class TestLargeSources:
