@@ -252,12 +252,13 @@ def build_parser() -> _Parser:
 
 def _join_values(argv: list) -> list:
     """``argv`` with each long option and a following token that starts
-    with "-" and a digit or "." joined as "--option=token": argparse reads
-    such a token ("-1,0" for --x0, "-1e-3" for --dt) as an option of its
-    own, and every long option here but --help takes a value."""
+    with "-" and a digit, ".", "inf" or "nan" (any case) joined as
+    "--option=token": argparse reads such a token ("-1,0" for --x0, "-1e-3"
+    or "-nan" for --dt) as an option of its own, and every long option here
+    but --help takes a value."""
     out = []
     for token in argv:
-        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-[\d.]", token):
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-([\d.]|inf|nan)", token, re.I):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -14,22 +14,23 @@ trajectories matter more here than adaptive efficiency. At the small n of
 these models, Python's per-call cost (and numpy's more so) dwarfs the
 arithmetic, so each model writes its right-hand side out once as
 straight-line Python on floats and compiles it (``_ModelCode``), each
-function on first use. ``integrate`` compiles one, ``run``: it takes the
-first sample at t = 0, its balance integrals zero, and then runs the
-whole RK4 loop, with the state, the stage rates, the coordinate powers,
-gradients, dot products (left folds) and stage points as local variables,
-appending each sample to one flat list. A stage (k2-k4) computes gamma
-and the gradients with the powers they read, and the rhs; each sample
-gives, besides the next step's k1 at the same (x, t), H, S, sigma_int and
-the input powers p = dH^T (W + g u) and q = dS^T (W + g u). Only the
+function on first use. ``integrate`` compiles one, ``run``: the whole
+RK4 loop, with the state, the stage rates, the coordinate powers,
+gradients, dot products (left folds) and stage points as local variables.
+Each pass takes the sample at (x, t), appends it to one flat list, and
+then makes the step from t; the sample's statements are written once. A
+stage (k2-k4) computes gamma and the gradients with the powers they read,
+and the rhs; each sample gives, besides the step's k1 at the same (x, t),
+H, S, sigma_int and the input powers p = dH^T (W + g u) and
+q = dS^T (W + g u). Only the
 sample evaluates H and S, with the powers that only their values read: 8
 field gradients a step (2 per stage for k2-k4, 2 at the sample) and 2
 field values. A constant gamma, a linear field's gradient, and any other
 fold of model numbers alone (J dH for a linear H) are computed once, when
 the step is written, and gamma's ``> 0`` check is left out when gamma is
-a positive constant. ``full_rhs`` (the rhs of a first sample at any (x,
-t)), ``drift_rhs``, ``observable_rate`` and ``gamma_at`` call functions
-compiled from the same statements.
+a positive constant. ``drift_rhs``, ``observable_rate``, ``gamma_at`` and
+``full_rhs`` (the drift plus the input term, the rhs a sample at (x, t)
+computes) call ``parts``, compiled from the same drift statements.
 
 One function computes the input term W + g u(t) as a list: it calls W, g
 and u on ndarrays, checks the shapes they return, and sums component i as
@@ -279,9 +280,9 @@ class _ModelCode:
     """What one model compiles: its input term (``inputs`` and ``table``,
     see ``_compile_inputs``) and its right-hand side written out as
     straight-line Python, each function compiled on first use: ``run``, the
-    first sample and the RK4 loop, which ``integrate`` calls; ``start``, a
-    first sample alone, whose rhs ``full_rhs`` returns; and the drift
-    ``parts`` behind the other public functions.
+    RK4 loop with its samples, which ``integrate`` calls, and the drift
+    ``parts`` behind the other public functions (``full_rhs`` adds the input
+    term to it).
 
     A field with ``emit`` (every built-in field) contributes its statements,
     so no built-in model's step calls numpy; any other field is called once
@@ -298,11 +299,12 @@ class _ModelCode:
     and the powers only their values read are computed at the sample alone.
 
     Every evaluation is at the point y. Other local names: x (the state), a
-    b c d (k1-k4; a sample sets a, the next step's k1), u (the input row),
+    b c d (k1-k4; a sample sets a, its step's k1), u (the input row),
     j (J dH), w (dS^T J dH), m (gamma w), s1-s4 p1-p4 q1-q4 (sigma_int and
     the input powers at k1-k4; a sample sets s1 p1 q1), ip iq ia (the
-    running balance integrals), t th te tn (the stage and sample times),
-    and per field G (gamma), H and S.
+    running balance integrals), t th te (the sample time, which is the
+    step's start, and the later stage times), and per field G (gamma), H
+    and S.
     """
 
     def __init__(self, model: IphsModel):
@@ -326,22 +328,27 @@ class _ModelCode:
 
     @functools.cached_property
     def run(self) -> Callable:
-        """run(x, steps, dt, half, sixth, buf): the first sample at (x, 0.0),
-        its integrals zero, then ``steps`` RK4 steps, the whole loop in one
-        function. Step k runs from t = k * dt to tn = (k + 1) * dt. Each
-        sample is appended to the flat list ``buf`` as its time, the state
-        and the row. A row is (H, S, sigma_int, p, q, int p, int (sigma_int +
-        q), int (sigma_int + p)); each integral advances by the RK4 update
-        over its rates at k1 (the previous sample's) to k4. Returns
-        "NonFiniteState", before appending, once a step's state or H, S or
-        sigma_int is not finite, else None; NonpositiveGamma propagates, so
-        ``buf`` holds the valid prefix either way (empty when gamma fails at
-        the first sample)."""
+        """run(x, steps, dt, half, sixth, buf): the RK4 loop from the state x
+        at t = 0.0, the whole loop in one function. Pass k first takes the
+        sample at (x, t = k * dt), which also gives the k1 and first rates
+        of the step from t, appends it to the flat list ``buf`` as its time,
+        the state and the row, and returns after the last sample (k =
+        steps); then it makes that step, to t + dt. A row is (H, S, sigma_int, p, q,
+        int p, int (sigma_int + q), int (sigma_int + p)); the integrals start
+        at zero and each advances by the RK4 update over its rates at k1 to
+        k4. Returns "NonFiniteState", before appending, once a step's state
+        or a later sample's H, S or sigma_int is not finite, else None;
+        NonpositiveGamma propagates, so ``buf`` holds the valid prefix
+        either way (empty when gamma fails at the first sample)."""
         n, y = self.n, self.y
         x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
-        body = ["tn = (k + 1) * dt"]
+        # the first sample is kept whatever its H, S and sigma_int
+        body = ["t = k * dt", *self._record("t"),
+                "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)) and k:", "    return 'NonFiniteState'",
+                f"buf.extend((t, {', '.join(y)}, {self.row}))", "if k == steps:", "    return None",
+                *(f"{a} = {b}" for a, b in zip(x, y))]
         if self.inputs is not None:
-            body += ["t = k * dt", "th = t + half", "te = t + dt"]
+            body += ["th = t + half", "te = t + dt"]
         # k2 and k3 share the stage time th, so k3 reuses k2's input table row
         for k, factor, time, out, tag, lookup in ((k1, "half", "th", "b", "2", True),
                                                   (k2, "half", "th", "c", "3", False),
@@ -350,27 +357,17 @@ class _ModelCode:
             body += [*self._stage(time, out, lookup), *self._rates(tag)]
         body += [f"{y[i]} = {_rk4(x[i], k1[i], k2[i], k3[i], k4[i])}" for i in range(n)]
         body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return 'NonFiniteState'",
-                 # the integrals read the rates at k1 that the sample overwrites
-                 *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals),
-                 *self._record("tn"),
-                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)):", "    return 'NonFiniteState'",
-                 *(f"{a} = {b}" for a, b in zip(x, y)), f"buf.extend((tn, {', '.join(y)}, {self.row}))"]
+                 *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals)]
         return self._function("run(x, steps, dt, half, sixth, buf)",
-                              [*self._first("0.0"), f"buf.extend((0.0, {', '.join(y)}, {self.row}))",
-                               f"{_unpack(x)}= x", "for k in range(steps):", *("    " + line for line in body)])
-
-    @functools.cached_property
-    def start(self) -> Callable:
-        """start(xs, t) = (row, rhs): the first sample at (xs, t), as ``run``
-        takes it at t = 0.0; ``full_rhs`` returns its rhs."""
-        return self._function("start(x, t)", [*self._first("t"),
-                                              f"return ({self.row}), {_list(_names('a', self.n))}"])
+                              [f"{_unpack(y)}= x", "ip = iq = ia = 0.0", "for k in range(steps + 1):",
+                               *("    " + line for line in body)])
 
     @functools.cached_property
     def parts(self) -> Callable:
-        """parts(xs) = (gamma, gamma dS^T J dH, J dH as a list)."""
+        """parts(xs) = (gamma, gamma dS^T J dH, J dH, dH), the last two as lists."""
         return self._function("parts(x)", [f"{_unpack(self.y)}= x", *self._drift[0],
-                                           f"return Gv, m, {_list(_names('j', self.n))}"])
+                                           f"return Gv, m, {_list(_names('j', self.n))}, "
+                                           f"{_list(_names('Hg', self.n))}"])
 
     def _function(self, signature: str, body: list) -> Callable:
         return _compile([f"def {signature}:", *("    " + line for line in body)], self.namespace,
@@ -426,14 +423,9 @@ class _ModelCode:
             lines += _fold(f"q{tag}", list(zip(_names("Sg", self.n), u)), self.namespace)
         return lines
 
-    def _first(self, time: str) -> list:
-        """A first sample at (x, time): the state x unpacked into y, the
-        sample (see ``_record``) and its integrals set to zero."""
-        return [f"{_unpack(self.y)}= x", *self._record(time), "ip = iq = ia = 0.0"]
-
     def _record(self, time: str) -> list:
-        """A sample at (y, time): the rhs a (the next k1), its rates s1, p1,
-        q1 (the next step's first), Hv and Sv."""
+        """A sample at (y, time): the rhs a (the k1 of the step from it), its
+        rates s1, p1, q1 (that step's first), Hv and Sv."""
         return [*self._stage(time, "a"), *self._rates("1"), *self._drift[1]]
 
 
@@ -444,13 +436,18 @@ def _rk4(total: str, a: str, b: str, c: str, d: str) -> str:
 
 def drift_rhs(model: IphsModel, x) -> np.ndarray:
     """gamma(x) * (dS^T J dH) * (J dH); zero wherever dH vanishes."""
-    _, scale, JdH = model._code.parts(_as_vector(x, model.n).tolist())
+    _, scale, JdH, _ = model._code.parts(_as_vector(x, model.n).tolist())
     return np.array([scale * v for v in JdH])
 
 
 def full_rhs(model: IphsModel, x, t: float) -> np.ndarray:
-    """Drift plus input terms W + g u: the rhs a sample at (x, t) computes."""
-    return np.array(model._code.start(_as_vector(x, model.n).tolist(), t)[1])
+    """Drift plus input terms W + g u, component i as gamma (dS^T J dH)
+    (J dH)_i + (W + g u)_i: the rhs a sample at (x, t) computes."""
+    xs, inputs = _as_vector(x, model.n).tolist(), model._code.inputs
+    _, m, JdH, dH = model._code.parts(xs)
+    if inputs is None:
+        return np.array([m * j for j in JdH])
+    return np.array([m * j + u for j, u in zip(JdH, inputs(xs, dH, t))])
 
 
 def observable_rate(model: IphsModel, f, x) -> float:
@@ -461,7 +458,7 @@ def observable_rate(model: IphsModel, f, x) -> float:
     if f.n != model.n:
         raise DimensionMismatch(f"field has dimension {f.n}, expected {model.n}")
     xs = _as_vector(x, model.n).tolist()
-    _, scale, JdH = model._code.parts(xs)
+    _, scale, JdH, _ = model._code.parts(xs)
     return scale * _dot(list_form(f)[1](xs), JdH)
 
 
@@ -469,9 +466,9 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     """Fixed-step RK4 solve of the full dynamics, sampling every step.
 
     Each sample records H, S, sigma_int and the input powers p, q. One
-    call of the model's compiled ``run`` takes the first sample at t = 0,
-    its balance integrals zero, makes every step, and appends each sample
-    to one flat list, which becomes the ``Trajectory`` columns by one
+    call of the model's compiled ``run`` makes every step and takes every
+    sample, the first at t = 0 with its balance integrals zero, appending
+    each to one flat list, which becomes the ``Trajectory`` columns by one
     ``np.array`` and a copy per column. If gamma fails to be positive or
     the state leaves the finite range mid-run, the trajectory returned is
     the valid prefix with ``fault`` set instead of raising; when gamma

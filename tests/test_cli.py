@@ -124,10 +124,12 @@ class TestCheck:
         psd = [json.loads(line) for line in first.splitlines()][3]
         assert psd["witness"]["direction"] == [0.0] * 5 + [1.0]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flags", [["--tol=nan"], ["--tol=inf"], ["--tol=-inf"], ["--tol", "-inf"],
+                                       ["--tol", "-Infinity"]],
+                             ids=["nan", "inf", "-inf", "spaced--inf", "spaced--Infinity"])
     @pytest.mark.parametrize("command", ["check", "split", "oracle"])
-    def test_non_finite_tolerance_exits_one(self, eps_file, capsys, command, tol):
-        assert main([command, eps_file, f"--tol={tol}"]) == 1
+    def test_non_finite_tolerance_exits_one(self, eps_file, capsys, command, flags):
+        assert main([command, eps_file, *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: tolerance must be finite")
@@ -573,7 +575,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags", [["--t-end", "inf"], ["--t-end", "nan"], ["--t-end", "1", "--dt", "nan"],
-                  ["--t-end", "1", "--dt", "1e-320"]],
+                  ["--t-end", "1", "--dt", "1e-320"], ["--t-end", "-inf"], ["--t-end", "1", "--dt", "-nan"]],
     )
     def test_non_finite_horizon_exits_one(self, tmp_path, capsys, flags):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
@@ -664,7 +666,7 @@ class TestSimulateBoundary:
             "passed",
         ]
 
-    @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+    @pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf", "-inf,0", "-Infinity,0", "-NaN,0"])
     def test_non_finite_x0_exits_one(self, tmp_path, capsys, x0):
         m = write_json(tmp_path / "m.json", {"builtin": "quadratic-linear"})
         out = tmp_path / "t.csv"

@@ -373,7 +373,7 @@ class TestBuiltins:
         model = heat_exchanger_model(conductance=2.5)
         rng = np.random.default_rng(81)
         for x in rng.uniform(-3.0, 3.0, size=(50, 2)):
-            _, scale, JdH = model._code.parts(x.tolist())
+            _, scale, JdH, _ = model._code.parts(x.tolist())
             rate = observable_rate(model, model.H, x)
             assert type(rate) is float
             assert abs(rate) <= 1e-15 * abs(scale) * float(np.abs(model.H.grad(x)) @ np.abs(JdH))
@@ -393,7 +393,7 @@ class TestBuiltins:
         # "<prefix>value" or "<prefix>grad" callable) and no numpy function
         # is bound where the compiled loop looks its names up
         code = builtin_model(name)._code
-        code.run, code.start, code.parts
+        code.run, code.parts
         adapters = [k for k in code.namespace if k.endswith(("value", "grad"))]
         assert adapters == []
         numpy_bound = [k for k, v in code.namespace.items()

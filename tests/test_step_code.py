@@ -42,12 +42,12 @@ def capture_sources(monkeypatch) -> list:
 
 
 def step_source(monkeypatch, model) -> tuple[str, str]:
-    """A new model's compiled ``run`` loop (past the first sample), split
-    into its stages (the loop head, k2-k4 and the update) and its sample
-    (from the state's finiteness check on)."""
+    """A new model's compiled ``run`` loop split into its stages (k2-k4,
+    the update, the state's finiteness check and the integrals) and its
+    sample (the loop head to the carry of the state into x)."""
     sources = capture_sources(monkeypatch)
     model._code.run
-    stages, sample = sources[-1].split("for k in range(steps):", 1)[1].split("if not (_isfinite(", 1)
+    sample, stages = sources[-1].split("for k in range(steps + 1):", 1)[1].split("y0 = x0 + half * a0", 1)
     return stages, sample
 
 
@@ -88,14 +88,47 @@ class TestOneCompile:
         argv = ["simulate", str(path), "--t-end", "0.1", "--x0", "0.5,-0.25", "-o", str(tmp_path / "t.csv")]
         assert main(argv) == 0
         assert compiled(sources) == ["run"]
-        # full_rhs compiles the first sample on its own, with the rhs W + g u
-        # added to the drift, as drift_rhs and input_term give them apart
+        # full_rhs adds W + g u to the drift parts, as drift_rhs and
+        # input_term give them apart, and compiles nothing run holds
         model, x = load_model(path), [0.5, -0.25]
         integrate(model, x, t_end=0.1)
         del sources[:]
         rhs = full_rhs(model, x, 0.0)
-        assert compiled(sources) == ["start"]
+        assert compiled(sources) == ["parts"]
         assert np.array_equal(rhs, drift_rhs(model, x) + model.input_term(x, model.H.grad(x), 0.0))
+
+
+class TestLoopTopSample:
+    """``run`` takes each sample at the top of its loop pass, the first one
+    included, so its source writes the sample once."""
+
+    @pytest.mark.parametrize("build", [lambda: builtin_model("quadratic-linear"),
+                                       lambda: builtin_model("heat-exchanger"), readme_forced_model,
+                                       lambda: wide_model(100)],
+                             ids=["quadratic-linear", "heat-exchanger", "forced", "wide"])
+    def test_run_writes_the_sample_once(self, monkeypatch, build):
+        sources = capture_sources(monkeypatch)
+        build()._code.run
+        source = sources[-1]
+        # a long fold continues as "Hv = Hv + ..."; one statement starts it
+        assert source.count("buf.extend(") == 1
+        assert len(re.findall(r"^ *Hv = (?!Hv )", source, re.M)) == 1
+        assert len(re.findall(r"^ *Sv = (?!Sv )", source, re.M)) == 1
+
+    def test_non_finite_first_sample_is_kept(self, tmp_path, capsys):
+        # H = x1^4 + x2^2 / 2 overflows at x1 = 1e100 while dH, and so the
+        # state, stay finite: the first sample is kept, the second faults
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 2, "H": {"poly": [[[4, 0], 1.0], [[0, 2], 0.5]]},
+                                    "S": {"poly": [[[1, 0], 1.0]]}, "gamma": {"poly": [[[0, 0], 1.0]]},
+                                    "J": {"n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]}}), encoding="utf-8")
+        tr = assert_matches_reference(load_model(path), [1e100, 0.0], t_end=0.1, dt=1e-2)
+        assert tr.fault == "NonFiniteState" and tr.times.tolist() == [0.0]
+        assert tr.H_values.tolist() == [math.inf] and tr.S_values.tolist() == [1e100]
+        assert main(["simulate", str(path), "--t-end", "0.1", "--x0", "1e100,0",
+                     "-o", str(tmp_path / "t.csv")]) == 4
+        assert json.loads(capsys.readouterr().out.splitlines()[0]) == {
+            "fault": "NonFiniteState", "t_last": 0.0, "samples": 1}
 
 
 class TestLargeSources:
@@ -139,7 +172,7 @@ class TestNamespaceBinding:
         full_rhs(model, [1.0, 2.0], 0.0)
         H.value([1.0, 2.0])
         H.grad([1.0, 2.0])
-        assert len(sources) == 5  # step, start (full_rhs reads it), parts, value_list, grad_list
+        assert len(sources) == 4  # run, parts (full_rhs reads it too), value_list, grad_list
         for source in sources:
             numbers = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                        if tok.type == tokenize.NUMBER}
@@ -178,7 +211,7 @@ class TestLiveStatements:
         stages, sample = step_source(monkeypatch, readme_forced_model())
         assert stages.count("_table[_bisect(_times, th)]") == 1
         assert stages.count("_table[_bisect(_times, te)]") == 1
-        assert sample.count("_table[_bisect(_times, tn)]") == 1
+        assert sample.count("_table[_bisect(_times, t)]") == 1
 
     def test_a_field_gamma_keeps_its_check(self, monkeypatch):
         stages, sample = step_source(monkeypatch, builtin_model("heat-exchanger"))
@@ -191,8 +224,7 @@ class TestLiveStatements:
         tr = assert_matches_reference(model, x0, t_end=0.05, dt=1e-2)
         assert tr.fault == "NonpositiveGamma" and tr.times.tolist() == [0.0]
         want = (tuple(x0), repr(loop_polynomial(gamma, x0)[0]))
-        for call in (lambda x: model._code.start(x, 0.0), lambda x: drift_rhs(model, x),
-                     lambda x: full_rhs(model, x, 0.0), model.gamma_at):
+        for call in (lambda x: drift_rhs(model, x), lambda x: full_rhs(model, x, 0.0), model.gamma_at):
             with pytest.raises(NonpositiveGamma) as err:
                 call(x0)
             assert (err.value.x, repr(err.value.value)) == want
@@ -273,7 +305,7 @@ class TestSmallestModel:
         model = IphsModel(1, H, PolynomialField(1, [((1,), 1.0)]), BracketMatrix.zeros(1),
                           PolynomialField.constant(1, 1.0), **pieces)
         stages, sample = step_source(monkeypatch, model)
-        assert "x0 = y0" in sample and "buf.extend((tn, y0, " in sample
+        assert "x0 = y0" in sample and "buf.extend((t, y0, " in sample
         tr = assert_matches_reference(model, [-0.0 if forced else 0.75], t_end=0.05, dt=1e-2)
         assert tr.fault is None and tr.states.shape == (6, 1)
         assert len(set(tr.states[:, 0].tolist())) == (6 if forced else 1)
@@ -282,7 +314,7 @@ class TestSmallestModel:
 class TestStageTimes:
     @pytest.mark.parametrize("typed", [True, False])
     def test_breakpoints_at_every_sample_time(self, typed):
-        # k2 and k3 see t + dt/2, k4 sees t + dt, the sample (k + 1) * dt;
+        # k2 and k3 see t + dt/2, k4 sees t + dt, the next sample (k + 1) * dt;
         # the last two differ by an ulp at some k
         dt, steps = 0.01, 30
         times = [(k + 1) * dt for k in range(steps)]
