@@ -13,16 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
-from .tensor import Tensor4, _checked_dimension
+from .tensor import Tensor4, _checked_dimension, _number_array
 
 
 class BracketMatrix:
-    """Immutable n x n real matrix inducing the bracket df^T A dg."""
+    """Immutable n x n real matrix inducing the bracket df^T A dg. Its
+    entries keep the number rule (``_number_array``): no bools or strings."""
 
     __slots__ = ("n", "_array")
 
     def __init__(self, array):
-        arr = np.array(array, dtype=float)
+        arr = _number_array(array, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

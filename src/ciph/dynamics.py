@@ -49,7 +49,10 @@ RK4 stages and weights as x (rates at k1, the previous sample, to k4), so
 their quadrature error is O(dt^4) like the state's; an isolated model
 (p = q = 0) carries one, int sigma_int. The entropy gate is the chain-rule
 identity of the integrated ODE, dS/dt = sigma_int + dS^T (W + g u); the
-dH^T (W + g u) form, int (sigma_int + p), is reported too.
+dH^T (W + g u) form, int (sigma_int + p), is reported too. Each sample
+also adds |dH| |k1| dt and |dS| |k1| dt to the gross throughputs G_H and
+G_S, the audit's scales, which have no floor and so carry H's and S's
+units.
 """
 
 from __future__ import annotations
@@ -87,13 +90,14 @@ from .fields import (
     _unpack,
     list_form,
 )
+from .tensor import _number_array
 
 SKEW_TOL = 1e-12
 # An audit passes when min sigma_int >= -AUDIT_SIGMA_SLACK and each gated
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; at n = 2 a step peaks at about 400 B.
+# Largest step count integrate accepts; at n = 2 a step peaks at about 470 B.
 MAX_STEPS = 10**6
 
 
@@ -153,7 +157,11 @@ class Trajectory:
     name of the abort condition and the trajectory is the valid prefix.
     ``p`` and ``q`` are the input powers dH^T (W + g u) and dS^T (W + g u)
     at each sample (zero for an isolated model). ``supplied`` holds, a row
-    per sample, int p, int (sigma_int + q) and int (sigma_int + p) from 0."""
+    per sample, int p, int (sigma_int + q) and int (sigma_int + p) from 0.
+    ``throughput`` holds, a row per sample, G_H and G_S: the left sums
+    dt * sum |dH| |x'| and dt * sum |dS| |x'| over the steps before it, x'
+    each step's k1 and |.| the Euclidean norm (``math.hypot``), the scales
+    of the audit's gates."""
 
     times: np.ndarray
     states: np.ndarray
@@ -163,6 +171,7 @@ class Trajectory:
     p: np.ndarray
     q: np.ndarray
     supplied: np.ndarray
+    throughput: np.ndarray
     fault: str | None = None
 
     def __len__(self) -> int:
@@ -195,7 +204,7 @@ class Constant:
     __slots__ = ("array",)
 
     def __init__(self, value):
-        self.array = np.array(value, dtype=float)
+        self.array = _number_array(value, "a constant input")
         self.array.setflags(write=False)
 
     def __call__(self, x, dH) -> np.ndarray:
@@ -210,7 +219,7 @@ class Schedule:
     __slots__ = ("times", "array", "_zero")
 
     def __init__(self, times, values):
-        times, values = np.array(times, dtype=float), np.array(values, dtype=float)
+        times, values = _number_array(times, "'u' times"), _number_array(values, "'u' values")
         if values.ndim == 1:
             values = values[:, None]
         if times.ndim != 1 or values.ndim != 2 or len(values) != len(times) or not len(times):
@@ -302,7 +311,8 @@ class _ModelCode:
     b c d (k1-k4; a sample sets a, its step's k1), u (the input row),
     j (J dH), w (dS^T J dH), m (gamma w), s1-s4 p1-p4 q1-q4 (sigma_int and
     the input powers at k1-k4; a sample sets s1 p1 q1), ip iq ia (the
-    running balance integrals), t th te (the sample time, which is the
+    running balance integrals), gh gs (the running throughputs) and kd
+    (|k1| dt), t th te (the sample time, which is the
     step's start, and the later stage times), and per field G (gamma), H
     and S.
     """
@@ -312,7 +322,8 @@ class _ModelCode:
         self.inputs, self.table = _compile_inputs(model.n, model.W, model.g, model.u)
         # gamma in the value form: no stage reads its gradient
         self.fields = (("G", model.gamma, "value"), ("H", model.H, "grad"), ("S", model.S, "grad"))
-        self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right}
+        self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right,
+                          "_hypot": math.hypot}
         for i, row in enumerate(model.J.array.tolist()):
             for j, entry in enumerate(row):
                 self.namespace[f"J{i:d}_{j:d}"] = entry
@@ -334,9 +345,11 @@ class _ModelCode:
         of the step from t, appends it to the flat list ``buf`` as its time,
         the state and the row, and returns after the last sample (k =
         steps); then it makes that step, to t + dt. A row is (H, S, sigma_int, p, q,
-        int p, int (sigma_int + q), int (sigma_int + p)); the integrals start
-        at zero and each advances by the RK4 update over its rates at k1 to
-        k4. Returns "NonFiniteState", before appending, once a step's state
+        int p, int (sigma_int + q), int (sigma_int + p), G_H, G_S); the
+        integrals start at zero and each advances by the RK4 update over its
+        rates at k1 to k4; G_H and G_S are left sums, each step adding
+        |dH| (|k1| dt) and |dS| (|k1| dt) at its sample. Returns
+        "NonFiniteState", before appending, once a step's state
         or a later sample's H, S or sigma_int is not finite, else None;
         NonpositiveGamma propagates, so ``buf`` holds the valid prefix
         either way (empty when gamma fails at the first sample)."""
@@ -345,7 +358,10 @@ class _ModelCode:
         # the first sample is kept whatever its H, S and sigma_int
         body = ["t = k * dt", *self._record("t"),
                 "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)) and k:", "    return 'NonFiniteState'",
-                f"buf.extend((t, {', '.join(y)}, {self.row}))", "if k == steps:", "    return None",
+                f"buf.extend((t, {', '.join(y)}, {self.row}, gh, gs))", "if k == steps:", "    return None",
+                f"kd = _hypot({', '.join(k1)}) * dt",
+                f"gh = gh + {self._norm('Hn', _names('Hg', n))} * kd",
+                f"gs = gs + {self._norm('Sn', _names('Sg', n))} * kd",
                 *(f"{a} = {b}" for a, b in zip(x, y))]
         if self.inputs is not None:
             body += ["th = t + half", "te = t + dt"]
@@ -359,7 +375,7 @@ class _ModelCode:
         body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return 'NonFiniteState'",
                  *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals)]
         return self._function("run(x, steps, dt, half, sixth, buf)",
-                              [f"{_unpack(y)}= x", "ip = iq = ia = 0.0", "for k in range(steps + 1):",
+                              [f"{_unpack(y)}= x", "ip = iq = ia = gh = gs = 0.0", "for k in range(steps + 1):",
                                *("    " + line for line in body)])
 
     @functools.cached_property
@@ -423,6 +439,16 @@ class _ModelCode:
             lines += _fold(f"q{tag}", list(zip(_names("Sg", self.n), u)), self.namespace)
         return lines
 
+    def _norm(self, name: str, names: list) -> str:
+        """The Euclidean norm of the vector ``names`` as an expression. Of a
+        vector of bound numbers (a linear field's gradient) it is computed
+        here, by the same ``math.hypot``, and bound as ``name``."""
+        numbers = [self.namespace.get(v) for v in names]
+        if all(isinstance(v, float) for v in numbers):
+            self.namespace[name] = math.hypot(*numbers)
+            return name
+        return f"_hypot({', '.join(names)})"
+
     def _record(self, time: str) -> list:
         """A sample at (y, time): the rhs a (the k1 of the step from it), its
         rates s1, p1, q1 (that step's first), Hv and Sv."""
@@ -473,7 +499,7 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     the state leaves the finite range mid-run, the trajectory returned is
     the valid prefix with ``fault`` set instead of raising; when gamma
     fails at x0 itself, that prefix is one sample holding H and S, with
-    sigma_int, the input powers and the integrals zero.
+    sigma_int, the input powers, the integrals and the throughputs zero.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise NonFiniteValue(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -495,11 +521,12 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
         except NonpositiveGamma:
             fault = "NonpositiveGamma"
             if not buf:  # gamma failed at x0: the first sample holds H and S alone
-                buf = [0.0, *x, list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6]
-    samples = np.array(buf).reshape(-1, n + 9)
+                buf = [0.0, *x, list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 8]
+    samples = np.array(buf).reshape(-1, n + 11)
     del buf  # its floats go before the columns are copied out
     return Trajectory(samples[:, 0].copy(), samples[:, 1:n + 1].copy(),
-                      *(samples[:, i].copy() for i in range(n + 1, n + 6)), samples[:, n + 6:].copy(), fault=fault)
+                      *(samples[:, i].copy() for i in range(n + 1, n + 6)), samples[:, n + 6:n + 9].copy(),
+                      samples[:, n + 9:].copy(), fault=fault)
 
 
 def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -524,22 +551,29 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     The energy gate is H - H0 = int dH^T (W + g u); the entropy gate is
     S - S0 = int (sigma_int + dS^T (W + g u)), with the dH^T (W + g u)
     variant reported as ``max_entropy_defect_alt``. Each scale is
-    max(1, max|change|, max|supplied integral|) of its gated balance. A run
-    passes when sigma_int >= -AUDIT_SIGMA_SLACK and each gated defect is at
-    most AUDIT_DEFECT_REL times its scale. The integrals are RK4 stage
-    quadratures, so one step (2 samples) is enough; a 1-sample prefix (a
-    fault at the start) has no balance to audit.
+    max(G, max|change|, max|supplied integral|) of its gated balance, G the
+    run's gross throughput G_H = int |dH| |x'| dt or G_S = int |dS| |x'| dt
+    (``Trajectory.throughput``). |dH^T x'| <= |dH| |x'|, so G_H bounds how
+    far H could move if J were not skew; it scales with H and ignores an
+    additive constant, and no scale has a floor, so the verdict does not
+    depend on the units of H or S (a model whose H is zero still passes,
+    0 <= 0). A run passes when sigma_int >= -AUDIT_SIGMA_SLACK and each
+    gated defect is at most AUDIT_DEFECT_REL times its scale; a NaN scale
+    fails. The integrals are RK4 stage quadratures, so one step (2 samples)
+    is enough; a 1-sample prefix (a fault at the start) has no balance to
+    audit.
     """
     if len(trajectory) < 2:
         raise TrajectoryTooShort(f"need >= 2 samples, got {len(trajectory)}")
     columns = balance_ledger(trajectory)
     energy, entropy, entropy_alt = (float(np.max(np.abs(c))) for c in columns)
 
-    def scale(values, supplied):
-        return max(1.0, float(np.max(np.abs(values - values[0]))), float(np.max(np.abs(supplied))))
+    def scale(gross, values, supplied):
+        return float(np.max([gross, np.max(np.abs(values - values[0])), np.max(np.abs(supplied))]))
 
-    energy_scale = scale(trajectory.H_values, trajectory.supplied[:, 0])
-    entropy_scale = scale(trajectory.S_values, trajectory.supplied[:, 1])
+    energy_gross, entropy_gross = trajectory.throughput[-1].tolist()  # left sums only grow
+    energy_scale = scale(energy_gross, trajectory.H_values, trajectory.supplied[:, 0])
+    entropy_scale = scale(entropy_gross, trajectory.S_values, trajectory.supplied[:, 1])
     min_sigma = float(np.min(trajectory.sigma_int))
     passed = (min_sigma >= -AUDIT_SIGMA_SLACK and energy <= AUDIT_DEFECT_REL * energy_scale
               and entropy <= AUDIT_DEFECT_REL * entropy_scale)

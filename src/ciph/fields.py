@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, NonFiniteValue
-from .tensor import _dimension, _integer
+from .tensor import _dimension, _integer, _is_number
 
 
 def _exponent(e) -> int:
@@ -58,7 +58,7 @@ def _as_vector(x, n: int) -> np.ndarray:
 def _coefficient(c) -> float:
     """A polynomial coefficient under the file readers' number rule: an int
     or float (a numpy one too) but not a boolean; inf beyond the double range."""
-    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
+    if not _is_number(c):
         raise FormatError(f"coefficient {c!r} is not a number")
     try:
         return float(c)

@@ -2,10 +2,11 @@
 
 All on-disk indices are 1-based. Tensor files are written in one fixed
 layout (that of ``json.dumps(..., indent=1)``) with shortest round-trip
-floats; the writer formats each distinct value and each (i, j, k) entry
-head once and gathers every entry's text from those strings. Numbers in the
-trajectory CSV are written with 17 significant digits ("%.17g"). Both are
-byte-deterministic and round-trip through doubles exactly.
+floats; the writer formats each distinct value once and writes the entries
+block by block, gathering each block's text from those strings. Numbers in
+the trajectory CSV are written with 17 significant digits ("%.17g"), also
+block by block. Both writers share one block size, ``WRITE_BLOCK``; both
+are byte-deterministic and round-trip through doubles exactly.
 
 Every reader and writer runs inside one error boundary, ``_naming``: an
 OSError, KeyError (a missing field) or CiphError raised inside leaves as one
@@ -112,9 +113,10 @@ def _n(spec: dict, what: str = "invalid 'n'") -> int:
     return n
 
 
-# Rows of a trajectory CSV formatted per write: the formatting temporaries
-# (about 0.4 kB a row at n = 2) stay a few MB however long the run.
-CSV_BLOCK_ROWS = 4096
+# Rows of a trajectory CSV, or entries of a tensor file, formatted per write:
+# the text in memory (about 0.4 kB a CSV row at n = 2, 80 B a tensor entry)
+# stays a few MB however long the run or large the tensor.
+WRITE_BLOCK = 4096
 
 _ENTRY_FIELDS = itemgetter("i", "j", "k", "l", "v")
 _ENTRY_ERRORS = (KeyError, TypeError, ValueError)
@@ -183,28 +185,38 @@ def save_tensor(t: Tensor4, path) -> None:
 
     Entries repeat their text: a bracket product's values are products of a
     few matrix entries, and the n entries of one (i, j, k) share their head.
-    So each distinct value is formatted once (``np.unique``), each distinct
-    (i, j, k) head once and each "l" part once, and the entries are gathered
-    from those strings into an (m, 4) table that one join writes out.
+    So each distinct value is formatted once (``np.unique``) and each "l"
+    part once. The file is written block by block: each ``WRITE_BLOCK``
+    entries format each of their (i, j, k) heads once and are gathered
+    into a (B, 4) table that one join writes out. Beyond the per-entry
+    index arrays and the distinct values' strings, the memory held is one
+    block's text.
     """
     n, flat = t.n, t.values.reshape(-1)
     pos = np.flatnonzero(flat)  # row-major; -0.0 is zero
-    if len(pos):
-        values, which_value = np.unique(flat[pos], return_inverse=True)
-        ijk = pos // n  # ascending, so each head's entries are consecutive
-        first = np.diff(ijk, prepend=-1) != 0
-        i, j, k = (axis + 1 for axis in np.unravel_index(ijk[first], (n, n, n)))
-        heads = [_HEAD % head for head in zip(i.tolist(), j.tolist(), k.tolist())]
-        table = np.empty((len(pos), 4), dtype=object)
-        table[:, 0] = np.array(heads, dtype=object)[np.cumsum(first) - 1]
-        table[:, 1] = np.array([_L_PART % l for l in range(1, n + 1)], dtype=object)[pos % n]
-        table[:, 2] = np.array(list(map(repr, values.tolist())), dtype=object)[which_value]
-        table[:, 3] = _CLOSE + ",\n"
-        table[-1, 3] = _CLOSE
-        entries = "[\n" + "".join(table.ravel().tolist()) + "\n ]"
-    else:
-        entries = "[]"
-    _write(path, f'{{\n "n": {n},\n "entries": {entries}\n}}\n')
+    values, which_value = np.unique(flat[pos], return_inverse=True)
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    l_parts = np.array([_L_PART % l for l in range(1, n + 1)], dtype=object)
+    with _naming(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "n": {n},\n "entries": [')
+        if len(pos):
+            fh.write("\n")
+            for start in range(0, len(pos), WRITE_BLOCK):
+                block = pos[start : start + WRITE_BLOCK]
+                ijk = block // n  # ascending, so each head's entries are consecutive
+                first = np.diff(ijk, prepend=-1) != 0
+                i, j, k = (axis + 1 for axis in np.unravel_index(ijk[first], (n, n, n)))
+                heads = [_HEAD % head for head in zip(i.tolist(), j.tolist(), k.tolist())]
+                rows = np.empty((len(block), 4), dtype=object)
+                rows[:, 0] = np.array(heads, dtype=object)[np.cumsum(first) - 1]
+                rows[:, 1] = l_parts[block - n * ijk]
+                rows[:, 2] = texts[which_value[start : start + WRITE_BLOCK]]
+                rows[:, 3] = _CLOSE + ",\n"
+                if start + len(block) == len(pos):
+                    rows[-1, 3] = _CLOSE
+                fh.write("".join(rows.ravel().tolist()))
+            fh.write("\n ")
+        fh.write("]\n}\n")
 
 
 def load_matrix(path) -> BracketMatrix:
@@ -347,7 +359,7 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     mismatch H(t) - H(0) - integral of dH^T (W + g u) dt, the integral that
     the RK4 step carried (``trajectory.supplied``); for an isolated model it
     reduces to the energy drift.
-    Every number is written as "%.17g", each block of ``CSV_BLOCK_ROWS``
+    Every number is written as "%.17g", each block of ``WRITE_BLOCK``
     rows in one %-format.
     """
     tr = trajectory
@@ -358,5 +370,5 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with _naming(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for block in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
+        for block in np.split(rows, range(WRITE_BLOCK, len(rows), WRITE_BLOCK)):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -118,6 +118,11 @@ def split_product(A: BracketMatrix, B: BracketMatrix, tol: float = DEFAULT_TOL) 
     return SplitResult(SPLIT, BracketMatrix(J_arr), max(unit, 0.0) * bmax * amax, amax * deviation)
 
 
+# The rounding margin of the early refusal in ``_recover_symmetric``: 2b
+# (1 + u)^2 <= (2 + 2^-49) b rounded, b the gate.
+_ASYMMETRY_MARGIN = 1.0 + 2.0**-50
+
+
 def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     """Try to match t[i,j,k,l] = c (J[i,k] J[j,l] + J[i,l] J[j,k]).
 
@@ -142,12 +147,26 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
     comes out as 0.0 and cannot set J's sign, and a genuine entry moves by
     at most 16u r. The bound is relative to max|K| and does not depend on
     tol.
+
+    Early refusal. The rebuild is exactly symmetric in k and l (each entry
+    adds the same two products, in either order). If it passes the gate
+    b = tol * max|t|, every entry of t is within b (1 + u) of it (the gate
+    reads each residual rounded to nearest), so every slice of t has
+    |t[i,j,k,l] - t[i,j,l,k]| <= 2b (1 + u), which computed reads at most
+    2b (1 + u)^2. The bound (2 + 2^-49) b, rounded once, is at least that,
+    since 1 + 8u >= (1 + u)^3 (subnormal differences are exact). So a slice
+    t[p, q, :, :] asymmetric beyond it refuses t here, exactly where the
+    gate would refuse it after the rebuild: n^2 entries read instead of n^4
+    built. Every raw product whose slice there is not symmetric stops here.
     """
     v = t.values
     p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", v))), (t.n, t.n))
     r = math.sqrt(max(float(v[p, p, q, q]), 0.0) / 2.0)
     if not r > 0.0:
         return None  # no positive t[i,i,k,k]: K would be zero
+    kl = v[p, q]
+    if not float(np.abs(kl - kl.T).max()) <= _ASYMMETRY_MARGIN * 2.0 * (tol * t.max_abs()):
+        return None  # an inf difference is beyond every finite bound
     K = (v[:, p, :, q] - np.outer(v[:, p, q, q] / (2.0 * r), v[p, p, :, q] / (2.0 * r))) / r
     K = 0.5 * (K - K.T)  # exact inputs are already skew; this absorbs rounding
     K[np.abs(K) <= 2.0**-49 * r] = 0.0  # rounding residue: 16u r
@@ -166,10 +185,13 @@ def _recover_symmetric(t: Tensor4, tol: float) -> SplitResult | None:
 def split_tensor(t: Tensor4, tol: float = DEFAULT_TOL) -> SplitResult:
     """Full splitting decision for a 4-tensor.
 
-    Every tensor is first matched as a symmetric representative; when that
-    match fails, t is read as a raw product A[i,k] B[j,l] off two slices at
-    one pivot: the first max-abs entry t[i,j,k,l] in row-major (i, k, j, l)
-    order (t read as the (i, k) x (j, l) matrix) gives A = t[:,j,:,l] and
+    Every tensor is first matched as a symmetric representative (a slice
+    asymmetric in its last two slots refuses that match before the n^4
+    rebuild, exactly where the rebuild's gate would; see
+    ``_recover_symmetric``); when that match fails, t is read as a raw
+    product A[i,k] B[j,l] off two slices at one pivot: the first max-abs
+    entry t[i,j,k,l] in row-major (i, k, j, l) order (t read as the
+    (i, k) x (j, l) matrix) gives A = t[:,j,:,l] and
     B = t[i,:,k,:] / t[i,j,k,l] (zero for the zero tensor), and
     ``split_product`` judges the pair. Each candidate is accepted or refused
     by one residual, that of its reconstruction against t within

@@ -84,6 +84,24 @@ def _integer(value) -> int | None:
     return None
 
 
+def _is_number(value) -> bool:
+    """The number rule of the file readers, kept by the library's
+    constructors too: an int or float (a numpy one too), not a boolean."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _number_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float array, every element under ``_is_number``.
+    A numeric ndarray passes in O(1); anything else is checked element by
+    element, so True or "2.5" raises FormatError instead of reading as 1.0
+    or 2.5."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for v in np.array(values, dtype=object).flat:
+            if not _is_number(v):
+                raise FormatError(f"{what} must be ints or floats (not booleans or strings), got {v!r}")
+    return np.array(values, dtype=float)
+
+
 def _dimension(n) -> int:
     """A dimension: an integer >= 1 (an integral float too), never truncated."""
     if (m := _integer(n)) is None:
@@ -105,7 +123,9 @@ class Tensor4:
     """Immutable dense real tensor with four indices of equal range.
 
     ``get``/``set`` use 1-based indices to match the file formats; ``set``
-    returns a new tensor, leaving the original untouched.
+    returns a new tensor, leaving the original untouched. Values keep the
+    file readers' number rule (``_number_array``): a bool or a string is a
+    FormatError, not 1.0 or a parsed number.
 
     The index checks read the tensor under the six permutations of slots
     (1, 3, 4); the tensor builds those operands on first use and keeps them
@@ -121,7 +141,7 @@ class Tensor4:
 
     def __init__(self, n: int, values=None):
         n = _checked_dimension(n)
-        arr = np.zeros((n, n, n, n)) if values is None else np.array(values, dtype=float)
+        arr = np.zeros((n, n, n, n)) if values is None else _number_array(values, "tensor entries")
         self._hold(n, arr)
 
     @classmethod
@@ -176,8 +196,10 @@ class Tensor4:
 
         ``n`` is checked before anything is allocated. Each index must be an
         integer in 1..n under ``_integer``'s rule (a bool, a string or a
-        fraction is not one). The first entry that breaks it, and then the
-        first that repeats an earlier index, is a FormatError naming it
+        fraction is not one), and each value an int or float, not a bool or
+        a string (``_is_number``; a numeric array passes whole). The first
+        entry whose index breaks it, then the first whose value does, then
+        the first that repeats an earlier index, is a FormatError naming it
         (entries count from 1).
         """
         n = _checked_dimension(n)
@@ -186,8 +208,10 @@ class Tensor4:
         elif not isinstance(entries, np.ndarray):
             entries = list(entries)
         numeric = isinstance(entries, np.ndarray) and entries.dtype.kind in "fiu"
-        try:  # other rows take each index through _integer, whose None reads as NaN and fails below
-            rows = entries if numeric else [(*map(_integer, row[:4]), *row[4:]) for row in entries]
+        try:  # other rows take each index through _integer, whose None reads as NaN and fails below,
+            # and a value that is not a number as NaN too
+            rows = entries if numeric else [
+                (*map(_integer, row[:4]), *(v if _is_number(v) else math.nan for v in row[4:])) for row in entries]
             table = np.asarray(rows, dtype=float).reshape(-1, 5)
         except OverflowError:
             raise FormatError(f"an entry index or value is out of range (n = {n})") from None
@@ -199,6 +223,10 @@ class Tensor4:
             key = index[pos].tolist() if numeric else entries[pos][:4]
             key = tuple(v if (m := _integer(v)) is None else m for v in key)
             raise FormatError(f"entry #{pos + 1} index {key} out of range 1..{n}")
+        if not numeric and np.isnan(table[:, 4]).any():  # a NaN number fails in _hold instead
+            for pos, row in enumerate(entries, 1):
+                if not all(map(_is_number, row[4:])):
+                    raise FormatError(f"entry #{pos} value {row[4]!r} is not an int or float")
         flat = np.ravel_multi_index(tuple(index.astype(np.intp).T - 1), (n, n, n, n))
         positions, first = np.unique(flat, return_index=True)
         if len(first) < len(flat):
@@ -220,8 +248,11 @@ class Tensor4:
         return float(self._values[self._position(i, j, k, l)])
 
     def set(self, i: int, j: int, k: int, l: int, value: float) -> "Tensor4":
-        """Functional update: returns a copy with one entry replaced."""
+        """Functional update: returns a copy with one entry replaced by
+        ``value``, an int or float (not a bool or a string)."""
         position = self._position(i, j, k, l)
+        if not _is_number(value):
+            raise FormatError(f"value {value!r} is not an int or float")
         arr = self._values.copy()
         arr[position] = float(value)
         return Tensor4._owning(self.n, arr)

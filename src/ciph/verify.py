@@ -168,7 +168,9 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     (0.0 + W_i) + g_i . u; every dot product is a left fold from 0.0. Each
     sample supplies the next step's k1 and first balance rates; the
     integrals of p, sigma_int + q and sigma_int + p take the RK4 update of
-    x over the rates at k1-k4 (p = q = 0 for an isolated model). Unlike
+    x over the rates at k1-k4 (p = q = 0 for an isolated model); the
+    throughputs G_H and G_S add |dH| (|k1| dt) and |dS| (|k1| dt) at each
+    step's sample, norms by ``math.hypot``. Unlike
     ``integrate`` it does not check its arguments.
     """
     n, J = model.n, model.J.array.tolist()
@@ -219,7 +221,8 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
 
     def sample(x, t):
         k, powers, rates = rhs(x, t)
-        return (value(model.H, x), value(model.S, x), *powers), k, rates
+        norms = (math.hypot(*grad(model.H, x)), math.hypot(*grad(model.S, x)))
+        return (value(model.H, x), value(model.S, x), *powers), k, rates, norms
 
     def rk4(x, k1, k2, k3, k4):
         return [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
@@ -230,14 +233,15 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(all="ignore"):
         try:
-            row, k1, r1 = sample(x, 0.0)
-            totals = [0.0, 0.0, 0.0]
-            rows = [row + tuple(totals)]
+            row, k1, r1, norms = sample(x, 0.0)
+            totals, gross = [0.0, 0.0, 0.0], [0.0, 0.0]
+            rows = [row + tuple(totals) + tuple(gross)]
         except NonpositiveGamma:
-            rows = [(value(model.H, x), value(model.S, x), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+            rows = [(value(model.H, x), value(model.S, x), *[0.0] * 8)]
             fault, steps = "NonpositiveGamma", 0
         for k in range(steps):
             t = k * dt
+            step_gross = [total + norm * (math.hypot(*k1) * dt) for total, norm in zip(gross, norms)]
             try:
                 k2, _, r2 = rhs([a + half * b for a, b in zip(x, k1)], t + half)
                 k3, _, r3 = rhs([a + half * b for a, b in zip(x, k2)], t + half)
@@ -246,19 +250,20 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
                 if not all(map(math.isfinite, x)):
                     fault = "NonFiniteState"
                     break
-                row, k1, r5 = sample(x, (k + 1) * dt)
+                row, k1, r5, n5 = sample(x, (k + 1) * dt)
                 if not all(map(math.isfinite, row[:3])):
                     fault = "NonFiniteState"
                     break
             except NonpositiveGamma:
                 fault = "NonpositiveGamma"
                 break
-            totals, r1 = rk4(totals, r1, r2, r3, r4), r5
+            totals, r1, gross, norms = rk4(totals, r1, r2, r3, r4), r5, step_gross, n5
             times.append((k + 1) * dt)
             states.append(x)
-            rows.append(row + tuple(totals))
+            rows.append(row + tuple(totals) + tuple(gross))
     columns = [np.array(column) for column in zip(*rows)]
-    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:]), fault=fault)
+    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:8]),
+                      np.column_stack(columns[8:]), fault=fault)
 
 
 def _oracle_inputs(t: Tensor4, tol) -> tuple[float, list, float]:

@@ -68,7 +68,7 @@ def random_unit_scaled_skew(rng: np.random.Generator, n: int) -> BracketMatrix:
     return BracketMatrix(arr / np.max(np.abs(arr)))
 
 
-TRAJECTORY_COLUMNS = ("times", "states", "H_values", "S_values", "sigma_int", "p", "q", "supplied")
+TRAJECTORY_COLUMNS = ("times", "states", "H_values", "S_values", "sigma_int", "p", "q", "supplied", "throughput")
 
 
 def assert_matches_reference(model, x0, t_end, dt):

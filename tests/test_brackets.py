@@ -42,6 +42,26 @@ def test_matrix_must_be_square_and_finite(rows, error):
         BracketMatrix(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [["0", "1"], ["-1", "0"]],
+    [[True, False], [False, True]],
+    [[0.0, 1.0], [-1.0, np.bool_(False)]],
+    np.array([[True, False], [False, True]]),
+    np.array([["0", "1"], ["-1", "0"]]),
+])
+def test_matrix_keeps_the_number_rule(rows):
+    # no bool reads as 1.0 and no string as the number it spells
+    with pytest.raises(FormatError, match="matrix entries must be ints or floats"):
+        BracketMatrix(rows)
+
+
+def test_matrix_accepts_python_and_numpy_numbers():
+    expected = BracketMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert BracketMatrix([[0, 1], [-1, 0]]) == expected
+    assert BracketMatrix([[np.float32(0.0), np.int64(1)], [-1, 0.0]]) == expected
+    assert BracketMatrix(np.array([[0, 1], [-1, 0]], dtype=np.int8)) == expected
+
+
 class TestBracketEval:
     def test_hand_value(self, j_std, x2, x1_plus_x2):
         # e2^T J (1,1)^T = (-1, 0) . (1, 1)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ciph import (
     BalanceReport,
@@ -741,11 +743,12 @@ class TestBalanceLedger:
         tr = integrate(model, [0.7, 0.2], t_end=0.05, dt=1e-3)
         report = audit_balances(model, tr)
         H, S = tr.H_values, tr.S_values
-        expected_E = max(1.0, np.max(np.abs(H - H[0])), np.max(np.abs(tr.supplied[:, 0])))
-        expected_S = max(1.0, np.max(np.abs(S - S[0])), np.max(np.abs(tr.supplied[:, 1])))
-        assert report.energy_scale == expected_E
-        assert report.entropy_scale == expected_S
-        # a balance that moves more than 1 sets its own scale: by its change...
+        G_H, G_S = tr.throughput[-1]
+        expected_E = max(G_H, np.max(np.abs(H - H[0])), np.max(np.abs(tr.supplied[:, 0])))
+        expected_S = max(G_S, np.max(np.abs(S - S[0])), np.max(np.abs(tr.supplied[:, 1])))
+        assert report.energy_scale == expected_E < 1.0  # no floor of 1
+        assert report.entropy_scale == expected_S < 1.0
+        # a balance that moves more than its throughput sets its own scale: by its change...
         big = dataclasses.replace(tr, S_values=1e3 * S)
         assert audit_balances(model, big).entropy_scale == np.max(np.abs(big.S_values - big.S_values[0]))
         # ...or by its supplied integral
@@ -902,6 +905,64 @@ def pushed_model(stage, H, gamma):
         g=lambda x, dH: np.array([[1.0], [0.0]]),
         u=lambda t: np.array([0.0 if t < switch else size]),
     )
+
+
+def probe_model(c: float) -> IphsModel:
+    """H = c (x1^2/2 + x2^2/2 + x1^4/4), S = x1 + x2 + x1^2/2, gamma = 1/c^2,
+    standard J: the trajectory does not depend on c, only H's units do."""
+    return IphsModel(
+        2,
+        PolynomialField(2, [((2, 0), c / 2), ((0, 2), c / 2), ((4, 0), c / 4)]),
+        PolynomialField(2, [((1, 0), 1.0), ((0, 1), 1.0), ((2, 0), 0.5)]),
+        BracketMatrix.standard_skew(),
+        constant_gamma(2, 1 / c**2),
+    )
+
+
+class TestAuditUnits:
+    # The gates scale with the gross throughputs G_H and G_S, with no floor,
+    # so a verdict does not depend on the units of H or S.
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("dt, passed", [(1e-3, True), (0.05, False)])
+    def test_probe_verdict_is_the_same_in_every_unit(self, c, dt, passed):
+        report = audit_balances(probe_model(c), integrate(probe_model(c), [1.0, 0.5], t_end=5.0, dt=dt))
+        assert report.passed is passed
+        # the energy defect against its throughput, the same ratio in every unit
+        ratio = report.max_energy_defect / report.energy_scale
+        assert ratio < 1e-10 if passed else ratio > 1e-5
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(i=st.integers(-40, 40), j=st.integers(-40, 40), dt=st.sampled_from([1e-3, 0.02, 0.1, 0.3]),
+           forced=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_units_scale_defects_exactly(self, i, j, dt, forced, seed):
+        # H -> 2^i H and S -> 2^j S with gamma -> 2^(-2i-j) gamma leave x(t)
+        # bit for bit; each balance, its defect and its scale scale exactly
+        rng = np.random.default_rng(seed)
+
+        def poly(terms, factor):
+            return PolynomialField(2, [(e, factor * c) for e, c in terms])
+
+        H_terms = [((2, 0), 0.5), ((0, 2), float(rng.uniform(0.2, 2.0))), ((4, 0), float(rng.uniform(0.0, 1.0)))]
+        S_terms = [((1, 0), 1.0), ((0, 1), float(rng.uniform(-1.0, 1.0))), ((2, 0), float(rng.uniform(0.0, 1.0)))]
+        gamma_terms = [((0, 0), float(rng.uniform(0.2, 2.0))), ((0, 2), float(rng.uniform(0.0, 1.0)))]
+        J = random_skew(rng, 2)
+        W = Constant(rng.uniform(-0.5, 0.5, 2)) if forced else None
+        x0 = rng.uniform(-1.0, 1.0, 2)
+
+        def audit(a, b):
+            model = IphsModel(2, poly(H_terms, a), poly(S_terms, b), J, poly(gamma_terms, 1.0 / (a * a * b)), W=W)
+            tr = integrate(model, x0, t_end=20 * dt, dt=dt)
+            return tr, audit_balances(model, tr) if len(tr) > 1 else None
+
+        (tr, report), (scaled_tr, scaled) = audit(1.0, 1.0), audit(2.0**i, 2.0**j)
+        assert scaled_tr.fault == tr.fault and scaled_tr.states.tobytes() == tr.states.tobytes()
+        assume(report is not None)  # a fault at the first sample leaves nothing to audit
+        assert scaled_tr.throughput.tobytes() == (tr.throughput * [2.0**i, 2.0**j]).tobytes()
+        assert scaled.passed == report.passed and scaled.samples == report.samples
+        for name, factor in (("max_energy_defect", 2.0**i), ("energy_scale", 2.0**i),
+                             ("max_entropy_defect", 2.0**j), ("entropy_scale", 2.0**j),
+                             ("min_sigma_int", 2.0**j)):
+            assert getattr(scaled, name) == factor * getattr(report, name), name
 
 
 class TestKernelFaults:
@@ -1142,6 +1203,23 @@ class TestCompiledInputs:
     def test_bad_schedule_is_a_format_error(self, times, values, match):
         with pytest.raises(FormatError, match=match):
             Schedule(times, values)
+
+    @pytest.mark.parametrize("bad", [True, "1", np.bool_(False)])
+    def test_constant_keeps_the_number_rule(self, bad):
+        with pytest.raises(FormatError, match="a constant input must be ints or floats"):
+            Constant([0.5, bad])
+        with pytest.raises(FormatError, match="a constant input must be ints or floats"):
+            Constant([[1.0], [bad]])
+        assert Constant([np.float32(0.5), np.int64(2), 3]).array.tolist() == [0.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("bad", [True, "1", "0"])
+    def test_schedule_keeps_the_number_rule(self, bad):
+        with pytest.raises(FormatError, match="'u' times must be ints or floats"):
+            Schedule([bad], [[1.0]])
+        with pytest.raises(FormatError, match="'u' values must be ints or floats"):
+            Schedule([0.0, 1.0], [[1.0], [bad]])
+        with pytest.raises(FormatError, match="'u' values must be ints or floats"):
+            Schedule(np.array([0.0]), np.array([[bad]]))
 
     def test_typed_shapes_are_checked_once_at_build(self):
         base = quadratic_linear_model()

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ def sparse_tensors(draw, pool=None) -> Tensor4:
     return Tensor4(n, arr)
 
 
+def tensor_with_entries(count: int) -> Tensor4:
+    """An n = 10 tensor with ``count`` nonzero entries at random positions,
+    half of them drawn from a pool of three values, so values repeat."""
+    rng = np.random.default_rng(count)
+    flat = np.zeros(10**4)
+    where = rng.choice(flat.size, size=count, replace=False)
+    flat[where] = rng.standard_normal(count)
+    flat[where[::2]] = rng.choice([0.5, -2.0, 1e-300], size=len(where[::2]))
+    return Tensor4(10, flat.reshape((10,) * 4))
+
+
 class TestTensorWriterBytes:
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_matches_reference_encoder(self, tmp_path, case):
@@ -237,6 +249,33 @@ class TestTensorWriterBytes:
         save_tensor(t, p)
         assert p.read_bytes() == reference_tensor_text(t).encode("utf-8")
         assert [e["v"] for e in json.loads(p.read_text())["entries"]] == [1.5]
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("offset", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+    def test_blocks_do_not_change_the_bytes(self, tmp_path, monkeypatch, block, offset):
+        # an entry count at each side of a block boundary, the last block
+        # short, full or holding one entry
+        count = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}[offset]
+        t = tensor_with_entries(count)
+        monkeypatch.setattr(fileio, "WRITE_BLOCK", block)
+        p = tmp_path / "t.json"
+        save_tensor(t, p)
+        assert p.read_bytes() == reference_tensor_text(t).encode("utf-8")
+
+    def test_traced_peak_stays_below_the_file_size(self, tmp_path):
+        # a dense n = 24 raw product of the kind `ciph product` writes: the
+        # text is held one block at a time, not as whole copies of the file
+        A = random_skew(np.random.default_rng(24), 24)
+        t = product_tensor(A, BracketMatrix(1.37 * A.array))
+        p = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            save_tensor(t, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.stat().st_size > 25e6
+        assert peak < p.stat().st_size
 
 
 class TestTensorReaderParity:
@@ -329,6 +368,21 @@ class TestFromEntries:
             Tensor4.from_entries(2, entries)
         with pytest.raises(FormatError, match="entry #2 index"):
             Tensor4.from_entries(2, {e[:4]: e[4] for e in entries})
+
+    @pytest.mark.parametrize("bad", [True, "2.5", np.bool_(True), None])
+    def test_value_must_be_a_number(self, bad):
+        # a bool is not read as 1.0, nor a numeric string as its number
+        entries = [(2, 1, 1, 1, 1.0), (1, 1, 1, 1, bad)]
+        with pytest.raises(FormatError, match=rf"entry #2 value {re.escape(repr(bad))} is not an int or float"):
+            Tensor4.from_entries(2, entries)
+        with pytest.raises(FormatError, match="entry #2 value"):
+            Tensor4.from_entries(2, {e[:4]: e[4] for e in entries})
+        with pytest.raises(FormatError, match="entry #2 value"):
+            Tensor4.from_entries(2, np.array(entries, dtype=object))
+
+    def test_nan_value_still_fails_as_non_finite(self):
+        with pytest.raises(FormatError, match="finite"):
+            Tensor4.from_entries(2, [(1, 1, 1, 1, float("nan"))])
 
     def test_fractional_index_in_a_float_table_rejected(self):
         with pytest.raises(FormatError, match=r"entry #1 index \(1, 1, 1.5, 1\) out of range"):
@@ -692,6 +746,7 @@ class TestTrajectoryCsvFormat:
             p=np.zeros(k),
             q=np.zeros(k),
             supplied=np.column_stack([np.roll(values, 5), values, values]),
+            throughput=np.zeros((k, 2)),
             fault="NonFiniteState",
         )
         p = tmp_path / "traj.csv"
@@ -721,7 +776,7 @@ class TestTrajectoryCsvFormat:
         model = quadratic_linear_model()
         tr = integrate(model, [1.0, 0.0], t_end=0.1, dt=1e-2)
         assert len(tr) == 11
-        monkeypatch.setattr(fileio, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(fileio, "WRITE_BLOCK", block)
         p = tmp_path / "traj.csv"
         write_trajectory_csv(model, tr, p)
         rows = np.column_stack([tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int,

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ciph.splitter import (
     SplitResult,
     _recover_symmetric,
 )
+from ciph import splitter
 
 from conftest import random_unit_scaled_skew
 
@@ -658,3 +660,57 @@ def test_representatives_split_at_every_tol_and_scale(case, k):
         assert np.max(np.abs(result.J.array - J)) <= 8 * np.finfo(float).eps
         assert not result.J.array[K == 0.0].any()
         assert result.gamma == pytest.approx(2.0 * c * m * m, rel=8 * np.finfo(float).eps, abs=0.0)
+
+
+def split_parity_corpus() -> list:
+    """(t, tol) pairs at n = 2..8 for every shape ``split_tensor`` meets:
+    rays, near-representatives off by 0.1 to 2.5 tol * max|t| (also on the
+    slice the early refusal reads), raw products of every status with and
+    without noise, their symmetrizations, and random tensors, symmetric in
+    (k, l) or not."""
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for _ in range(110):
+        n = int(rng.integers(2, 9))
+        tol = float(rng.choice([1e-10, 1e-6, 1e-3, 0.3]))
+        upper = np.triu(rng.standard_normal((n, n)), 1)
+        K = (upper - upper.T) * 2.0 ** rng.integers(-20, 21)
+        ray = representative(K)
+        top = ray.max_abs()
+        cases.append((ray, tol))
+        cases.append((Tensor4(n, -ray.values), tol))
+        for size in (0.1, 0.5, 0.99, 1.0, 1.01, 1.99, 2.0, 2.01, 2.5):
+            noise = rng.uniform(-1.0, 1.0, ray.values.shape)
+            cases.append((Tensor4(n, ray.values + size * tol * top * noise), tol))
+            # one (k, l) pair of the slice the early refusal reads, moved apart
+            p, q = np.unravel_index(int(np.argmax(np.einsum("iikk->ik", ray.values))), (n, n))
+            k, l = rng.choice(n, 2, replace=False)
+            cases.append((ray.set(p + 1, q + 1, k + 1, l + 1, ray.get(p + 1, q + 1, k + 1, l + 1)
+                                  + size * tol * top), tol))
+        A = BracketMatrix(upper - upper.T)
+        lam = float(rng.uniform(0.3, 2.0))
+        for B in (lam * A.array, -lam * A.array, rng.standard_normal((n, n)),
+                  lam * A.array + 1e-8 * rng.standard_normal((n, n))):
+            raw = product_tensor(A, BracketMatrix(B))
+            cases += [(raw, tol), (symmetrize_34(raw), tol)]
+            noise = tol * raw.max_abs() * rng.uniform(-0.5, 0.5, raw.values.shape)
+            cases.append((Tensor4(n, raw.values + noise), tol))
+        not_skew = product_tensor(BracketMatrix(rng.uniform(-1.0, 1.0, (n, n))), BracketMatrix(lam * A.array))
+        cases += [(not_skew, tol), (symmetrize_34(not_skew), tol)]
+        random = Tensor4(n, rng.standard_normal((n,) * 4))
+        cases += [(random, tol), (symmetrize_34(random), tol)]
+    return cases
+
+
+def test_early_refusal_keeps_every_split_result(monkeypatch):
+    # The refusal on an asymmetric (k, l) slice only stops rebuilds that the
+    # gate would refuse: with its bound made infinite (the rebuild always
+    # runs) every result is the same, bit for bit.
+    corpus = split_parity_corpus()
+    assert len(corpus) >= 2000
+    got = [bits(split_tensor(t, tol)) for t, tol in corpus]
+    monkeypatch.setattr(splitter, "_ASYMMETRY_MARGIN", math.inf)
+    want = [bits(split_tensor(t, tol)) for t, tol in corpus]
+    assert got == want
+    statuses = Counter(status for status, *_ in want)
+    assert set(statuses) == {SPLIT, NOT_RANK_ONE, NOT_SKEW, NOT_PROPORTIONAL, NEGATIVE_GAMMA}

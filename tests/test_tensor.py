@@ -8,6 +8,7 @@ from ciph import (
     DimensionMismatch,
     DimensionTooLarge,
     EmptyDirectionSet,
+    FormatError,
     NegativeCoefficient,
     NonFiniteValue,
     PolynomialField,
@@ -57,6 +58,19 @@ class TestTensor4:
 
         with pytest.raises(FormatError):
             Tensor4(2, arr)
+
+    @pytest.mark.parametrize("values", [
+        [[[["3"]]]], [[[[True]]]], [[[[np.bool_(True)]]]], np.array([[[[True]]]]), np.array([[[["3"]]]]),
+    ])
+    def test_values_keep_the_number_rule(self, values):
+        with pytest.raises(FormatError, match="tensor entries must be ints or floats"):
+            Tensor4(1, values)
+
+    @pytest.mark.parametrize("bad", [True, "2.5", np.bool_(False), None])
+    def test_set_keeps_the_number_rule(self, bad):
+        with pytest.raises(FormatError, match="is not an int or float"):
+            Tensor4.zeros(2).set(1, 2, 1, 2, bad)
+        assert Tensor4.zeros(2).set(1, 2, 1, 2, np.int64(3)).get(1, 2, 1, 2) == 3.0
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 2, 3), (4, 4)])
     def test_rejects_values_of_the_wrong_shape(self, shape):
