@@ -70,17 +70,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# A JSON string token, kept as it is, or a non-finite float token of json.dumps.
+_NONFINITE = re.compile(r'("(?:[^"\\]|\\.)*")|-?Infinity|NaN')
+_FINITE_FORM = {"Infinity": "1e999", "-Infinity": "-1e999", "NaN": "null"}
+
+
 def _json(obj) -> str:
     """``json.dumps(obj)``, but valid JSON for non-finite floats: +-inf is
     written as the literal +-1e999 (which parses back to +-inf) and NaN as
-    null, where json.dumps writes Infinity and NaN."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "null" if math.isnan(obj) else ("1e999" if obj > 0.0 else "-1e999")
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(_json, obj)) + "]"
-    return json.dumps(obj)
+    null, where json.dumps writes Infinity and NaN. Those tokens are
+    rewritten outside JSON strings only."""
+    return _NONFINITE.sub(lambda m: m.group(1) or _FINITE_FORM[m.group(0)], json.dumps(obj))
 
 
 def _emit(obj) -> None:

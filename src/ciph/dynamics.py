@@ -17,15 +17,15 @@ straight-line Python on floats and compiles it (``_ModelCode``), each
 function on first use. ``integrate`` compiles one, ``run``: the whole
 RK4 loop, with the state, the stage rates, the coordinate powers,
 gradients, dot products (left folds) and stage points as local variables.
-Each pass takes the sample at (x, t), appends it to one flat list, and
-then makes the step from t; the sample's statements are written once. A
-stage (k2-k4) computes gamma and the gradients with the powers they read,
-and the rhs; each sample gives, besides the step's k1 at the same (x, t),
-H, S, sigma_int and the input powers p = dH^T (W + g u) and
-q = dS^T (W + g u). Only the
-sample evaluates H and S, with the powers that only their values read: 8
-field gradients a step (2 per stage for k2-k4, 2 at the sample) and 2
-field values. A constant gamma, a linear field's gradient, and any other
+Each pass takes the sample at (x, t), appends it to one bytearray as a
+packed row of doubles, and then makes the step from t; the sample's
+statements are written once. A stage (k2-k4) computes gamma and the
+gradients with the powers they read, and the rhs; each sample gives,
+besides the step's k1 at the same (x, t), H, S, sigma_int and the input
+powers p = dH^T (W + g u) and q = dS^T (W + g u). Only the sample
+evaluates H and S, with the powers that only their values read: 8 field
+gradients a step (2 per stage for k2-k4, 2 at the sample) and 2 field
+values. A constant gamma, a linear field's gradient, and any other
 fold of model numbers alone (J dH for a linear H) are computed once, when
 the step is written, and gamma's ``> 0`` check is left out when gamma is
 a positive constant. ``drift_rhs``, ``observable_rate``, ``gamma_at`` and
@@ -49,16 +49,18 @@ RK4 stages and weights as x (rates at k1, the previous sample, to k4), so
 their quadrature error is O(dt^4) like the state's; an isolated model
 (p = q = 0) carries one, int sigma_int. The entropy gate is the chain-rule
 identity of the integrated ODE, dS/dt = sigma_int + dS^T (W + g u); the
-dH^T (W + g u) form, int (sigma_int + p), is reported too. Each sample
-also adds |dH| |k1| dt and |dS| |k1| dt to the gross throughputs G_H and
-G_S, the audit's scales, which have no floor and so carry H's and S's
-units.
+dH^T (W + g u) form, int (sigma_int + p), is reported too. Each step
+also adds |dH| |k1| dt and |dS| |k1| dt, taken at the sample it starts
+from, to the gross throughputs G_H and G_S: two running sums, not
+per-sample columns, that are the audit's scales, which have no floor and
+so carry H's and S's units.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -97,7 +99,8 @@ SKEW_TOL = 1e-12
 # defect is at most AUDIT_DEFECT_REL times its balance's scale.
 AUDIT_SIGMA_SLACK = 1e-12
 AUDIT_DEFECT_REL = 1e-6
-# Largest step count integrate accepts; at n = 2 a step peaks at about 470 B.
+# Largest step count integrate accepts; a sample is kept as n + 9 doubles
+# (88 B at n = 2), so time, not memory, bounds it.
 MAX_STEPS = 10**6
 
 
@@ -158,10 +161,11 @@ class Trajectory:
     ``p`` and ``q`` are the input powers dH^T (W + g u) and dS^T (W + g u)
     at each sample (zero for an isolated model). ``supplied`` holds, a row
     per sample, int p, int (sigma_int + q) and int (sigma_int + p) from 0.
-    ``throughput`` holds, a row per sample, G_H and G_S: the left sums
-    dt * sum |dH| |x'| and dt * sum |dS| |x'| over the steps before it, x'
-    each step's k1 and |.| the Euclidean norm (``math.hypot``), the scales
-    of the audit's gates."""
+    ``throughput`` is the pair (G_H, G_S): the left sums dt * sum |dH| |x'|
+    and dt * sum |dS| |x'| over the steps before the last sample, x' each
+    step's k1 and |.| the Euclidean norm (``math.hypot``), the scales of the
+    audit's gates. ``integrate`` returns every array as a view of one
+    buffer of packed sample rows."""
 
     times: np.ndarray
     states: np.ndarray
@@ -171,7 +175,7 @@ class Trajectory:
     p: np.ndarray
     q: np.ndarray
     supplied: np.ndarray
-    throughput: np.ndarray
+    throughput: tuple[float, float]
     fault: str | None = None
 
     def __len__(self) -> int:
@@ -311,7 +315,8 @@ class _ModelCode:
     b c d (k1-k4; a sample sets a, its step's k1), u (the input row),
     j (J dH), w (dS^T J dH), m (gamma w), s1-s4 p1-p4 q1-q4 (sigma_int and
     the input powers at k1-k4; a sample sets s1 p1 q1), ip iq ia (the
-    running balance integrals), gh gs (the running throughputs) and kd
+    running balance integrals), gh gs (the running throughputs), eh es
+    (the increments of gh and gs by the step from the sample) and kd
     (|k1| dt), t th te (the sample time, which is the
     step's start, and the later stage times), and per field G (gamma), H
     and S.
@@ -323,7 +328,7 @@ class _ModelCode:
         # gamma in the value form: no stage reads its gradient
         self.fields = (("G", model.gamma, "value"), ("H", model.H, "grad"), ("S", model.S, "grad"))
         self.namespace = {"_NonpositiveGamma": NonpositiveGamma, "_isfinite": math.isfinite, "_bisect": bisect_right,
-                          "_hypot": math.hypot}
+                          "_hypot": math.hypot, "_pack": struct.Struct(f"{self.n + 9:d}d").pack}
         for i, row in enumerate(model.J.array.tolist()):
             for j, entry in enumerate(row):
                 self.namespace[f"J{i:d}_{j:d}"] = entry
@@ -339,29 +344,34 @@ class _ModelCode:
 
     @functools.cached_property
     def run(self) -> Callable:
-        """run(x, steps, dt, half, sixth, buf): the RK4 loop from the state x
-        at t = 0.0, the whole loop in one function. Pass k first takes the
-        sample at (x, t = k * dt), which also gives the k1 and first rates
-        of the step from t, appends it to the flat list ``buf`` as its time,
-        the state and the row, and returns after the last sample (k =
-        steps); then it makes that step, to t + dt. A row is (H, S, sigma_int, p, q,
-        int p, int (sigma_int + q), int (sigma_int + p), G_H, G_S); the
-        integrals start at zero and each advances by the RK4 update over its
-        rates at k1 to k4; G_H and G_S are left sums, each step adding
-        |dH| (|k1| dt) and |dS| (|k1| dt) at its sample. Returns
-        "NonFiniteState", before appending, once a step's state
-        or a later sample's H, S or sigma_int is not finite, else None;
-        NonpositiveGamma propagates, so ``buf`` holds the valid prefix
-        either way (empty when gamma fails at the first sample)."""
+        """run(x, steps, dt, half, sixth, buf) -> (fault, G_H, G_S): the RK4
+        loop from the state x at t = 0.0, the whole loop in one function.
+        Pass k first takes the sample at (x, t = k * dt), which also gives
+        the k1 and first rates of the step from t, appends it to the
+        ``bytearray`` ``buf`` as one packed row of n + 9 doubles, its time,
+        the state and (H, S, sigma_int, p, q, int p, int (sigma_int + q),
+        int (sigma_int + p)), and returns after the last sample (k = steps);
+        then it makes that step, to t + dt. The integrals start at zero and
+        each advances by the RK4 update over its rates at k1 to k4. G_H and
+        G_S are left sums: the step from sample k adds |dH| (|k1| dt) and
+        |dS| (|k1| dt), taken at sample k, just before sample k + 1 is
+        appended, so on every return they are the sums over the steps before
+        the last appended sample. The fault is "NonFiniteState", returned
+        before appending, once a step's state or a later sample's H, S or
+        sigma_int is not finite, "NonpositiveGamma" once gamma fails, or
+        None; ``buf`` holds the valid prefix either way (empty, with both
+        sums 0.0, when gamma fails at the first sample)."""
         n, y = self.n, self.y
         x, k1, k2, k3, k4 = (_names(stem, n) for stem in "xabcd")
         # the first sample is kept whatever its H, S and sigma_int
         body = ["t = k * dt", *self._record("t"),
-                "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)) and k:", "    return 'NonFiniteState'",
-                f"buf.extend((t, {', '.join(y)}, {self.row}, gh, gs))", "if k == steps:", "    return None",
+                "if not (_isfinite(Hv) and _isfinite(Sv) and _isfinite(s1)) and k:",
+                "    return 'NonFiniteState', gh, gs",
+                "gh = gh + eh", "gs = gs + es",
+                f"buf += _pack(t, {', '.join(y)}, {self.row})", "if k == steps:", "    return None, gh, gs",
                 f"kd = _hypot({', '.join(k1)}) * dt",
-                f"gh = gh + {self._norm('Hn', _names('Hg', n))} * kd",
-                f"gs = gs + {self._norm('Sn', _names('Sg', n))} * kd",
+                f"eh = {self._norm('Hn', _names('Hg', n))} * kd",
+                f"es = {self._norm('Sn', _names('Sg', n))} * kd",
                 *(f"{a} = {b}" for a, b in zip(x, y))]
         if self.inputs is not None:
             body += ["th = t + half", "te = t + dt"]
@@ -372,11 +382,14 @@ class _ModelCode:
             body += [f"{y[i]} = {x[i]} + {factor} * {k[i]}" for i in range(n)]
             body += [*self._stage(time, out, lookup), *self._rates(tag)]
         body += [f"{y[i]} = {_rk4(x[i], k1[i], k2[i], k3[i], k4[i])}" for i in range(n)]
-        body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return 'NonFiniteState'",
+        body += [f"if not ({' and '.join(f'_isfinite({v})' for v in y)}):", "    return 'NonFiniteState', gh, gs",
                  *(f"{total} = {_rk4(total, *map(rate.format, '1234'))}" for total, rate in self.integrals)]
+        loop = ["for k in range(steps + 1):", *("    " + line for line in body)]
+        if self._drift[2]:  # a gamma check raises; the handler returns the sums
+            loop = ["try:", *("    " + line for line in loop),
+                    "except _NonpositiveGamma:", "    return 'NonpositiveGamma', gh, gs"]
         return self._function("run(x, steps, dt, half, sixth, buf)",
-                              [f"{_unpack(y)}= x", "ip = iq = ia = gh = gs = 0.0", "for k in range(steps + 1):",
-                               *("    " + line for line in body)])
+                              [f"{_unpack(y)}= x", "ip = iq = ia = gh = gs = eh = es = 0.0", *loop])
 
     @functools.cached_property
     def parts(self) -> Callable:
@@ -399,22 +412,23 @@ class _ModelCode:
                 [f"{_unpack(_names(prefix + 'g', self.n))}= {prefix}grad({_list(self.y)})"])
 
     @functools.cached_property
-    def _drift(self) -> tuple[list, list]:
+    def _drift(self) -> tuple[list, list, bool]:
         """Statements for gamma (checked > 0 unless it is a positive
-        constant), dH, dS, j, w and m at y, and the H and S value
-        statements, which read the powers these leave."""
+        constant), dH, dS, j, w and m at y, the H and S value statements,
+        which read the powers these leave, and whether gamma is checked."""
         n = self.n
         (g_pow, g_value, _), (h_pow, h_value, h_grad), (s_pow, s_value, s_grad) = (
             self._field(*spec) for spec in self.fields)
         lines = [*g_pow, *g_value]
-        if not (isinstance(self.namespace.get("Gv"), float) and self.namespace["Gv"] > 0.0):
+        checked = not (isinstance(self.namespace.get("Gv"), float) and self.namespace["Gv"] > 0.0)
+        if checked:
             lines += ["if not Gv > 0.0:", f"    raise _NonpositiveGamma({_list(self.y)}, Gv)"]
         lines += [*h_pow, *h_grad, *s_pow, *s_grad]
         dH, dS, JdH = _names("Hg", n), _names("Sg", n), _names("j", n)
         for i in range(n):
             lines += _fold(JdH[i], [(f"J{i:d}_{j:d}", dH[j]) for j in range(n)], self.namespace)
         lines += _fold("w", list(zip(dS, JdH)), self.namespace)
-        return [*lines, f"m = {_product(['Gv', 'w'], self.namespace)}"], h_value + s_value
+        return [*lines, f"m = {_product(['Gv', 'w'], self.namespace)}"], h_value + s_value, checked
 
     def _stage(self, time: str, out: str, lookup: bool = True) -> list:
         """Statements setting ``out<i>`` to the full rhs at (y, time); an
@@ -493,13 +507,14 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
 
     Each sample records H, S, sigma_int and the input powers p, q. One
     call of the model's compiled ``run`` makes every step and takes every
-    sample, the first at t = 0 with its balance integrals zero, appending
-    each to one flat list, which becomes the ``Trajectory`` columns by one
-    ``np.array`` and a copy per column. If gamma fails to be positive or
-    the state leaves the finite range mid-run, the trajectory returned is
-    the valid prefix with ``fault`` set instead of raising; when gamma
-    fails at x0 itself, that prefix is one sample holding H and S, with
-    sigma_int, the input powers, the integrals and the throughputs zero.
+    sample, the first at t = 0 with its balance integrals zero, packing
+    each into one ``bytearray``; the ``Trajectory`` arrays are float64
+    views of it, and ``run`` returns the throughputs G_H and G_S.
+    If gamma fails to be positive or the state leaves the finite range
+    mid-run, the trajectory returned is the valid prefix with ``fault`` set
+    instead of raising; when gamma fails at x0 itself, that prefix is one
+    sample holding H and S, with sigma_int, the input powers, the integrals
+    and the throughputs zero.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise NonFiniteValue(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -512,26 +527,30 @@ def integrate(model: IphsModel, x0, t_end: float, dt: float = 1e-3) -> Trajector
     steps = max(1, int(round(t_end / dt)))
     if steps > MAX_STEPS:
         raise DimensionTooLarge(f"t_end / dt = {steps} steps exceeds the cap of {MAX_STEPS}")
-    n, buf, fault = model.n, [], None
+    n, buf = model.n, bytearray()
     x = _as_vector(x0, n).tolist()
     # Overflow to inf/nan (silent in float arithmetic) is caught by the finiteness checks.
     with np.errstate(all="ignore"):
-        try:
-            fault = model._code.run(x, steps, dt, 0.5 * dt, dt / 6.0, buf)
-        except NonpositiveGamma:
-            fault = "NonpositiveGamma"
-            if not buf:  # gamma failed at x0: the first sample holds H and S alone
-                buf = [0.0, *x, list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 8]
-    samples = np.array(buf).reshape(-1, n + 11)
-    del buf  # its floats go before the columns are copied out
-    return Trajectory(samples[:, 0].copy(), samples[:, 1:n + 1].copy(),
-                      *(samples[:, i].copy() for i in range(n + 1, n + 6)), samples[:, n + 6:n + 9].copy(),
-                      samples[:, n + 9:].copy(), fault=fault)
+        fault, G_H, G_S = model._code.run(x, steps, dt, 0.5 * dt, dt / 6.0, buf)
+        if not buf:  # gamma failed at x0: the first sample holds H and S alone
+            buf = np.array([0.0, *x, list_form(model.H)[0](x), list_form(model.S)[0](x), *[0.0] * 6])
+    samples = np.frombuffer(buf).reshape(-1, n + 9)
+    return Trajectory(samples[:, 0], samples[:, 1:n + 1], *(samples[:, i] for i in range(n + 1, n + 6)),
+                      samples[:, n + 6:], (G_H, G_S), fault=fault)
 
 
 def input_power(model: IphsModel, trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample dH^T (W + g u) and dS^T (W + g u), as ``integrate`` recorded them."""
     return trajectory.p, trajectory.q
+
+
+def ledger_column(trajectory: Trajectory, i: int, rows: slice = slice(None)) -> np.ndarray:
+    """Column i of ``balance_ledger`` at the samples ``rows``: the change of
+    H (i = 0) or S (i = 1, 2) from the first sample minus column i of
+    ``supplied``, each entry by the same float operations whatever ``rows``."""
+    values = trajectory.S_values if i else trajectory.H_values
+    with np.errstate(all="ignore"):
+        return values[rows] - values[0] - trajectory.supplied[rows, i]
 
 
 def balance_ledger(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -540,9 +559,7 @@ def balance_ledger(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray, np.n
     S - S0 - int (sigma_int + p)), the integrals read off ``supplied``. A
     faulted prefix may start from a non-finite H or S; its columns are then
     non-finite, without a warning."""
-    H, S, supplied = trajectory.H_values, trajectory.S_values, trajectory.supplied
-    with np.errstate(all="ignore"):
-        return H - H[0] - supplied[:, 0], S - S[0] - supplied[:, 1], S - S[0] - supplied[:, 2]
+    return tuple(ledger_column(trajectory, i) for i in range(3))
 
 
 def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
@@ -561,17 +578,16 @@ def audit_balances(model: IphsModel, trajectory: Trajectory) -> BalanceReport:
     gated defect is at most AUDIT_DEFECT_REL times its scale; a NaN scale
     fails. The integrals are RK4 stage quadratures, so one step (2 samples)
     is enough; a 1-sample prefix (a fault at the start) has no balance to
-    audit.
+    audit. The ledger columns are reduced one at a time.
     """
     if len(trajectory) < 2:
         raise TrajectoryTooShort(f"need >= 2 samples, got {len(trajectory)}")
-    columns = balance_ledger(trajectory)
-    energy, entropy, entropy_alt = (float(np.max(np.abs(c))) for c in columns)
+    energy, entropy, entropy_alt = (float(np.max(np.abs(ledger_column(trajectory, i)))) for i in range(3))
 
     def scale(gross, values, supplied):
         return float(np.max([gross, np.max(np.abs(values - values[0])), np.max(np.abs(supplied))]))
 
-    energy_gross, entropy_gross = trajectory.throughput[-1].tolist()  # left sums only grow
+    energy_gross, entropy_gross = trajectory.throughput
     energy_scale = scale(energy_gross, trajectory.H_values, trajectory.supplied[:, 0])
     entropy_scale = scale(entropy_gross, trajectory.S_values, trajectory.supplied[:, 1])
     min_sigma = float(np.min(trajectory.sigma_int))

@@ -32,8 +32,8 @@ from .dynamics import (
     IphsModel,
     Schedule,
     Trajectory,
-    balance_ledger,
     builtin_model,
+    ledger_column,
 )
 # Not called here: the CSV reads the balance ledger. The name stays bound in
 # this module because the benchmark tracer wraps ``ciph.fileio.input_power``.
@@ -360,15 +360,16 @@ def write_trajectory_csv(model: IphsModel, trajectory: Trajectory, path) -> None
     the RK4 step carried (``trajectory.supplied``); for an isolated model it
     reduces to the energy drift.
     Every number is written as "%.17g", each block of ``WRITE_BLOCK``
-    rows in one %-format.
+    rows in one %-format of that block's slices of the columns, its
+    energy_defect computed per block (``ledger_column``).
     """
     tr = trajectory
-    rows = np.column_stack(
-        [tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int, balance_ledger(tr)[0]]
-    )
     header = ["t", *(f"x{i + 1}" for i in range(model.n)), "H", "S", "sigma_int", "energy_defect"]
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with _naming(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for block in np.split(rows, range(WRITE_BLOCK, len(rows), WRITE_BLOCK)):
+        for start in range(0, len(tr), WRITE_BLOCK):
+            rows = slice(start, start + WRITE_BLOCK)
+            block = np.column_stack([tr.times[rows], tr.states[rows], tr.H_values[rows], tr.S_values[rows],
+                                     tr.sigma_int[rows], ledger_column(tr, 0, rows)])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

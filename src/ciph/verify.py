@@ -169,8 +169,9 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
     sample supplies the next step's k1 and first balance rates; the
     integrals of p, sigma_int + q and sigma_int + p take the RK4 update of
     x over the rates at k1-k4 (p = q = 0 for an isolated model); the
-    throughputs G_H and G_S add |dH| (|k1| dt) and |dS| (|k1| dt) at each
-    step's sample, norms by ``math.hypot``. Unlike
+    throughputs G_H and G_S add |dH| (|k1| dt) and |dS| (|k1| dt) taken at
+    each step's sample, norms by ``math.hypot``, once the step's next sample
+    is kept, and are returned as the pair through the last kept sample. Unlike
     ``integrate`` it does not check its arguments.
     """
     n, J = model.n, model.J.array.tolist()
@@ -229,15 +230,15 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
 
     steps = max(1, int(round(t_end / dt)))
     x = [float(v) for v in x0]
-    times, states, fault = [0.0], [x], None
+    times, states, fault, gross = [0.0], [x], None, [0.0, 0.0]
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(all="ignore"):
         try:
             row, k1, r1, norms = sample(x, 0.0)
-            totals, gross = [0.0, 0.0, 0.0], [0.0, 0.0]
-            rows = [row + tuple(totals) + tuple(gross)]
+            totals = [0.0, 0.0, 0.0]
+            rows = [row + tuple(totals)]
         except NonpositiveGamma:
-            rows = [(value(model.H, x), value(model.S, x), *[0.0] * 8)]
+            rows = [(value(model.H, x), value(model.S, x), *[0.0] * 6)]
             fault, steps = "NonpositiveGamma", 0
         for k in range(steps):
             t = k * dt
@@ -260,10 +261,10 @@ def loop_trajectory(model, x0, t_end: float, dt: float = 1e-3) -> Trajectory:
             totals, r1, gross, norms = rk4(totals, r1, r2, r3, r4), r5, step_gross, n5
             times.append((k + 1) * dt)
             states.append(x)
-            rows.append(row + tuple(totals) + tuple(gross))
+            rows.append(row + tuple(totals))
     columns = [np.array(column) for column in zip(*rows)]
-    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:8]),
-                      np.column_stack(columns[8:]), fault=fault)
+    return Trajectory(np.array(times), np.array(states), *columns[:5], np.column_stack(columns[5:]),
+                      tuple(gross), fault=fault)
 
 
 def _oracle_inputs(t: Tensor4, tol) -> tuple[float, list, float]:

@@ -4,6 +4,7 @@ The golden tensors are written out entry by entry so the tests that build
 them through library operations compare against independent tables.
 """
 
+import struct
 import warnings
 
 import numpy as np
@@ -68,13 +69,13 @@ def random_unit_scaled_skew(rng: np.random.Generator, n: int) -> BracketMatrix:
     return BracketMatrix(arr / np.max(np.abs(arr)))
 
 
-TRAJECTORY_COLUMNS = ("times", "states", "H_values", "S_values", "sigma_int", "p", "q", "supplied", "throughput")
+TRAJECTORY_COLUMNS = ("times", "states", "H_values", "S_values", "sigma_int", "p", "q", "supplied")
 
 
 def assert_matches_reference(model, x0, t_end, dt):
     """integrate agrees with the loop reference ``loop_trajectory`` bit for
-    bit on every column, on the fault and on the prefix length, without a
-    warning."""
+    bit on every column, on the throughput pair (G_H, G_S), on the fault and
+    on the prefix length, without a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = integrate(model, x0, t_end=t_end, dt=dt)
@@ -83,5 +84,7 @@ def assert_matches_reference(model, x0, t_end, dt):
     for name in TRAJECTORY_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert len(got.throughput) == 2 and all(type(v) is float for v in got.throughput)
+    assert struct.pack("2d", *got.throughput) == struct.pack("2d", *want.throughput)
     return got
 

@@ -213,6 +213,20 @@ class TestCheck:
         assert cli._json(obj) == json.dumps(obj)
         assert cli._json({"r": [float("inf"), -float("inf"), float("nan")]}) == '{"r": [1e999, -1e999, null]}'
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "x NaN y", 'a "Infinity" b', "-Infinity\\",
+                                      'q\\"NaN', "NaNInfinity", "éNaN"])
+    def test_non_finite_words_in_strings_are_kept(self, text):
+        obj = {text: [text, (text, {"k": text})], "v": text}
+        assert cli._json(obj) == json.dumps(obj)
+
+    def test_nested_non_finite_floats(self):
+        inf, nan = float("inf"), float("nan")
+        obj = {"a": [inf, (nan, [-inf, {"b": (inf,)}])], "NaN": {"Infinity": nan}, "c": ("-Infinity", -inf)}
+        assert cli._json(obj) == ('{"a": [1e999, [null, [-1e999, {"b": [1e999]}]]], "NaN": {"Infinity": null}, '
+                                  '"c": ["-Infinity", -1e999]}')
+        assert (cli._json(nan), cli._json((inf, -inf)), cli._json([[np.float64(nan)]])) == \
+            ("null", "[1e999, -1e999]", "[[null]]")
+
 
 class TestSymmetrize:
     def test_doubled_product_becomes_golden_tensor(self, tmp_path, e_j, golden_eps, capsys):

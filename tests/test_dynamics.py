@@ -743,7 +743,7 @@ class TestBalanceLedger:
         tr = integrate(model, [0.7, 0.2], t_end=0.05, dt=1e-3)
         report = audit_balances(model, tr)
         H, S = tr.H_values, tr.S_values
-        G_H, G_S = tr.throughput[-1]
+        G_H, G_S = tr.throughput
         expected_E = max(G_H, np.max(np.abs(H - H[0])), np.max(np.abs(tr.supplied[:, 0])))
         expected_S = max(G_S, np.max(np.abs(S - S[0])), np.max(np.abs(tr.supplied[:, 1])))
         assert report.energy_scale == expected_E < 1.0  # no floor of 1
@@ -957,7 +957,7 @@ class TestAuditUnits:
         (tr, report), (scaled_tr, scaled) = audit(1.0, 1.0), audit(2.0**i, 2.0**j)
         assert scaled_tr.fault == tr.fault and scaled_tr.states.tobytes() == tr.states.tobytes()
         assume(report is not None)  # a fault at the first sample leaves nothing to audit
-        assert scaled_tr.throughput.tobytes() == (tr.throughput * [2.0**i, 2.0**j]).tobytes()
+        assert scaled_tr.throughput == (2.0**i * tr.throughput[0], 2.0**j * tr.throughput[1])
         assert scaled.passed == report.passed and scaled.samples == report.samples
         for name, factor in (("max_energy_defect", 2.0**i), ("energy_scale", 2.0**i),
                              ("max_entropy_defect", 2.0**j), ("entropy_scale", 2.0**j),
@@ -1028,6 +1028,26 @@ class TestKernelFaults:
         big = [i for i, p in enumerate(first) if not abs(p[0]) < 5.9]
         assert big[0] == 4 * 3 + STAGE_PUSHES[stage][2]
 
+    @pytest.mark.parametrize("stage", list(STAGE_PUSHES))
+    @pytest.mark.parametrize("fault", ["NonpositiveGamma", "NonFiniteState"])
+    def test_throughput_is_the_sums_through_the_last_kept_sample(self, stage, fault):
+        # as the stage tests above, with W = (0, 1) moving x2 so that every
+        # step adds to G_H and G_S; whichever stage or sample of step 3
+        # faults, the pair is that of a clean run ending at sample 3
+        switch, size, _ = STAGE_PUSHES[stage]
+        if fault == "NonpositiveGamma":
+            H = PolynomialField(2, [((2, 0), 0.5), ((0, 2), 0.5)])
+            gamma = PolynomialField(2, [((0, 0), 6.0), ((1, 0), -1.0)])
+        else:  # float ** raises on x1^400 once x1 > 5.9; the fallback gives inf
+            H, gamma = PolynomialField(2, [((400, 0), 1e-300), ((0, 2), 0.5)]), constant_gamma(2)
+        model = IphsModel(2, H, PolynomialField(2, [((1, 0), 1.0)]), BracketMatrix.zeros(2), gamma,
+                          W=Constant([0.0, 1.0]), g=lambda x, dH: np.array([[1.0], [0.0]]),
+                          u=lambda t: np.array([0.0 if t < switch else size]))
+        tr = assert_matches_reference(model, [0.5, 0.25], t_end=1.0, dt=1e-2)
+        clean = integrate(model, [0.5, 0.25], t_end=0.03, dt=1e-2)
+        assert tr.fault == fault and len(tr) == len(clean) == 4 and clean.fault is None
+        assert tr.throughput == clean.throughput and min(tr.throughput) > 0.0
+
     def test_nonpositive_gamma_reports_point_and_value(self):
         model = IphsModel(2, PolynomialField(2, [((2, 0), 0.5)]), PolynomialField(2, [((1, 0), 1.0)]),
                           BracketMatrix.standard_skew(), PolynomialField(2, [((1, 0), 1.0), ((0, 0), -0.25)]))
@@ -1094,7 +1114,7 @@ def poly_spec(f: PolynomialField) -> dict:
 def assert_same_trajectory(a, b):
     for name in TRAJECTORY_COLUMNS:
         assert getattr(a, name).tolist() == getattr(b, name).tolist()
-    assert a.fault == b.fault
+    assert a.throughput == b.throughput and a.fault == b.fault
 
 
 class Counted:

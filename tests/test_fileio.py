@@ -17,7 +17,7 @@ from ciph import (
     product_tensor,
     symmetrize_34,
 )
-from ciph.dynamics import Trajectory, balance_ledger, quadratic_linear_model
+from ciph.dynamics import Trajectory, audit_balances, balance_ledger, quadratic_linear_model
 from ciph.fileio import (
     load_directions,
     load_matrix,
@@ -746,7 +746,7 @@ class TestTrajectoryCsvFormat:
             p=np.zeros(k),
             q=np.zeros(k),
             supplied=np.column_stack([np.roll(values, 5), values, values]),
-            throughput=np.zeros((k, 2)),
+            throughput=(0.0, 0.0),
             fault="NonFiniteState",
         )
         p = tmp_path / "traj.csv"
@@ -782,3 +782,21 @@ class TestTrajectoryCsvFormat:
         rows = np.column_stack([tr.times, tr.states, tr.H_values, tr.S_values, tr.sigma_int,
                                 balance_ledger(tr)[0]])
         assert p.read_bytes() == ("t,x1,x2,H,S,sigma_int,energy_defect\n" + join_rows(rows.tolist())).encode()
+
+    def test_traced_peak_is_about_one_buffer_of_samples(self, tmp_path):
+        # integrate keeps each sample once, as n + 9 packed doubles; the CSV
+        # holds one block of rows and the audit one ledger column at a time
+        model = quadratic_linear_model()
+        steps, p = 10**5, tmp_path / "traj.csv"
+        integrate(model, [1.0, 0.0], t_end=1e-2, dt=1e-3)  # compile outside the traced run
+        tracemalloc.start()
+        try:
+            tr = integrate(model, [1.0, 0.0], t_end=steps * 1e-3, dt=1e-3)
+            write_trajectory_csv(model, tr, p)
+            report = audit_balances(model, tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and len(tr) == steps + 1
+        # a CSV row's text and objects take well under 1 kB at n = 2
+        assert peak < 1.5 * 8 * (model.n + 9) * (steps + 1) + fileio.WRITE_BLOCK * 1024

@@ -111,7 +111,7 @@ class TestLoopTopSample:
         build()._code.run
         source = sources[-1]
         # a long fold continues as "Hv = Hv + ..."; one statement starts it
-        assert source.count("buf.extend(") == 1
+        assert source.count("buf += ") == 1
         assert len(re.findall(r"^ *Hv = (?!Hv )", source, re.M)) == 1
         assert len(re.findall(r"^ *Sv = (?!Sv )", source, re.M)) == 1
 
@@ -222,7 +222,7 @@ class TestLiveStatements:
         model = IphsModel(2, QUADRATIC, LINEAR, BracketMatrix.standard_skew(), gamma, W=Constant([0.1, -0.1]))
         x0 = [0.75, -0.25]
         tr = assert_matches_reference(model, x0, t_end=0.05, dt=1e-2)
-        assert tr.fault == "NonpositiveGamma" and tr.times.tolist() == [0.0]
+        assert tr.fault == "NonpositiveGamma" and tr.times.tolist() == [0.0] and tr.throughput == (0.0, 0.0)
         want = (tuple(x0), repr(loop_polynomial(gamma, x0)[0]))
         for call in (lambda x: drift_rhs(model, x), lambda x: full_rhs(model, x, 0.0), model.gamma_at):
             with pytest.raises(NonpositiveGamma) as err:
@@ -305,7 +305,7 @@ class TestSmallestModel:
         model = IphsModel(1, H, PolynomialField(1, [((1,), 1.0)]), BracketMatrix.zeros(1),
                           PolynomialField.constant(1, 1.0), **pieces)
         stages, sample = step_source(monkeypatch, model)
-        assert "x0 = y0" in sample and "buf.extend((t, y0, " in sample
+        assert "x0 = y0" in sample and "buf += _pack(t, y0, " in sample
         tr = assert_matches_reference(model, [-0.0 if forced else 0.75], t_end=0.05, dt=1e-2)
         assert tr.fault is None and tr.states.shape == (6, 1)
         assert len(set(tr.states[:, 0].tolist())) == (6 if forced else 1)
